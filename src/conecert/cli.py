@@ -25,13 +25,7 @@ from .certificates import (
     orthant_surjectivity,
     psd_certificate,
 )
-from .kyp import (
-    KypInstance,
-    cross_validate,
-    default_grid,
-    frequency_condition,
-    pointwise_condition,
-)
+from .kyp import FORM_TOL, KypInstance, cross_validate, default_grid
 from .numerics import TimeGrid
 from .possys import (
     PositiveSystem,
@@ -349,19 +343,15 @@ def _kyp_grid(inst, opts):
 
 def _run_kyp(doc, opts):
     inst = KypInstance(A=_mat(doc, "A"), B=_mat(doc, "B"), M=_mat(doc, "M"))
-    tol = opts["tol"]
+    tol = opts["tol"] if opts["tol"] is not None else FORM_TOL
     grid = _kyp_grid(inst, opts)
     trials = int(doc.get("trials", 5))
     report = cross_validate(
-        inst, grid=grid, trials=trials, seed=opts["seed"], horizon=opts["horizon"]
+        inst, grid=grid, trials=trials, seed=opts["seed"], horizon=opts["horizon"], tol=tol
     )
     freq = report.frequency
     point = report.pointwise
     lmi = report.lmi
-    if tol is not None:
-        # re-apply the decision thresholds with the override
-        freq = frequency_condition(inst, grid, tol=tol)
-        point = pointwise_condition(inst, grid, tol=tol)
     payload = {
         "controllable": inst.controllable,
         "lmi": {

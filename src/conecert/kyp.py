@@ -12,7 +12,7 @@ import logging
 import numpy as np
 
 from .certificates import PsdProblem, psd_certificate
-from .numerics import TimeGrid, ode_solve, trapz
+from .numerics import TimeGrid, rk4_linear
 from .steering import controllability_rank
 from .validation import as_matrix, as_square, as_symmetric, as_vector
 
@@ -20,6 +20,14 @@ log = logging.getLogger("conecert.kyp")
 
 FORM_TOL = 1e-7
 LMI_TOL = 1e-6
+# RK4 steps per unit of IQC horizon, and the most steps one sampler run may
+# take: 2**17 steps is a 1024 s horizon
+IQC_STEPS_PER_UNIT = 128
+IQC_MAX_STEPS = 2**17
+# trials share one recurrence while a batch's stage values of x and u stay
+# under this count (32 MB each), which bounds the sampler's memory near the
+# step budget
+IQC_BATCH_VALUES = 2**22
 
 
 @dataclasses.dataclass
@@ -317,45 +325,61 @@ class IqcSample:
     tail_norm: float
 
 
-def iqc_integral(inst: KypInstance, u, horizon, steps=4096) -> IqcSample:
-    """Integral of (x, u)'M(x, u) along x' = Ax + Bu, x(0) = 0, by trapezoid.
+def _iqc_samples(inst: KypInstance, u_stages, grid: TimeGrid) -> list:
+    """IQC samples of a batch of inputs given at the RK4 stage times.
 
-    Requires the state to have decayed at the horizon (tail norm <= 1e-6);
-    otherwise the finite integral does not represent the whole-line value.
+    u_stages has shape (2*steps+1, m, trials): the inputs at t0 + j*h/2.
+    Every trial starts from x(0) = 0; one recurrence runs them all, and
+    each must have decayed at the horizon.
     """
-    grid = TimeGrid(0.0, float(horizon), steps)
-    path = ode_solve(
-        lambda t, x: inst.A @ x + inst.B @ u(t), np.zeros(inst.n), grid,
-        error_estimate=False,
-    )
-    tail = float(np.linalg.norm(path.values[-1]))
-    if tail > 1e-6:
+    x0 = np.zeros((inst.n, u_stages.shape[2]))
+    path = rk4_linear(inst.A, inst.B @ u_stages, x0, grid).values
+    tails = np.linalg.norm(path[-1], axis=0)
+    unsettled = tails > 1e-6
+    if np.any(unsettled):
+        tail = float(tails[np.argmax(unsettled)])
         raise ValueError(
             f"state norm {tail:.3e} at the horizon exceeds 1e-6; "
             "lengthen the horizon so the trajectory has decayed"
         )
-    times = grid.times()
-    u_samples = np.stack([np.atleast_1d(np.asarray(u(t), dtype=float)) for t in times])
-    Z = np.hstack([path.values, u_samples])
-    w = np.einsum("ki,ij,kj->k", Z, inst.M, Z)
-    energy = float(np.trapezoid(np.einsum("ki,ki->k", u_samples, u_samples), dx=grid.h))
-    return IqcSample(
-        integral=float(np.trapezoid(w, dx=grid.h)),
-        energy=energy,
-        tail_norm=tail,
-    )
+    u_samples = u_stages[::2]
+    Z = np.concatenate([path, u_samples], axis=1)
+    w = np.einsum("kit,ij,kjt->kt", Z, inst.M, Z)
+    integrals = np.trapezoid(w, dx=grid.h, axis=0)
+    energies = np.trapezoid(np.einsum("kit,kit->kt", u_samples, u_samples), dx=grid.h, axis=0)
+    return [
+        IqcSample(integral=float(i), energy=float(e), tail_norm=float(t))
+        for i, e, t in zip(integrals, energies, tails)
+    ]
+
+
+def iqc_integral(inst: KypInstance, u, horizon, steps=4096) -> IqcSample:
+    """Integral of (x, u)'M(x, u) along x' = Ax + Bu, x(0) = 0, by trapezoid.
+
+    u is called once at each RK4 stage time.  Requires the state to have
+    decayed at the horizon (tail norm <= 1e-6); otherwise the finite
+    integral does not represent the whole-line value.
+    """
+    grid = TimeGrid(0.0, float(horizon), steps)
+    times = TimeGrid(0.0, float(horizon), 2 * steps).times()
+    u_stages = np.stack([np.atleast_1d(np.asarray(u(t), dtype=float)) for t in times])
+    return _iqc_samples(inst, u_stages[:, :, None], grid)[0]
 
 
 def _ramped_input(rng, m, active):
+    """Smooth random input supported on (0, active), vectorized over time.
+
+    The returned u maps times of any shape to values of shape t.shape + (m,).
+    """
     freqs = rng.uniform(0.2, 2.0, size=3)
     amps = rng.normal(size=(m, 3))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(m, 3))
 
     def u(t):
-        if not 0.0 < t < active:
-            return np.zeros(m)
+        t = np.asarray(t, dtype=float)[..., None]
         env = np.sin(np.pi * t / active) ** 2
-        return env * np.sum(amps * np.sin(freqs * t + phases), axis=1)
+        waves = np.sum(amps * np.sin(freqs * t[..., None] + phases), axis=-1)
+        return np.where((0.0 < t) & (t < active), env * waves, 0.0)
 
     return u
 
@@ -372,36 +396,47 @@ class IqcReport:
         return self.status == "holds"
 
 
+def _iqc_not_applicable():
+    return IqcReport(
+        status="not_applicable", worst_integral=np.nan, worst_margin=np.nan, samples=[]
+    )
+
+
 def iqc_trajectory_condition(inst: KypInstance, trials=20, horizon=None, seed=0) -> IqcReport:
     """Sample decaying trajectories and test the integral quadratic constraint.
 
     Inputs are smooth, supported on the first third of the horizon; the
     state then decays freely, realizing square-integrable trajectories.
-    Only applicable when A is Hurwitz; otherwise reports not_applicable.
+    Only applicable when A is Hurwitz and the horizon, max(30, 24/alpha)
+    unless given, fits in IQC_MAX_STEPS steps; otherwise reports
+    not_applicable.
     """
     alpha = _decay_rate(inst.A)
     if alpha <= 0:
         log.info("IQC sampler skipped: A is not Hurwitz (decay rate %.3e)", alpha)
-        return IqcReport(
-            status="not_applicable",
-            worst_integral=np.nan,
-            worst_margin=np.nan,
-            samples=[],
-        )
+        return _iqc_not_applicable()
     if horizon is None:
         horizon = max(30.0, 24.0 / alpha)
-    steps = max(4096, int(np.ceil(128.0 * horizon)))
+    steps = max(4096, int(np.ceil(IQC_STEPS_PER_UNIT * horizon)))
+    if steps > IQC_MAX_STEPS:
+        log.warning(
+            "IQC sampler skipped: horizon %.6g needs %d steps, over the budget of %d",
+            horizon, steps, IQC_MAX_STEPS,
+        )
+        return _iqc_not_applicable()
     rng = np.random.default_rng(seed)
+    inputs = [_ramped_input(rng, inst.m, horizon / 3.0) for _ in range(trials)]
+    grid = TimeGrid(0.0, float(horizon), steps)
+    times = TimeGrid(0.0, float(horizon), 2 * steps).times()
+    batch = max(1, IQC_BATCH_VALUES // (times.size * (inst.n + inst.m)))
     samples = []
-    worst_integral = -np.inf
-    worst_margin = -np.inf
-    for _ in range(trials):
-        u = _ramped_input(rng, inst.m, horizon / 3.0)
-        sample = iqc_integral(inst, u, horizon, steps)
-        samples.append(sample)
-        margin = sample.integral - 1e-5 * (1.0 + sample.energy)
-        worst_integral = max(worst_integral, sample.integral)
-        worst_margin = max(worst_margin, margin)
+    for lo in range(0, trials, batch):
+        u_stages = np.stack([u(times) for u in inputs[lo : lo + batch]], axis=-1)
+        samples += _iqc_samples(inst, u_stages, grid)
+    worst_integral = max((s.integral for s in samples), default=-np.inf)
+    worst_margin = max(
+        (s.integral - 1e-5 * (1.0 + s.energy) for s in samples), default=-np.inf
+    )
     status = "holds" if worst_margin <= 0.0 else "fails"
     return IqcReport(
         status=status,
@@ -422,14 +457,17 @@ class CrossValidation:
 
 
 def cross_validate(
-    inst: KypInstance, grid=None, trials=10, seed=0, horizon=None
+    inst: KypInstance, grid=None, trials=10, seed=0, horizon=None, tol=FORM_TOL
 ) -> CrossValidation:
-    """Run every applicable checker and flag disagreements beyond tolerance."""
+    """Run every applicable checker and flag disagreements beyond tolerance.
+
+    ``tol`` is the decision threshold of both frequency sweeps.
+    """
     if grid is None:
         grid = default_grid(inst.A)
     lmi = kyp_lmi(inst, seed=seed)
-    freq = frequency_condition(inst, grid)
-    point = pointwise_condition(inst, grid)
+    freq = frequency_condition(inst, grid, tol=tol)
+    point = pointwise_condition(inst, grid, tol=tol)
     iqc = iqc_trajectory_condition(inst, trials=trials, horizon=horizon, seed=seed)
     defects = []
     if lmi.status == "undecided":

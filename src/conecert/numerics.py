@@ -4,13 +4,18 @@ Conventions
 -----------
 * Rank decisions everywhere use one global relative singular-value cutoff
   ``SV_CUTOFF`` (1e-10), overridable per call.
-* ODE integration is fixed-step classical RK4 on a uniform ``TimeGrid``;
-  the accumulated error is estimated by step halving and reported on the
-  returned trajectory.
+* ODE integration is fixed-step classical RK4 on a uniform ``TimeGrid``.
+  Every simulation of a linear field x' = F(t)x + g(t) runs through
+  ``rk4_linear``, which writes the RK4 step as the affine recurrence
+  x_{k+1} = T_k x_k + c_k and builds all T_k and c_k at once from F and g
+  at the stage times.  ``ode_solve`` is the generic integrator for any
+  field f(t, x) and the reference the kernel is tested against; it
+  estimates the accumulated error by step halving.
 * No complex arithmetic here; frequency-domain code builds complex values
   from real solves in the kyp module.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +33,8 @@ __all__ = [
     "matrix_rank",
     "expm",
     "ode_solve",
+    "rk4_linear",
+    "interpolate_samples",
     "trapz",
     "cumtrapz",
     "central_diff4",
@@ -67,7 +74,8 @@ class TrajectoryGrid:
     """Samples of a time-dependent quantity on a TimeGrid.
 
     ``values`` has shape (steps+1, ...): one leading entry per grid sample.
-    ``local_error`` is the step-halving estimate from ode_solve, when known.
+    ``local_error`` is the step-halving estimate of ode_solve or simulate, when
+    known.
     """
 
     grid: TimeGrid
@@ -168,6 +176,11 @@ def _rk4_path(f, x0, t0, h, steps):
 def ode_solve(f, x0, grid: TimeGrid, error_estimate=True) -> TrajectoryGrid:
     """Integrate x' = f(t, x) with classical fixed-step RK4 on the grid.
 
+    The generic integrator: f is called at every stage of every step, so it
+    serves any field, including nonlinear ones.  Linear fields run faster
+    through ``rk4_linear``, which is the same method and step and is tested
+    against this function.
+
     f may return any fixed array shape (vector or matrix states).  When
     ``error_estimate`` is set, the integration is repeated at half the step
     and the max-norm deviation at shared samples is reported as
@@ -181,6 +194,71 @@ def ode_solve(f, x0, grid: TimeGrid, error_estimate=True) -> TrajectoryGrid:
         fine = _rk4_path(f, x0, grid.t0, 0.5 * grid.h, 2 * grid.steps)
         err = float(np.max(np.abs(path - fine[::2])))
     return TrajectoryGrid(grid, path, local_error=err)
+
+
+def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
+    """Integrate x' = F(t)x + g(t) with classical fixed-step RK4 on the grid.
+
+    On a linear field one RK4 step is affine in the state,
+    x_{k+1} = T_k x_k + c_k, with T_k and c_k fixed by F and g at the stage
+    times t_k, t_k + h/2 and t_k + h.  These are built for all steps at once
+    by stacked products; only the matrix-vector recurrence runs in a loop.
+    The result is that of ode_solve up to the order of floating-point
+    operations.
+
+    ``F`` is an (n, n) matrix, or its values at the 2*steps+1 half-grid
+    times t0 + j*h/2 with shape (2*steps+1, n, n).  ``g`` is None or its
+    values at the same times, shape (2*steps+1,) + x0.shape.  ``x0`` has
+    shape (n,) or (n, k); the k columns of a batch share F.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    require_finite("x0", x0)
+    if x0.ndim not in (1, 2):
+        raise ValueError(f"x0 must have shape (n,) or (n, k), got {x0.shape}")
+    n, N, h = x0.shape[0], grid.steps, grid.h
+    F = np.asarray(F, dtype=float)
+    if F.shape not in ((n, n), (2 * N + 1, n, n)):
+        raise ValueError(
+            f"F must have shape ({n}, {n}) or ({2 * N + 1}, {n}, {n}), got {F.shape}"
+        )
+    if F.ndim == 2:
+        F0 = Fm = F1 = F
+    else:
+        F0, Fm, F1 = F[0:-1:2], F[1::2], F[2::2]
+    # stage slopes k_i = K_i x + d_i, with k1 = F0 x + g0
+    K2 = Fm + (0.5 * h) * (Fm @ F0)
+    K3 = Fm + (0.5 * h) * (Fm @ K2)
+    K4 = F1 + h * (F1 @ K3)
+    T = np.eye(n) + (h / 6.0) * (F0 + 2.0 * K2 + 2.0 * K3 + K4)
+    x = x0 if x0.ndim == 2 else x0[:, None]
+    if g is None:
+        c = itertools.repeat(0.0, N)
+    else:
+        g = np.asarray(g, dtype=float)
+        if g.shape != (2 * N + 1,) + x0.shape:
+            raise ValueError(
+                f"g must have shape {(2 * N + 1,) + x0.shape}, got {g.shape}"
+            )
+        g = g if g.ndim == 3 else g[:, :, None]
+        g0, gm, g1 = g[0:-1:2], g[1::2], g[2::2]
+        d2 = gm + (0.5 * h) * (Fm @ g0)
+        d3 = gm + (0.5 * h) * (Fm @ d2)
+        d4 = g1 + h * (F1 @ d3)
+        c = (h / 6.0) * (g0 + 2.0 * d2 + 2.0 * d3 + d4)
+    Ts = T if T.ndim == 3 else itertools.repeat(T, N)
+    out = np.empty((N + 1,) + x.shape)
+    out[0] = x
+    # a diverging state is reported once below instead of tested every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (Tk, ck) in enumerate(zip(Ts, c)):
+            nxt = out[k + 1]
+            np.dot(Tk, out[k], out=nxt)  # np.dot: less call overhead than @
+            nxt += ck
+    finite = np.isfinite(out).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"non-finite state encountered at t = {grid.t0 + k * h:.6g}")
+    return TrajectoryGrid(grid, out.reshape((N + 1,) + x0.shape))
 
 
 def trapz(samples: TrajectoryGrid) -> float:
@@ -201,29 +279,22 @@ def cumtrapz(values, h):
     return out
 
 
-def sample_interpolator(grid: TimeGrid, values):
-    """Linear interpolant through samples on a TimeGrid.
+def interpolate_samples(grid: TimeGrid, values, times):
+    """Linear interpolant through samples on a TimeGrid, evaluated at times.
 
-    values has shape (steps+1, ...); the returned callable evaluates at any
-    t in [t0, t1] (clamped at the ends) and returns an array of the
-    trailing shape.
+    values has shape (steps+1, ...); times has any shape.  Times before t0
+    take the first sample and times after t1 the last.  Returns an array of
+    shape times.shape + values.shape[1:].
     """
     v = np.asarray(values, dtype=float)
     if v.shape[0] != grid.steps + 1:
         raise ValueError("values do not match the grid")
-    h = grid.h
-
-    def u(t):
-        s = (t - grid.t0) / h
-        k = int(np.floor(s))
-        if k < 0:
-            return v[0].copy()
-        if k >= grid.steps:
-            return v[-1].copy()
-        frac = s - k
-        return (1.0 - frac) * v[k] + frac * v[k + 1]
-
-    return u
+    s = (np.asarray(times, dtype=float) - grid.t0) / grid.h
+    k = np.floor(s)
+    frac = np.where(k < 0, 0.0, np.where(k >= grid.steps, 1.0, s - k))
+    k = np.clip(k, 0, grid.steps - 1).astype(int)
+    frac = frac.reshape(frac.shape + (1,) * (v.ndim - 1))
+    return (1.0 - frac) * v[k] + frac * v[k + 1]
 
 
 def central_diff4(values, h):

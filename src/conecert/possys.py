@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import OrthantProblem, orthant_certificate
-from .numerics import TimeGrid, TrajectoryGrid, cumtrapz, ode_solve, sample_interpolator
+from .numerics import TimeGrid, TrajectoryGrid, cumtrapz, interpolate_samples, rk4_linear
 from .simplex import solve_lp
 from .validation import as_matrix, as_square, as_vector
 
@@ -225,20 +225,31 @@ def l1_gain_bisection(sys: PositiveSystem, rel_tol: float = 1e-7) -> float:
 
 def simulate(sys: PositiveSystem, u, x0, grid: TimeGrid, error_estimate=True) -> TrajectoryGrid:
     """Integrate x' = Ax + Bu from x0; u is a callable t -> R^m or a
-    TrajectoryGrid of samples (linearly interpolated)."""
+    TrajectoryGrid of samples (linearly interpolated).
+
+    With ``error_estimate`` the run is repeated at half the step and the
+    max-norm deviation at shared samples is reported as ``local_error``.
+    """
     x0 = as_vector("x0", x0, length=sys.n)
+    # RK4 stage times t0 + j*h/2, or t0 + j*h/4 when the run is repeated at
+    # half the step; every other one of these is a stage time at step h
+    fine = TimeGrid(grid.t0, grid.t1, 2 * grid.steps)
+    stages = (4 if error_estimate else 2) * grid.steps
+    times = TimeGrid(grid.t0, grid.t1, stages).times()
     if isinstance(u, TrajectoryGrid):
         vals = u.values.reshape(u.values.shape[0], -1)
         if vals.shape[1] != sys.m:
             raise ValueError("input samples do not match the input dimension")
-        u_fun = sample_interpolator(u.grid, vals)
+        u_stages = interpolate_samples(u.grid, vals, times)
     else:
-        u_fun = u
-
-    def f(t, x):
-        return sys.A @ x + sys.B @ np.asarray(u_fun(t), float).reshape(-1)
-
-    return ode_solve(f, x0, grid, error_estimate=error_estimate)
+        u_stages = np.stack([np.asarray(u(t), float).reshape(-1) for t in times])
+    g = u_stages @ sys.B.T
+    if not error_estimate:
+        return rk4_linear(sys.A, g, x0, grid)
+    path = rk4_linear(sys.A, g[::2], x0, grid)
+    finer = rk4_linear(sys.A, g, x0, fine)
+    path.local_error = float(np.max(np.abs(path.values - finer.values[::2])))
+    return path
 
 
 @dataclass

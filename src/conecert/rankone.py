@@ -23,8 +23,8 @@ from .numerics import (
     TimeGrid,
     TrajectoryGrid,
     central_diff4,
-    ode_solve,
-    sample_interpolator,
+    interpolate_samples,
+    rk4_linear,
     sqrtm_psd,
 )
 from .validation import as_matrix, as_square, require_finite
@@ -223,30 +223,28 @@ class RankOneDecomposition:
         return np.einsum("ckd,cke->kde", Z, Z)
 
 
-def _integrate_segment(traj, A, B, R_fun, lo, hi, anchor):
-    """Solve X' = (A + B R(t)')X across samples lo..hi from the anchor."""
+def _integrate_segment(traj, F, lo, hi, anchor):
+    """Solve X' = F(t)X across samples lo..hi from the anchor.
+
+    F holds the field at the 2*steps+1 half-grid times of the whole
+    trajectory, the stage times of RK4 on its grid.
+    """
     times = traj.grid.times()
     n = traj.n
     X = np.empty((hi - lo + 1, n, n))
     X0 = sqrtm_psd(traj.q_nn[anchor])
-
-    def field(t, M):
-        return (A + B @ R_fun(t).T) @ M
-
     X[anchor - lo] = X0
     if hi > anchor:
-        fwd = ode_solve(
-            field, X0, TimeGrid(times[anchor], times[hi], hi - anchor), error_estimate=False
+        fwd = rk4_linear(
+            F[2 * anchor : 2 * hi + 1], None, X0,
+            TimeGrid(times[anchor], times[hi], hi - anchor),
         )
         X[anchor - lo :] = fwd.values
     if anchor > lo:
-        t_a = times[anchor]
-
-        def back_field(tau, M):
-            return -field(t_a - tau, M)
-
-        bwd = ode_solve(
-            back_field, X0, TimeGrid(0.0, t_a - times[lo], anchor - lo), error_estimate=False
+        # in tau = t_anchor - t the field is -F, met in reverse order
+        bwd = rk4_linear(
+            -F[2 * lo : 2 * anchor + 1][::-1], None, X0,
+            TimeGrid(0.0, times[anchor] - times[lo], anchor - lo),
         )
         X[: anchor - lo + 1] = bwd.values[::-1]
     return X
@@ -306,14 +304,16 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
 
     seg = rank_segments(traj)
     ranks = _sample_ranks(traj)
-    R_fun = sample_interpolator(traj.grid, R)
+    # X' = (A + B R(t)')X with R linearly interpolated between samples
+    half = TimeGrid(traj.grid.t0, traj.grid.t1, 2 * N).times()
+    F = A + B @ interpolate_samples(traj.grid, R, half).transpose(0, 2, 1)
 
     X = np.empty((N + 1, n, n))
     stitch_residuals = []
     prev_boundary_X = None
     for lo, hi, seg_rank in seg.segments:
         idx = lo + int(np.argmax(ranks[lo : hi + 1] == seg_rank))
-        Xseg = _integrate_segment(traj, A, B, R_fun, lo, hi, idx)
+        Xseg = _integrate_segment(traj, F, lo, hi, idx)
         Xseg = _gram_correct(Xseg, Qnn[lo : hi + 1])
         if prev_boundary_X is not None:
             # orthogonal Procrustes alignment at the shared sample: U = W Z'
@@ -384,9 +384,10 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     )
 
 
-def _as_input_fun(u, grid: TimeGrid, m: int):
+def _input_stages(u, grid: TimeGrid, m: int, times):
+    """An input's values at the given times, shape (len(times), m)."""
     if callable(u):
-        return lambda t: np.asarray(u(t), dtype=float).reshape(m)
+        return np.stack([np.asarray(u(t), dtype=float).reshape(m) for t in times])
     vals = np.asarray(u, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -394,16 +395,17 @@ def _as_input_fun(u, grid: TimeGrid, m: int):
         raise ValueError(
             f"sampled input must have shape ({grid.steps + 1}, {m}), got {vals.shape}"
         )
-    return sample_interpolator(grid, vals)
+    return interpolate_samples(grid, vals, times)
 
 
 def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
     """Sum of rank-one outer products of simulated components.
 
     Each component solves x' = Ax + Bu from its initial condition; inputs
-    may be callables t -> R^m (evaluated exactly at integrator substeps) or
-    arrays sampled on the grid (linearly interpolated).  The result is PSD
-    by construction and carries its own finite-difference dynamics
+    may be callables t -> R^m (evaluated exactly at the RK4 stage times) or
+    arrays sampled on the grid (linearly interpolated).  One batched
+    recurrence integrates every component.  The result is PSD by
+    construction and carries its own finite-difference dynamics
     certification in ``dynamics_residual``.
     """
     A = as_square("A", A)
@@ -415,20 +417,16 @@ def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
     if len(x_inits) > n + m:
         raise ValueError(f"at most n+m = {n + m} components, got {len(x_inits)}")
 
-    N = grid.steps
-    times = grid.times()
-    values = np.zeros((N + 1, n + m, n + m))
-    for x0, u in zip(x_inits, u_signals):
-        x0 = np.asarray(x0, dtype=float).reshape(n)
-        u_fun = _as_input_fun(u, grid, m)
-
-        def f(t, x):
-            return A @ x + B @ u_fun(t)
-
-        x_path = ode_solve(f, x0, grid, error_estimate=False).values
-        u_path = np.stack([u_fun(t) for t in times])
-        z = np.concatenate([x_path, u_path], axis=1)  # (N+1, n+m)
-        values += z[:, :, None] * z[:, None, :]
+    times = TimeGrid(grid.t0, grid.t1, 2 * grid.steps).times()
+    k = len(x_inits)
+    x0 = np.empty((n, k))
+    u_stages = np.empty((times.size, m, k))
+    for j, (x_init, u) in enumerate(zip(x_inits, u_signals)):
+        x0[:, j] = np.asarray(x_init, dtype=float).reshape(n)
+        u_stages[:, :, j] = _input_stages(u, grid, m, times)
+    x_path = rk4_linear(A, B @ u_stages, x0, grid).values
+    Z = np.concatenate([x_path, u_stages[::2]], axis=1)  # (N+1, n+m, k)
+    values = np.einsum("tik,tjk->tij", Z, Z)
 
     traj = MatrixTrajectory(grid=grid, values=values, n=n, m=m)
     traj.dynamics_residual = dynamics_residual(traj, A, B)

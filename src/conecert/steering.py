@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, expm, matrix_rank, ode_solve
+from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, expm, matrix_rank, rk4_linear
 from .rankone import MatrixTrajectory, synthesize_Q
 from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
 
@@ -75,6 +75,17 @@ def _gramian_from_table(table, B, t1, steps):
     )
 
 
+def _steering_gramian(table, B, t1, steps):
+    """The Gramian, rejected when too ill-conditioned to steer with."""
+    gram = _gramian_from_table(table, B, t1, steps)
+    if not np.isfinite(gram.cond) or gram.cond > GRAMIAN_COND_LIMIT:
+        raise ValueError(
+            f"Gramian condition number {gram.cond:.3e} exceeds {GRAMIAN_COND_LIMIT:.0e}; "
+            "the pair may be uncontrollable or the horizon too short"
+        )
+    return gram
+
+
 def gramian(A, B, t1=1.0, steps=512):
     """W(t1) = integral of exp(At)BB'exp(A't) over [0, t1], per-cell Simpson."""
     A = as_square("A", A)
@@ -130,7 +141,7 @@ def _steering_input(A, B, x0, x1, t1, steps, table, gram):
         _A=A,
         _B=B,
     )
-    path = ode_solve(lambda t, x: A @ x + B @ u(t), x0, grid, error_estimate=False)
+    path = rk4_linear(A, u_vals @ B.T, x0, grid)
     u.endpoint_error = float(np.linalg.norm(path.values[-1] - x1))
     return u
 
@@ -151,12 +162,7 @@ def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
-    gram = _gramian_from_table(table, B, t1, steps)
-    if not np.isfinite(gram.cond) or gram.cond > GRAMIAN_COND_LIMIT:
-        raise ValueError(
-            f"Gramian condition number {gram.cond:.3e} exceeds {GRAMIAN_COND_LIMIT:.0e}; "
-            "the pair may be uncontrollable or the horizon too short"
-        )
+    gram = _steering_gramian(table, B, t1, steps)
     return _steering_input(A, B, x0, x1, t1, steps, table, gram)
 
 
@@ -231,12 +237,7 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     targets[: f1.shape[0]] = f1
 
     table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
-    gram = _gramian_from_table(table, B, t1, steps)
-    if not np.isfinite(gram.cond) or gram.cond > GRAMIAN_COND_LIMIT:
-        raise ValueError(
-            f"Gramian condition number {gram.cond:.3e} exceeds {GRAMIAN_COND_LIMIT:.0e}; "
-            "the pair may be uncontrollable or the horizon too short"
-        )
+    gram = _steering_gramian(table, B, t1, steps)
     signals = [
         _steering_input(A, B, starts[i], targets[i], t1, steps, table, gram)
         for i in range(k)

@@ -197,6 +197,7 @@ def test_criterion_6_k_controllability_steering():
 def test_criterion_7_dissipation_along_trajectories(l1_ensemble):
     rng = np.random.default_rng(77)
     grid = TimeGrid(0.0, 6.0, 1024)
+    start = time.perf_counter()
     intervals_ok = 0
     total = 0
     for sys_ in l1_ensemble:
@@ -214,8 +215,13 @@ def test_criterion_7_dissipation_along_trajectories(l1_ensemble):
             assert rep.holds
             assert rep.worst_window <= rep.quad_tol
             intervals_ok += 1
+    elapsed = time.perf_counter() - start
     assert intervals_ok == total == 2000
-    print(f"criterion 7 PASS: {intervals_ok}/{total} trajectory checks dissipative")
+    assert elapsed < 30.0
+    print(
+        f"criterion 7 PASS: {intervals_ok}/{total} trajectory checks dissipative "
+        f"in {elapsed:.1f} s"
+    )
 
 
 def test_criterion_8_image_inclusion_property():

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from conecert import cli
+from conecert import cli, kyp
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_problems"
@@ -226,6 +226,43 @@ def test_kyp_horizon_override_reaches_sampler(tmp_path):
     assert any("horizon" in d for d in doc["diagnostics"])
     code, _ = run_cli(["kyp", "--input", str(src), "--horizon", "40.0"], tmp_path)
     assert code == 0
+
+
+def test_kyp_tol_runs_each_sweep_once(tmp_path, monkeypatch):
+    calls = {}
+    for name in ("frequency_condition", "pointwise_condition"):
+        original = getattr(kyp, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        # every module attribute that holds the sweep, as the CLI may import it
+        for mod in (kyp, cli):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    src = SAMPLES / "kyp_scalar_passivity.json"
+    code, doc = run_cli(["kyp", "--input", str(src), "--tol", "1e-7"], tmp_path)
+    assert code == 0
+    assert calls == {"frequency_condition": 1, "pointwise_condition": 1}
+    assert doc["result"]["frequency"]["holds"] is True
+
+
+def test_kyp_resonance_iqc_over_step_budget(tmp_path):
+    # zeta = 1e-4 at omega0 = 7.3: the derived IQC horizon, 24/alpha, needs
+    # about 4.2M steps a trial, far over the sampler's step budget
+    path = write_problem(
+        tmp_path,
+        {
+            "command": "kyp",
+            "A": [[0.0, 1.0], [-53.29, -0.00146]],
+            "B": [[0.0], [1.0]],
+            "M": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2500.0]],
+        },
+    )
+    code, doc = run_cli(["kyp", "--input", str(path)], tmp_path)
+    assert code in (0, 1, 2)
+    assert doc["result"]["iqc"]["status"] == "not_applicable"
 
 
 def test_seed_precedence(tmp_path):

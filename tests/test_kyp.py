@@ -1,5 +1,7 @@
 """Four independent KYP-condition checkers and their cross-validation."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from conecert import (
     frequency_condition,
     iqc_integral,
     iqc_trajectory_condition,
+    kyp,
     kyp_lmi,
     pointwise_condition,
 )
@@ -179,6 +182,38 @@ def test_iqc_trajectory_condition_fails():
     rep = iqc_trajectory_condition(input_penalty_instance(), trials=5, seed=1)
     assert rep.status == "fails"
     assert rep.worst_integral > 0
+
+
+@pytest.mark.parametrize("batch", [4, 3])
+def test_iqc_trajectory_condition_batch_matches_single_trials(batch, monkeypatch):
+    inst = KypInstance(
+        A=np.array([[-0.8, 0.5], [-0.3, -1.1]]),
+        B=np.array([[1.0, 0.0], [0.4, 1.0]]),
+        M=np.diag([1.0, -0.5, -2.0, 0.3]),
+    )
+    # trials per recurrence: all 4 at once, or a batch of 3 and one of 1
+    monkeypatch.setattr(kyp, "IQC_BATCH_VALUES", batch * (2 * 4096 + 1) * 4)
+    rep = iqc_trajectory_condition(inst, trials=4, seed=9)
+    # the same draws, in the same order, as the sampler makes them
+    rng = np.random.default_rng(9)
+    horizon = max(30.0, 24.0 / kyp._decay_rate(inst.A))
+    steps = max(4096, int(np.ceil(kyp.IQC_STEPS_PER_UNIT * horizon)))
+    assert len(rep.samples) == 4
+    for sample in rep.samples:
+        u = kyp._ramped_input(rng, inst.m, horizon / 3.0)
+        single = iqc_integral(inst, u, horizon, steps)
+        for field in ("integral", "energy", "tail_norm"):
+            a, b = getattr(sample, field), getattr(single, field)
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_iqc_horizon_over_step_budget_not_applicable(caplog):
+    horizon = 1.5 * kyp.IQC_MAX_STEPS / kyp.IQC_STEPS_PER_UNIT
+    with caplog.at_level(logging.WARNING, logger="conecert.kyp"):
+        rep = iqc_trajectory_condition(passivity_instance(), trials=2, horizon=horizon)
+    assert rep.status == "not_applicable"
+    assert rep.samples == []
+    assert "196608 steps, over the budget of 131072" in caplog.text
 
 
 def test_iqc_not_applicable_without_decay():

@@ -17,7 +17,7 @@ from conecert import (
     sym_eig,
     trapz,
 )
-from conecert.numerics import central_diff4, cumtrapz, sample_interpolator
+from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
 
 
 def test_time_grid_samples():
@@ -213,6 +213,86 @@ def test_ode_solve_matrix_state():
     np.testing.assert_allclose(out.values[-1], expm(A), atol=1e-9)
 
 
+def _stage_times(grid):
+    return TimeGrid(grid.t0, grid.t1, 2 * grid.steps).times()
+
+
+def _rel_dev(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def test_rk4_linear_matches_ode_solve_callable_input():
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((4, 4)) - 3.0 * np.eye(4)
+    B = rng.standard_normal((4, 2))
+
+    def u(t):
+        return np.array([np.sin(3.0 * t), np.exp(-t)])
+
+    grid = TimeGrid(0.5, 4.0, 700)
+    x0 = rng.standard_normal(4)
+    ref = ode_solve(lambda t, x: A @ x + B @ u(t), x0, grid, error_estimate=False)
+    g = np.stack([B @ u(t) for t in _stage_times(grid)])
+    out = rk4_linear(A, g, x0, grid)
+    assert out.values.shape == (701, 4)
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+
+
+def test_rk4_linear_matches_ode_solve_batched_state():
+    rng = np.random.default_rng(22)
+    A = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
+    W = rng.standard_normal((3, 5))
+
+    def G(t):
+        return W * np.cos(np.arange(1, 6) * t)
+
+    grid = TimeGrid(0.0, 3.0, 512)
+    X0 = rng.standard_normal((3, 5))
+    ref = ode_solve(lambda t, X: A @ X + G(t), X0, grid, error_estimate=False)
+    out = rk4_linear(A, np.stack([G(t) for t in _stage_times(grid)]), X0, grid)
+    assert out.values.shape == (513, 3, 5)
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+
+
+def test_rk4_linear_matches_ode_solve_time_varying_field():
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((3, 3)) - np.eye(3)
+    E = rng.standard_normal((3, 3))
+
+    def F(t):
+        return A + np.sin(2.0 * t) * E
+
+    grid = TimeGrid(0.0, 2.0, 400)
+    F_stages = np.stack([F(t) for t in _stage_times(grid)])
+    X0 = rng.standard_normal((3, 3))
+    ref = ode_solve(lambda t, X: F(t) @ X, X0, grid, error_estimate=False)
+    out = rk4_linear(F_stages, None, X0, grid)
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+    # backward from t1: in tau = t1 - t the field is -F, met in reverse order
+    ref = ode_solve(lambda tau, X: -F(2.0 - tau) @ X, X0, TimeGrid(0.0, 2.0, 400),
+                    error_estimate=False)
+    out = rk4_linear(-F_stages[::-1], None, X0, TimeGrid(0.0, 2.0, 400))
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+
+
+def test_rk4_linear_rejects_diverging_field():
+    grid = TimeGrid(0.0, 100.0, 100)
+    with pytest.raises(ValueError, match="non-finite state encountered at t = "):
+        rk4_linear(np.array([[800.0]]), None, np.ones(1), grid)
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="non-finite state encountered at t = "
+    ):
+        ode_solve(lambda t, x: 800.0 * x, np.ones(1), grid, error_estimate=False)
+
+
+def test_rk4_linear_rejects_mismatched_stage_values():
+    grid = TimeGrid(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="g must have shape"):
+        rk4_linear(-np.eye(2), np.zeros((9, 2)), np.ones(2), grid)
+    with pytest.raises(ValueError, match="F must have shape"):
+        rk4_linear(np.zeros((9, 2, 2)), None, np.ones(2), grid)
+
+
 def test_trapz_constant_exact():
     # trapezoid has no truncation error on constants; on a dyadic step the
     # value is bitwise exact, elsewhere only rounding remains
@@ -282,10 +362,7 @@ def test_central_diff4_vector_samples():
     np.testing.assert_allclose(d, ref, atol=5e-7)
 
 
-def test_sample_interpolator_midpoints_and_clamp():
+def test_interpolate_samples_midpoints_and_clamp():
     grid = TimeGrid(0.0, 1.0, 2)
-    u = sample_interpolator(grid, np.array([0.0, 2.0, 6.0]))
-    assert u(0.25) == 1.0
-    assert u(0.75) == 4.0
-    assert u(-1.0) == 0.0
-    assert u(5.0) == 6.0
+    u = interpolate_samples(grid, np.array([0.0, 2.0, 6.0]), np.array([0.25, 0.75, -1.0, 5.0]))
+    assert u.tolist() == [1.0, 4.0, 0.0, 6.0]

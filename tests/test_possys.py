@@ -17,9 +17,11 @@ from conecert import (
     l1_certificate,
     l1_gain_bisection,
     minimal_certificate_vector,
+    ode_solve,
     simulate,
     simulate_and_check_dissipation,
 )
+from conecert.numerics import interpolate_samples
 
 
 def test_is_metzler():
@@ -238,3 +240,23 @@ def test_empirical_gain_below_certified():
         u = helpers.nonneg_input(rng, sys_.m, grid)
         emp = empirical_l1_gain(sys_, TrajectoryGrid(grid, u))
         assert emp <= g * (1 + 1e-3)
+
+
+def test_simulate_sampled_input_matches_ode_solve():
+    # samples on a shorter, coarser grid than the run: interpolation between
+    # them and clamping after their end both enter the stage values
+    rng = np.random.default_rng(31)
+    sys_ = helpers.positive_system(rng, 3, 2)
+    u_grid = TimeGrid(0.0, 2.0, 50)
+    u_vals = helpers.nonneg_input(rng, 2, u_grid)
+    grid = TimeGrid(0.0, 3.0, 300)
+    x0 = rng.uniform(0.0, 1.0, 3)
+
+    def f(t, x):
+        return sys_.A @ x + sys_.B @ interpolate_samples(u_grid, u_vals, t)
+
+    ref = ode_solve(f, x0, grid)
+    out = simulate(sys_, TrajectoryGrid(u_grid, u_vals), x0, grid)
+    scale = float(np.max(np.abs(ref.values)))
+    assert float(np.max(np.abs(out.values - ref.values))) <= 1e-12 * scale
+    assert abs(out.local_error - ref.local_error) <= 1e-12 * scale

@@ -41,7 +41,6 @@ from .numerics import (
     ode_solve,
     pinv,
     sqrtm_psd,
-    sym_eig,
     trapz,
 )
 from .possys import (

@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -121,8 +122,12 @@ def load_problem(path):
     return doc, raw
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _finite_numbers(values):
+    """True iff all values are ints or floats (not bools) finite as doubles."""
+    try:
+        return all(type(x) in (int, float) and math.isfinite(x) for x in values)
+    except OverflowError:  # an int too large for a double
+        return False
 
 
 def _check_matrix(doc, field, out, rows=None, cols=None, square=False):
@@ -138,11 +143,9 @@ def _check_matrix(doc, field, out, rows=None, cols=None, square=False):
     if width == 0 or any(len(r) != width for r in val):
         out.append(f"{field}: rows must be non-empty and equal length")
         return None
-    for r in val:
-        for x in r:
-            if not _is_number(x) or not np.isfinite(x):
-                out.append(f"{field}: entries must be finite numbers")
-                return None
+    if not all(_finite_numbers(r) for r in val):
+        out.append(f"{field}: entries must be finite numbers")
+        return None
     M = np.array(val, dtype=float)
     if square and M.shape[0] != M.shape[1]:
         out.append(f"{field}: must be square, got {M.shape[0]}x{M.shape[1]}")
@@ -161,9 +164,7 @@ def _check_vector(doc, field, out, length=None):
         out.append(f"{field}: required vector missing")
         return None
     val = doc[field]
-    if not isinstance(val, list) or not val or not all(
-        _is_number(x) and np.isfinite(x) for x in val
-    ):
+    if not isinstance(val, list) or not val or not _finite_numbers(val):
         out.append(f"{field}: must be a non-empty array of finite numbers")
         return None
     v = np.array(val, dtype=float)
@@ -183,7 +184,7 @@ def _check_scalar(doc, field, out, required=False, positive=False, integer=False
         if not isinstance(val, int) or isinstance(val, bool):
             out.append(f"{field}: must be an integer")
             return None
-    elif not _is_number(val) or not np.isfinite(val):
+    elif not _finite_numbers([val]):
         out.append(f"{field}: must be a finite number")
         return None
     if positive and not val > 0:
@@ -258,11 +259,7 @@ def validate_problem(doc) -> list:
             dim = A.shape[0] + B.shape[1]
             want = dim * dim
             for k, row in enumerate(samples):
-                if (
-                    not isinstance(row, list)
-                    or len(row) != want
-                    or not all(_is_number(x) and np.isfinite(x) for x in row)
-                ):
+                if not isinstance(row, list) or len(row) != want or not _finite_numbers(row):
                     out.append(
                         f"samples[{k}]: must be a flat array of {want} finite numbers "
                         f"(row-major {dim}x{dim})"

@@ -27,7 +27,6 @@ __all__ = [
     "SV_CUTOFF",
     "TimeGrid",
     "TrajectoryGrid",
-    "sym_eig",
     "sqrtm_psd",
     "pinv",
     "matrix_rank",
@@ -90,18 +89,6 @@ class TrajectoryGrid:
                 f"got {self.values.shape[0]}"
             )
         require_finite("trajectory values", self.values)
-
-
-def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns); the input is
-    symmetrized exactly before factorization so S = V diag(w) V^T within
-    roundoff.
-    """
-    S = as_symmetric("S", S)
-    w, V = np.linalg.eigh(S)
-    return w, V
 
 
 def sqrtm_psd(S, tol=None):

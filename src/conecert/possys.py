@@ -137,17 +137,16 @@ def is_hurwitz_metzler(A) -> bool:
     return stable
 
 
-def exact_l1_gain(sys: PositiveSystem) -> float:
-    """Closed-form tight gain: max over columns of -1'A^{-1}B."""
+def minimal_certificate_vector(sys: PositiveSystem) -> np.ndarray:
+    """p = -A^{-T} 1, the entrywise-minimal feasible certificate; A must be Hurwitz."""
     if not is_hurwitz_metzler(sys.A):
         raise ValueError("A is not Hurwitz; the L1 gain is unbounded")
-    p_min = np.linalg.solve(sys.A.T, -np.ones(sys.n))  # -A^{-T} 1
-    return float(np.max(sys.B.T @ p_min))
-
-
-def minimal_certificate_vector(sys: PositiveSystem) -> np.ndarray:
-    """p = -A^{-T} 1, the entrywise-minimal feasible certificate."""
     return np.linalg.solve(sys.A.T, -np.ones(sys.n))
+
+
+def exact_l1_gain(sys: PositiveSystem) -> float:
+    """Closed-form tight gain: max over columns of -1'A^{-1}B."""
+    return float(np.max(sys.B.T @ minimal_certificate_vector(sys)))
 
 
 def _gain_orthant_problem(sys: PositiveSystem, gamma: float) -> OrthantProblem:
@@ -162,6 +161,18 @@ def _gain_orthant_problem(sys: PositiveSystem, gamma: float) -> OrthantProblem:
     return OrthantProblem(L, m)
 
 
+def _gain_lp_feasible(sys: PositiveSystem, gamma: float) -> bool:
+    """LP route to the gain decision.  A probe within FEAS_TOL of the gain can
+    pass phase 1 with a vertex that fails Certificate's slack check (the only
+    ValueError left once the problem is built); it counts as infeasible.
+    """
+    prob = _gain_orthant_problem(sys, gamma)
+    try:
+        return orthant_certificate(prob) is not None
+    except ValueError:
+        return False
+
+
 def l1_certificate(sys: PositiveSystem, gamma: float, tol: float = 1e-8) -> GainCertificate | None:
     """Gain certificate at level gamma, or None when gamma is below the gain.
 
@@ -173,8 +184,9 @@ def l1_certificate(sys: PositiveSystem, gamma: float, tol: float = 1e-8) -> Gain
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    gain = exact_l1_gain(sys)
-    lp_feasible = orthant_certificate(_gain_orthant_problem(sys, gamma)) is not None
+    p = minimal_certificate_vector(sys)
+    gain = float(np.max(sys.B.T @ p))
+    lp_feasible = _gain_lp_feasible(sys, gamma)
     feasible = gamma >= gain - tol
     if lp_feasible != feasible and abs(gamma - gain) > 1e-6 * (1.0 + gain):
         raise RuntimeError(
@@ -183,7 +195,6 @@ def l1_certificate(sys: PositiveSystem, gamma: float, tol: float = 1e-8) -> Gain
         )
     if not feasible:
         return None
-    p = minimal_certificate_vector(sys)
     slack_state = -(sys.A.T @ p + np.ones(sys.n))
     slack_input = gamma * np.ones(sys.m) - sys.B.T @ p
     return GainCertificate(p=p, gamma=float(gamma), slack_state=slack_state, slack_input=slack_input)
@@ -200,13 +211,9 @@ def l1_gain_bisection(sys: PositiveSystem, rel_tol: float = 1e-7) -> float:
     Deliberately ignores the closed form so it can serve as an independent
     route for cross-checking exact_l1_gain.
     """
-
-    def lp_feasible(g):
-        return orthant_certificate(_gain_orthant_problem(sys, g)) is not None
-
     hi = 1.0
     for _ in range(60):
-        if lp_feasible(hi):
+        if _gain_lp_feasible(sys, hi):
             break
         hi *= 2.0
     else:
@@ -216,7 +223,7 @@ def l1_gain_bisection(sys: PositiveSystem, rel_tol: float = 1e-7) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= 0.0:
             break
-        if lp_feasible(mid):
+        if _gain_lp_feasible(sys, mid):
             hi = mid
         else:
             lo = mid

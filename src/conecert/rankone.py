@@ -24,6 +24,7 @@ from .numerics import (
     TrajectoryGrid,
     central_diff4,
     interpolate_samples,
+    pinv,
     rk4_linear,
     sqrtm_psd,
 )
@@ -115,7 +116,7 @@ def image_inclusion_check(Q, n: int, m: int, tol: float = 1e-7):
         )
     Qnn = Q[:n, :n]
     Qnm = Q[:n, n:]
-    R = np.linalg.pinv(Qnn, rcond=SV_CUTOFF) @ Qnm
+    R = pinv(Qnn) @ Qnm
     residual = float(np.linalg.norm(Qnn @ R - Qnm) / (1.0 + np.linalg.norm(Qnm)))
     return residual <= tol, residual
 
@@ -287,7 +288,7 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
         )
 
     Qnn, Qnm, Qmm = traj.q_nn, traj.q_nm, traj.q_mm
-    R = np.linalg.pinv(Qnn, rcond=SV_CUTOFF) @ Qnm  # (N+1, n, m)
+    R = pinv(Qnn) @ Qnm  # (N+1, n, m)
     S = Qmm - R.transpose(0, 2, 1) @ Qnn @ R
     S = 0.5 * (S + S.transpose(0, 2, 1))
     norms = np.linalg.norm(traj.values, axis=(1, 2))

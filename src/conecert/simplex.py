@@ -104,7 +104,8 @@ def solve_lp(c, A, b, max_iter=None):
     basis = list(range(n, n + m))
 
     status = _bland_iterate(T, basis, n + m, max_iter)
-    assert status == "optimal"
+    if status != "optimal":
+        raise RuntimeError(f"phase 1 ended {status!r}; its objective is bounded below")
     if -T[m, -1] > FEAS_TOL:
         return SimplexResult("infeasible", None, None)
 

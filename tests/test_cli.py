@@ -193,6 +193,196 @@ def test_validate_reports_field_violations(tmp_path):
     assert "extra: unknown field" in joined
 
 
+L1 = {"command": "l1gain", "A": [[-2.0]], "B": [[1.0]], "gamma": 0.5}
+KYP = {"command": "kyp", "A": [[-1.0]], "B": [[1.0]], "M": [[0.0, 1.0], [1.0, 0.0]]}
+DECOMPOSE = {
+    "command": "decompose",
+    "A": [[-1.0]],
+    "B": [[1.0]],
+    "grid": {"t0": 0.0, "t1": 1.0, "steps": 4},
+    "samples": [[1.0, 0.0, 0.0, 1.0]] * 5,
+}
+STEER = {"command": "steer", "A": [[-1.0]], "B": [[1.0]], "X0": [[0.0]], "X1": [[1.0]]}
+ORTHANT = {"command": "certify", "kind": "orthant", "L": [[-2.0, 1.0]], "m": [-1.0, 0.4]}
+PSD = {
+    "command": "certify",
+    "kind": "psd",
+    "U": [[-1.0, 1.0]],
+    "V": [[1.0, 0.0]],
+    "C": [[0.0, 1.0], [1.0, 0.0]],
+}
+
+
+def _edit(base, drop=(), **fields):
+    doc = {k: v for k, v in base.items() if k not in drop}
+    doc.update(fields)
+    return doc
+
+
+# one malformed document per message validate_problem can emit
+VIOLATION_TABLE = [
+    ({}, ["command: must be one of l1gain, kyp, decompose, steer, certify, got None"]),
+    (
+        {"command": "solve"},
+        ["command: must be one of l1gain, kyp, decompose, steer, certify, got 'solve'"],
+    ),
+    (_edit(L1, extra=1), ["extra: unknown field for command 'l1gain'"]),
+    (_edit(L1, drop=("A",)), ["A: required matrix missing"]),
+    (_edit(L1, A=[]), ["A: must be a non-empty array of rows"]),
+    (_edit(L1, A=[[-2.0], -2.0]), ["A: must be a non-empty array of rows"]),
+    (_edit(L1, A=[[]]), ["A: rows must be non-empty and equal length"]),
+    (_edit(L1, A=[[-2.0, 0.0], [1.0]]), ["A: rows must be non-empty and equal length"]),
+    (_edit(L1, A=[["-2"]]), ["A: entries must be finite numbers"]),
+    (_edit(L1, A=[[True]]), ["A: entries must be finite numbers"]),
+    (_edit(L1, A=[[-2.0, 0.0]]), ["A: must be square, got 1x2"]),
+    (_edit(L1, B=[[1.0], [1.0]]), ["B: expected 1 rows, got 2"]),
+    (_edit(L1, drop=("gamma",)), ["gamma: required scalar missing"]),
+    (_edit(L1, gamma="0.5"), ["gamma: must be a finite number"]),
+    (_edit(L1, gamma=True), ["gamma: must be a finite number"]),
+    (_edit(L1, gamma=-1.0), ["gamma: must be positive, got -1.0"]),
+    (_edit(L1, seed=1.5), ["seed: must be an integer"]),
+    (_edit(L1, seed=False), ["seed: must be an integer"]),
+    (_edit(L1, tol=0), ["tol: must be positive, got 0"]),
+    (
+        _edit(L1, A=[[-2.0, 1.0]], drop=("gamma",), extra=1),
+        [
+            "extra: unknown field for command 'l1gain'",
+            "A: must be square, got 1x2",
+            "gamma: required scalar missing",
+        ],
+    ),
+    (_edit(KYP, M=[[1.0]]), ["M: expected 2 rows, got 1"]),
+    (_edit(KYP, M=[[1.0, 0.0]]), ["M: must be square, got 1x2"]),
+    (_edit(KYP, horizon=-1), ["horizon: must be positive, got -1"]),
+    (_edit(KYP, trials=2.0), ["trials: must be an integer"]),
+    (_edit(KYP, trials=0), ["trials: must be positive, got 0"]),
+    (_edit(DECOMPOSE, drop=("grid",)), ["grid: required object with t0, t1, steps"]),
+    (_edit(DECOMPOSE, grid=[0.0, 1.0, 4]), ["grid: required object with t0, t1, steps"]),
+    (_edit(DECOMPOSE, grid={"t1": 1.0, "steps": 4}), ["grid.t0: required scalar missing"]),
+    (
+        _edit(DECOMPOSE, grid={"t0": 0.0, "t1": "1", "steps": 4}),
+        ["grid.t1: must be a finite number"],
+    ),
+    (
+        _edit(DECOMPOSE, grid={"t0": 0.0, "t1": 1.0, "steps": 4.0}),
+        ["grid.steps: must be an integer"],
+    ),
+    (
+        _edit(DECOMPOSE, grid={"t0": 0.0, "t1": 1.0, "steps": 0}),
+        ["grid.steps: must be positive, got 0"],
+    ),
+    (
+        _edit(DECOMPOSE, grid={"t0": 0.0, "t1": 1.0, "steps": 4, "dt": 0.25}),
+        ["grid.dt: unknown field"],
+    ),
+    (
+        _edit(DECOMPOSE, grid={"t0": 1.0, "t1": 0.0, "steps": 4}),
+        ["grid.t1: must exceed grid.t0, got [1.0, 0.0]"],
+    ),
+    (
+        _edit(DECOMPOSE, grid={"t0": 0.0, "t1": 1.0, "steps": 3}),
+        [
+            "grid.steps: need at least 4 steps, got 3",
+            "samples: expected grid.steps + 1 = 4 rows, got 5",
+        ],
+    ),
+    (
+        _edit(DECOMPOSE, drop=("samples",)),
+        ["samples: required non-empty array of flat per-sample rows"],
+    ),
+    (
+        _edit(DECOMPOSE, samples=[]),
+        ["samples: required non-empty array of flat per-sample rows"],
+    ),
+    (
+        _edit(DECOMPOSE, samples=[[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0]] + [[1.0] * 4] * 3),
+        ["samples[1]: must be a flat array of 4 finite numbers (row-major 2x2)"],
+    ),
+    (
+        _edit(DECOMPOSE, samples=[[1.0] * 4] * 4 + [[1.0, 0.0, None, 1.0]]),
+        ["samples[4]: must be a flat array of 4 finite numbers (row-major 2x2)"],
+    ),
+    (
+        _edit(DECOMPOSE, samples=[[1.0] * 4] * 4),
+        ["samples: expected grid.steps + 1 = 5 rows, got 4"],
+    ),
+    (_edit(STEER, B=[[1.0], [0.0]]), ["B: expected 1 rows, got 2"]),
+    (_edit(STEER, X0=[[1.0, 0.0], [0.0, 1.0]]), ["X0: expected 1 rows, got 2"]),
+    (_edit(STEER, X1=[[1.0, 0.0]]), ["X1: must be square, got 1x2"]),
+    (_edit(STEER, t1=0.0), ["t1: must be positive, got 0.0"]),
+    (_edit(ORTHANT, drop=("kind",)), ["kind: must be 'orthant' or 'psd', got None"]),
+    (_edit(ORTHANT, kind="cone"), ["kind: must be 'orthant' or 'psd', got 'cone'"]),
+    (_edit(ORTHANT, drop=("m",)), ["m: required vector missing"]),
+    (_edit(ORTHANT, m=[]), ["m: must be a non-empty array of finite numbers"]),
+    (_edit(ORTHANT, m=[-1.0, "0.4"]), ["m: must be a non-empty array of finite numbers"]),
+    (_edit(ORTHANT, m=[-1.0]), ["m: expected length 2, got 1"]),
+    (
+        _edit(ORTHANT, U=[[1.0]], C=[[1.0]]),
+        ["U: not a field of orthant problems", "C: not a field of orthant problems"],
+    ),
+    (_edit(PSD, V=[[1.0]]), ["V: expected 2 columns, got 1"]),
+    (_edit(PSD, C=[[1.0]]), ["C: expected 2 rows, got 1"]),
+    (
+        _edit(PSD, L=[[1.0]], m=[1.0]),
+        ["L: not a field of psd problems", "m: not a field of psd problems"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, expected", VIOLATION_TABLE, ids=[str(i) for i in range(len(VIOLATION_TABLE))]
+)
+def test_validator_messages(doc, expected):
+    assert cli.validate_problem(doc) == expected
+
+
+HUGE = 10**400  # a JSON integer literal beyond the double range
+HUGE_SAMPLES = [list(row) for row in DECOMPOSE["samples"]]
+HUGE_SAMPLES[2][1] = HUGE
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_edit(L1, gamma=HUGE), "gamma: must be a finite number"),
+        (_edit(L1, A=[[-2.0, HUGE], [0.0, -1.0]], B=[[1.0], [1.0]]),
+         "A: entries must be finite numbers"),
+        (_edit(DECOMPOSE, samples=HUGE_SAMPLES),
+         "samples[2]: must be a flat array of 4 finite numbers (row-major 2x2)"),
+    ],
+    ids=["gamma", "matrix", "samples"],
+)
+def test_out_of_range_integer_is_a_violation(tmp_path, doc, message):
+    path = write_problem(tmp_path, doc)
+    code, out = run_cli([doc["command"], "--input", str(path)], tmp_path)
+    assert code == 3
+    assert out["status"] == "error"
+    assert out["diagnostics"] == [message]
+    code, out = run_cli(["validate", "--input", str(path)], tmp_path)
+    assert code == 3
+    assert out["result"]["violations"] == [message]
+
+
+def test_l1gain_near_gain_bisection(tmp_path):
+    # a bisection probe of this system lands within FEAS_TOL of the gain
+    path = write_problem(
+        tmp_path,
+        {
+            "command": "l1gain",
+            "A": [[-1.2153346083008052, 0.6845766553959434],
+                  [0.3577171411105431, -0.9408379274009048]],
+            "B": [[0.4122742020093697], [0.7808007115348593]],
+            "gamma": 1.0,
+        },
+    )
+    code, doc = run_cli(["l1gain", "--input", str(path)], tmp_path)
+    assert code == 1
+    assert doc["status"] == "infeasible"
+    gain = doc["result"]["gain"]
+    assert gain == 2.2467498888497768
+    assert abs(doc["result"]["gain_bisected"] - gain) <= 1e-6 * (1.0 + gain)
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"command": "l1gain",', encoding="utf-8")

@@ -14,7 +14,6 @@ from conecert import (
     ode_solve,
     pinv,
     sqrtm_psd,
-    sym_eig,
     trapz,
 )
 from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
@@ -40,35 +39,6 @@ def test_trajectory_grid_sample_count():
     with pytest.raises(ValueError):
         TrajectoryGrid(g, np.zeros(3))
     TrajectoryGrid(g, np.zeros(4))
-
-
-def test_sym_eig_identity():
-    w, V = sym_eig(np.eye(3))
-    np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
-    assert np.linalg.norm(V.T @ V - np.eye(3)) <= 1e-10 * 3
-
-
-def test_sym_eig_swap():
-    w, _ = sym_eig([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
-
-
-def test_sym_eig_diagonal():
-    w, V = sym_eig(np.diag([4.0, 9.0]))
-    np.testing.assert_allclose(w, [4.0, 9.0])
-    np.testing.assert_allclose(np.abs(V), np.eye(2), atol=1e-12)
-
-
-def test_sym_eig_reconstruction_ensemble():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        d = int(rng.integers(1, 9))
-        S = rng.standard_normal((d, d))
-        S = S + S.T
-        w, V = sym_eig(S)
-        err = np.linalg.norm(V @ np.diag(w) @ V.T - S)
-        assert err <= 1e-9 * (1.0 + np.linalg.norm(S))
-        assert np.all(np.diff(w) >= 0)
 
 
 def test_sqrtm_psd_scalar():

@@ -84,6 +84,12 @@ def test_exact_l1_gain_requires_hurwitz():
         exact_l1_gain(PositiveSystem(A=np.array([[0.0]]), B=np.array([[1.0]])))
 
 
+def test_minimal_certificate_requires_hurwitz():
+    sys_ = PositiveSystem(A=np.array([[-1.0, 2.0], [1.0, -1.0]]), B=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="^A is not Hurwitz; the L1 gain is unbounded$"):
+        minimal_certificate_vector(sys_)
+
+
 def test_l1_certificate_jordan():
     sys_ = PositiveSystem(A=np.array([[-1.0, 1.0], [0.0, -1.0]]), B=np.array([[1.0], [1.0]]))
     cert = l1_certificate(sys_, 3.0)
@@ -138,6 +144,20 @@ def test_bisection_consistency():
         sys_ = helpers.positive_system(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)))
         g = exact_l1_gain(sys_)
         assert abs(l1_gain_bisection(sys_) - g) <= 1e-6 * max(g, 1.0)
+
+
+def test_l1_certificate_just_below_gain():
+    # the LP cross-check at this gamma returns a vertex that fails the slack
+    # check; within tol of the gain the closed form decides
+    sys_ = PositiveSystem(
+        A=np.array([[-1.6352207853162564, 0.02967488385246675],
+                    [0.9392218526135089, -1.8849607184816306]]),
+        B=np.array([[0.18486418226300527, 0.07156478423739909, 0.5040179858988221],
+                    [0.4876293848129365, 0.9160125489834334, 0.10366490746230453]]),
+    )
+    cert = l1_certificate(sys_, exact_l1_gain(sys_) * (1 - 1e-9))
+    assert cert is not None
+    np.testing.assert_allclose(cert.p, minimal_certificate_vector(sys_))
 
 
 def test_gain_supply_rate_evaluation():

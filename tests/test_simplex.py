@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conecert import simplex
 from conecert.simplex import solve_lp
 
 
@@ -62,6 +63,13 @@ def test_iteration_budget_raises():
     A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
     with pytest.raises(RuntimeError):
         solve_lp([-1.0, -2.0, 1.0], A, [1.0, 0.2], max_iter=1)
+
+
+def test_phase1_unbounded_raises(monkeypatch):
+    # phase 1 minimizes a sum of artificials, so "unbounded" there is a defect
+    monkeypatch.setattr(simplex, "_bland_iterate", lambda *args: "unbounded")
+    with pytest.raises(RuntimeError, match="phase 1"):
+        solve_lp([1.0], [[1.0]], [1.0])
 
 
 def test_matches_scipy_on_random_ensemble():

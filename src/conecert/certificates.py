@@ -38,6 +38,7 @@ __all__ = [
     "orthant_certificate_strict",
     "orthant_surjectivity",
     "psd_certificate",
+    "rank_one_witness",
 ]
 
 logger = logging.getLogger("conecert.certificates")
@@ -280,7 +281,7 @@ def _null_basis(M, cutoff=SV_CUTOFF):
     return vt[rank:].T
 
 
-def _rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
+def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
     """Search rank-one kernel elements vv' for a negative objective.
 
     For L(Q) = UQV' + VQU', the rank-one Q = vv' with L(Q) = 0 are exactly
@@ -317,7 +318,7 @@ def psd_certificate(prob: PsdProblem, seed: int = 0) -> PsdFeasibility:
     phi <= 1e-6 (the final eigenvalue check is the proof, not the
     optimizer's word).  Anything else is undecided.
     """
-    witness = _rank_one_witness(prob)
+    witness = rank_one_witness(prob)
     if witness is not None:
         return PsdFeasibility(status="infeasible", witness=witness)
 

@@ -26,7 +26,7 @@ from .certificates import (
     orthant_surjectivity,
     psd_certificate,
 )
-from .kyp import FORM_TOL, KypInstance, cross_validate, default_grid
+from .kyp import FORM_TOL, IQC_MAX_TRIALS, KypInstance, cross_validate, default_grid
 from .numerics import TimeGrid
 from .possys import (
     PositiveSystem,
@@ -230,7 +230,9 @@ def validate_problem(doc) -> list:
         else:
             _check_matrix(doc, "M", out, square=True)
         _check_scalar(doc, "horizon", out, positive=True)
-        _check_scalar(doc, "trials", out, positive=True, integer=True)
+        trials = _check_scalar(doc, "trials", out, positive=True, integer=True)
+        if trials is not None and trials > IQC_MAX_TRIALS:
+            out.append(f"trials: must be at most {IQC_MAX_TRIALS}, got {trials}")
     elif command == "decompose":
         A = _check_matrix(doc, "A", out, square=True)
         B = _check_matrix(doc, "B", out, rows=None if A is None else A.shape[0])
@@ -353,6 +355,7 @@ def _run_kyp(doc, opts):
         "controllable": inst.controllable,
         "lmi": {
             "status": lmi.status,
+            "decided_by": lmi.decided_by,
             "P": lmi.P,
             "max_violation": lmi.max_violation,
             "iterations": lmi.iterations,

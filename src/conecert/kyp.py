@@ -1,29 +1,52 @@
 """Non-strict KYP conditions as four independent checkers.
 
-The linear-matrix-inequality route synthesizes a certificate through the
-PSD conic machinery; the frequency-domain, pointwise, and integral routes
-check the same property by entirely separate computations so the harness
-can cross-validate them against each other.
+The linear-matrix-inequality route decides the conic problem by a Riccati
+certificate, rank-one and rank-2 kernel witnesses, or the PSD subgradient
+search; the frequency-domain, pointwise, and integral routes check the same
+property by separate computations so the harness can cross-validate them
+against each other.
 """
 
 import dataclasses
 import logging
 
 import numpy as np
+import scipy.linalg
 
-from .certificates import PsdProblem, psd_certificate
-from .numerics import TimeGrid, rk4_linear
+from .certificates import (
+    Certificate,
+    ConeId,
+    KernelWitness,
+    PsdProblem,
+    cone_contains,
+    psd_certificate,
+    rank_one_witness,
+)
+from .numerics import SV_CUTOFF, TimeGrid, rk4_linear
 from .steering import controllability_rank
-from .validation import as_matrix, as_square, as_symmetric, as_vector
+from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
 
 log = logging.getLogger("conecert.kyp")
 
 FORM_TOL = 1e-7
 LMI_TOL = 1e-6
+# added to a singular R = -M22 before the Riccati solve; the LMI's top
+# eigenvalue at the solution equals it, and 1e-8 already moves the scalar
+# passivity certificate P = 1 by 1.4e-4
+RICCATI_REG = 1e-10
+# a stacked frequency sweep solves at most this many entries of 2n x 2n
+# systems at once (512 KB); with a chunk's other per-frequency arrays that
+# keeps a chunk to a few MB however large the grid
+SWEEP_BATCH_VALUES = 2**16
+# golden-section steps per peak of the pointwise sweep: 40 shrink a bracket
+# to 4e-9 of its width
+GOLDEN_STEPS = 40
 # RK4 steps per unit of IQC horizon, and the most steps one sampler run may
 # take: 2**17 steps is a 1024 s horizon
 IQC_STEPS_PER_UNIT = 128
 IQC_MAX_STEPS = 2**17
+# the most input trials one sampler run may draw; each trial is simulated
+IQC_MAX_TRIALS = 100
 # trials share one recurrence while a batch's stage values of x and u stay
 # under this count (32 MB each), which bounds the sampler's memory near the
 # step budget
@@ -63,6 +86,15 @@ def imaginary_axis_frequencies(A, tol=1e-8):
     return np.sort(np.abs(eig[on_axis].imag))
 
 
+def _off_eigenfrequencies(A, omegas, tol=1e-8):
+    """The omegas at least tol away from every eigenfrequency of A."""
+    excluded = imaginary_axis_frequencies(A, tol)
+    if not excluded.size:
+        return omegas
+    keep = np.all(np.abs(omegas[:, None] - excluded[None, :]) >= tol, axis=1)
+    return omegas[keep]
+
+
 @dataclasses.dataclass(frozen=True)
 class FrequencyGrid:
     """Ascending real frequencies, none within 1e-8 of an eigenfrequency of A."""
@@ -81,11 +113,131 @@ def default_grid(A, points=200, tol=1e-8) -> FrequencyGrid:
     A = as_square("A", A)
     scale = 1.0 + float(np.linalg.norm(A, 2))
     omegas = np.concatenate([[0.0], np.logspace(-3.0, 3.0, points) * scale])
-    excluded = imaginary_axis_frequencies(A, tol)
-    if excluded.size:
-        keep = np.all(np.abs(omegas[:, None] - excluded[None, :]) >= tol, axis=1)
-        omegas = omegas[keep]
-    return FrequencyGrid(np.unique(omegas))
+    return FrequencyGrid(np.unique(_off_eigenfrequencies(A, omegas, tol)))
+
+
+def _singular(S):
+    """True for a numerically singular S, and for an empty one (no inputs)."""
+    s = np.linalg.svd(S, compute_uv=False)
+    return not s.size or bool(s[-1] <= SV_CUTOFF * (1.0 + s[0]))
+
+
+def hamiltonian_crossings(inst: KypInstance) -> np.ndarray:
+    """Ascending frequencies where an eigenvalue of the Popov form can change sign.
+
+    With M22 nonsingular the form is singular at omega exactly when
+    i*omega is an eigenvalue of [[Ah, -B M22^-1 B'], [-(M11 - M12 M22^-1
+    M21), -Ah']], Ah = A - B M22^-1 M21 (Boyd, Balakrishnan and Kabamba
+    1989).  Empty when M22 is singular.
+    """
+    n, M = inst.n, inst.M
+    if _singular(M[n:, n:]):
+        return np.empty(0)
+    K = np.linalg.solve(M[n:, n:], np.hstack([M[n:, :n], inst.B.T]))
+    Ah = inst.A - inst.B @ K[:, :n]
+    H = np.block([[Ah, -inst.B @ K[:, n:]], [-(M[:n, :n] - M[:n, n:] @ K[:, :n]), -Ah.T]])
+    eig = np.linalg.eigvals(H)
+    # generous: a spurious crossing only adds a point that is evaluated
+    on_axis = np.abs(eig.real) <= 1e-6 * (1.0 + np.abs(eig))
+    return np.unique(np.abs(eig[on_axis].imag))
+
+
+def _crossing_points(inst: KypInstance) -> np.ndarray:
+    """One frequency in every interval where the Popov form keeps its inertia.
+
+    These are 0, each crossing, the midpoints between consecutive crossings
+    and one point past the last, minus eigenfrequencies of A; empty when
+    there is no crossing.
+    """
+    crossings = hamiltonian_crossings(inst)
+    if not crossings.size:
+        return crossings
+    edges = np.concatenate([[0.0], crossings])
+    points = np.concatenate(
+        [edges, 0.5 * (edges[:-1] + edges[1:]), [2.0 * crossings[-1] + 1.0]]
+    )
+    return _off_eigenfrequencies(inst.A, np.unique(points))
+
+
+def _chunks(omegas, n):
+    """omegas in chunks whose stacks of 2n x 2n systems hold at most SWEEP_BATCH_VALUES entries."""
+    size = max(1, SWEEP_BATCH_VALUES // (2 * n) ** 2)
+    return [omegas[lo : lo + size] for lo in range(0, max(omegas.size, 1), size)]
+
+
+def _transfer_matrices(A, omegas):
+    """K(omega) = [[-A, -omega I], [omega I, -A]], stacked over omegas.
+
+    (i*omega*I - A)(X + iY) = B is the real system K(omega) (X; Y) = (B; 0).
+    """
+    n = A.shape[0]
+    K = np.zeros((omegas.size, 2 * n, 2 * n))
+    K[:, :n, :n] = -A
+    K[:, n:, n:] = -A
+    diag = np.arange(n)
+    K[:, diag, n + diag] = -omegas[:, None]
+    K[:, n + diag, diag] = omegas[:, None]
+    return K
+
+
+def _stacked_solve(K, rhs, omegas, message):
+    """np.linalg.solve over the stack; a singular system raises ValueError naming its omega."""
+    try:
+        return np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError:
+        for k in range(K.shape[0]):
+            try:
+                np.linalg.solve(K[k], rhs[k])
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(message.format(omega=omegas[k])) from exc
+        raise
+
+
+def _augmented_transfer(inst, omegas):
+    """Real and imaginary parts of (i*omega*I - A)^(-1) B, stacked over omegas."""
+    n, m = inst.n, inst.m
+    K = _transfer_matrices(inst.A, omegas)
+    rhs = np.broadcast_to(np.vstack([inst.B, np.zeros((n, m))]), (omegas.size, 2 * n, m))
+    sol = _stacked_solve(
+        K, rhs, omegas,
+        "singular transfer solve at omega = {omega!r}; "
+        "the grid contains an eigenfrequency of A",
+    )
+    resid = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
+    bad = ~(resid <= 1e-6 * (1.0 + float(np.linalg.norm(inst.B))))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"ill-conditioned transfer solve at omega = {omegas[k]!r} "
+            f"(residual {resid[k]:.3e}); the grid violates the eigenfrequency exclusion"
+        )
+    return sol[:, :n], sol[:, n:]
+
+
+def _hermitian(F, G):
+    """The stacked Hermitian matrices F + iG, with roundoff asymmetry removed."""
+    H = F + 1j * G
+    return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
+
+
+def _popov_tops(inst, omegas):
+    """Top eigenvalue of the Popov form at each omega.
+
+    The m x m Hermitian form is assembled in real arithmetic from one
+    stacked real 2n x 2n solve per frequency.
+    """
+    X, Y = _augmented_transfer(inst, omegas)
+    k, m = omegas.size, inst.m
+    Hr = np.concatenate([X, np.broadcast_to(np.eye(m), (k, m, m))], axis=1)
+    Hi = np.concatenate([Y, np.zeros((k, m, m))], axis=1)
+    HrT, HiT = np.swapaxes(Hr, 1, 2), np.swapaxes(Hi, 1, 2)
+    F = HrT @ inst.M @ Hr + HiT @ inst.M @ Hi
+    G = HrT @ inst.M @ Hi - HiT @ inst.M @ Hr
+    return np.linalg.eigvalsh(_hermitian(F, G))[:, -1]
+
+
+def _frequency_values(inst, omegas):
+    return np.concatenate([_popov_tops(inst, w) for w in _chunks(omegas, inst.n)])
 
 
 @dataclasses.dataclass
@@ -97,68 +249,133 @@ class LmiResult:
     max_violation: float
     witness: np.ndarray | None
     iterations: int
+    # "rank_one_witness" | "riccati" | "frequency_witness" | "subgradient"
+    decided_by: str
 
 
-def kyp_lmi(inst: KypInstance, seed=0) -> LmiResult:
-    """Search for symmetric P with M + (A B)'P(I 0) + (I 0)'P(A B) <= 0."""
+def _lmi_problem(inst):
     n, m = inst.n, inst.m
     U = np.hstack([inst.A, inst.B])
     V = np.hstack([np.eye(n), np.zeros((n, m))])
-    res = psd_certificate(PsdProblem(U=U, V=V, C=-inst.M), seed=seed)
+    return PsdProblem(U=U, V=V, C=-inst.M)
+
+
+def _riccati_certificate(inst, prob) -> Certificate | None:
+    """P = -X from the stabilizing Riccati solution, kept only if the LMI holds at P.
+
+    X solves A'X + XA - (XB - M12) R^-1 (B'X - M21) - M11 = 0 with
+    R = -M22: the LMI's Schur complement at equality (Willems 1971).  A
+    singular M22 is regularized by RICCATI_REG.
+    """
+    n, M = inst.n, inst.M
+    if not inst.m:  # scipy's solver needs an input
+        return None
+    R = -M[n:, n:]
+    if _singular(R):
+        R = R + RICCATI_REG * np.eye(inst.m)
+    try:
+        X = scipy.linalg.solve_continuous_are(inst.A, inst.B, -M[:n, :n], R, s=-M[:n, n:])
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    if not np.all(np.isfinite(X)):
+        return None
+    P = symmetrize(-X)
+    slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
+    if not slack[0] >= -LMI_TOL:
+        return None
+    return Certificate(p=P, slack=slack, tol=LMI_TOL)
+
+
+def _frequency_witness(inst, prob) -> KernelWitness | None:
+    """Rank-2 kernel witness from the Popov form at the worst crossing point.
+
+    At the point of _crossing_points where the form's top eigenvalue is
+    largest, z = H(i*omega)u with H = ((i*omega*I - A)^-1 B; I) and u a top
+    eigenvector.  Q0 = Re(zz*)/tr is PSD, lies in the kernel of
+    UQV' + VQU' because Uz = i*omega*Vz, and has tr(-M Q0) = -(form
+    value)/tr.  Q0 is returned only when the three checks pass on the
+    computed matrix; an objective below -LMI_TOL rules out every P the
+    post-check would accept, since tr((M + He(P)) Q0) = tr(M Q0).
+    """
+    points = _crossing_points(inst)
+    if not points.size:
+        return None
+    try:
+        values = _frequency_values(inst, points)
+    except ValueError:
+        return None
+    omega = points[int(np.argmax(values))]
+    G = np.linalg.solve(1j * omega * np.eye(inst.n) - inst.A, inst.B)
+    H = np.vstack([G, np.eye(inst.m)])
+    u = np.linalg.eigh(H.conj().T @ inst.M @ H)[1][:, -1]
+    z = H @ u
+    Q0 = np.real(np.outer(z, z.conj()))
+    Q0 = Q0 / np.trace(Q0)
+    image = prob.U @ Q0 @ prob.V.T
+    objective = float(np.trace(prob.C @ Q0))
+    cone = ConeId.psd(prob.cone_dim)
+    if (
+        cone_contains(cone, Q0)
+        and np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + np.linalg.norm(prob.U))
+        and objective < -LMI_TOL
+    ):
+        return KernelWitness(cone=cone, z0=Q0, objective=objective)
+    return None
+
+
+def _certified(cert: Certificate, route, iterations=0) -> LmiResult:
+    return LmiResult(
+        status="feasible",
+        P=cert.p,
+        max_violation=float(-cert.slack[0]),
+        witness=None,
+        iterations=iterations,
+        decided_by=route,
+    )
+
+
+def _refuted(witness: KernelWitness, route, iterations=0) -> LmiResult:
+    return LmiResult(
+        status="infeasible",
+        P=None,
+        max_violation=float(-witness.objective),
+        witness=witness.z0,
+        iterations=iterations,
+        decided_by=route,
+    )
+
+
+def kyp_lmi(inst: KypInstance, seed=0) -> LmiResult:
+    """Search for symmetric P with M + (A B)'P(I 0) + (I 0)'P(A B) <= 0.
+
+    Four routes run in order, each accepted only through the check that
+    proves it: a rank-one kernel witness; the Riccati certificate
+    (eigenvalue post-check); a rank-2 frequency witness (PSD, kernel and
+    objective checks); and the subgradient search of psd_certificate as the
+    fallback.  decided_by names the route that produced the result.
+    """
+    prob = _lmi_problem(inst)
+    witness = rank_one_witness(prob)
+    if witness is not None:
+        return _refuted(witness, "rank_one_witness")
+    cert = _riccati_certificate(inst, prob)
+    if cert is not None:
+        return _certified(cert, "riccati")
+    witness = _frequency_witness(inst, prob)
+    if witness is not None:
+        return _refuted(witness, "frequency_witness")
+    # feasible or undecided: its own rank-one search is the one above
+    res = psd_certificate(prob, seed=seed)
     if res.status == "feasible":
-        P = res.certificate.p
-        slack = inst.M + U.T @ P @ V + V.T @ P @ U
-        return LmiResult(
-            status="feasible",
-            P=P,
-            max_violation=float(np.linalg.eigvalsh(slack)[-1]),
-            witness=None,
-            iterations=res.iterations,
-        )
-    if res.status == "infeasible":
-        return LmiResult(
-            status="infeasible",
-            P=None,
-            max_violation=float(-res.witness.objective),
-            witness=res.witness.z0,
-            iterations=res.iterations,
-        )
+        return _certified(res.certificate, "subgradient", res.iterations)
     return LmiResult(
         status="undecided",
         P=None,
         max_violation=float(res.residual),
         witness=None,
         iterations=res.iterations,
+        decided_by="subgradient",
     )
-
-
-def _augmented_transfer(inst, omega):
-    """Real and imaginary parts of (i*omega*I - A)^(-1) B via one real block solve."""
-    n, m = inst.n, inst.m
-    K = np.block(
-        [[-inst.A, -omega * np.eye(n)], [omega * np.eye(n), -inst.A]]
-    )
-    rhs = np.vstack([inst.B, np.zeros((n, m))])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"singular transfer solve at omega = {omega!r}; "
-            "the grid contains an eigenfrequency of A"
-        ) from exc
-    resid = float(np.linalg.norm(K @ sol - rhs))
-    if not np.isfinite(resid) or resid > 1e-6 * (1.0 + float(np.linalg.norm(rhs))):
-        raise ValueError(
-            f"ill-conditioned transfer solve at omega = {omega!r} "
-            f"(residual {resid:.3e}); the grid violates the eigenfrequency exclusion"
-        )
-    return sol[:n], sol[n:]
-
-
-def _hermitian_eigmax(F, G):
-    """Largest eigenvalue of the Hermitian matrix F + iG via its real embedding."""
-    emb = np.block([[F, -G], [G, F]])
-    return float(np.linalg.eigvalsh(0.5 * (emb + emb.T))[-1]), emb
 
 
 @dataclasses.dataclass
@@ -176,29 +393,23 @@ def frequency_condition(
 ) -> FrequencyReport:
     """Check ((i*omega*I - A)^(-1)B; I)* M (...) <= 0 on the grid and at the limit.
 
-    Each frequency costs one real 2n x 2n solve; the m x m Hermitian form is
-    assembled in real arithmetic and its top eigenvalue read off the 2m x 2m
-    symmetric embedding.  The omega -> infinity limit reduces to the
-    lower-right block of M.
+    The grid is merged with the crossing points (one frequency in every
+    interval between Hamiltonian crossings), so a peak narrower than the
+    grid spacing is still evaluated; the Hamiltonian only chooses points,
+    and the form itself is evaluated at every point.  Each frequency costs
+    one real 2n x 2n solve, stacked over the grid; the m x m Hermitian form
+    is assembled in real arithmetic.  The omega -> infinity limit reduces to
+    the lower-right block of M.
     """
     if grid is None:
         grid = default_grid(inst.A)
     n, m = inst.n, inst.m
-    M = inst.M
-    Im = np.eye(m)
-    Zm = np.zeros((m, m))
-    values = np.empty(grid.omegas.size)
-    for k, omega in enumerate(grid.omegas):
-        X, Y = _augmented_transfer(inst, omega)
-        Hr = np.vstack([X, Im])
-        Hi = np.vstack([Y, Zm])
-        F = Hr.T @ M @ Hr + Hi.T @ M @ Hi
-        G = Hr.T @ M @ Hi - Hi.T @ M @ Hr
-        values[k], _ = _hermitian_eigmax(F, G)
+    omegas = np.union1d(grid.omegas, _crossing_points(inst))
+    values = _frequency_values(inst, omegas)
     limit_value = float(np.linalg.eigvalsh(inst.M[n:, n:])[-1]) if m else -np.inf
     if values.size and float(np.max(values)) >= limit_value:
         worst_idx = int(np.argmax(values))
-        worst_omega = float(grid.omegas[worst_idx])
+        worst_omega = float(omegas[worst_idx])
         worst_value = float(values[worst_idx])
     else:
         worst_omega, worst_value = np.inf, limit_value
@@ -207,7 +418,7 @@ def frequency_condition(
         holds=holds,
         worst_omega=worst_omega,
         worst_value=worst_value,
-        omegas=grid.omegas,
+        omegas=omegas,
         values=values,
         limit_value=limit_value,
     )
@@ -234,6 +445,70 @@ class PointwiseReport:
     canonical_values: np.ndarray
 
 
+def _pointwise_forms(inst, omegas):
+    """(top eigenvalue, canonical values, a, b, Hermitian form) at each omega.
+
+    Each canonical input column j is solved for separately, over the whole
+    stack of frequencies: a_j + i*b_j is the solution (x_j, e_j) of
+    i*omega*x = Ax + B e_j.  The Hermitian form is assembled pairwise from
+    those solutions; its diagonal holds the canonical values.
+    """
+    n, m, M = inst.n, inst.m, inst.M
+    k = omegas.size
+    K = _transfer_matrices(inst.A, omegas)
+    a = np.zeros((k, m, n + m))
+    b = np.zeros((k, m, n + m))
+    for j in range(m):
+        rhs = np.broadcast_to(np.concatenate([inst.B[:, j], np.zeros(n)])[:, None], (k, 2 * n, 1))
+        sol = _stacked_solve(K, rhs, omegas, "singular pointwise solve at omega = {omega!r}")
+        a[:, j, :n] = sol[:, :n, 0]
+        a[:, j, n + j] = 1.0
+        b[:, j, :n] = sol[:, n:, 0]
+    aT, bT = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
+    F = a @ M @ aT + b @ M @ bT
+    G = a @ M @ bT - b @ M @ aT
+    forms = _hermitian(F, G)
+    return np.linalg.eigvalsh(forms)[:, -1], np.diagonal(F, axis1=1, axis2=2), a, b, forms
+
+
+def _peak_brackets(A, omegas, values):
+    """[omega_(k-1), omega_(k+1)] around each local maximum k of the grid values.
+
+    Brackets holding an eigenfrequency of A are left out: the form has a
+    pole there.
+    """
+    padded = np.concatenate([[-np.inf], values, [-np.inf]])
+    peaks = np.flatnonzero((padded[1:-1] > padded[:-2]) & (padded[1:-1] >= padded[2:]))
+    lo = omegas[np.maximum(peaks - 1, 0)]
+    hi = omegas[np.minimum(peaks + 1, omegas.size - 1)]
+    poles = imaginary_axis_frequencies(A)
+    clear = ~np.any((poles > lo[:, None]) & (poles < hi[:, None]), axis=1)
+    return lo[clear], hi[clear]
+
+
+def _golden_maxima(f, lo, hi):
+    """Golden-section search for a maximum of f on every [lo_i, hi_i] at once.
+
+    f maps an array of frequencies to values.  GOLDEN_STEPS steps shrink
+    each bracket by 0.618 apiece.  Returns the best point of each bracket
+    and its value.
+    """
+    if not lo.size:
+        return lo, lo
+    r = 0.5 * (np.sqrt(5.0) - 1.0)
+    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_STEPS):
+        left = f1 >= f2  # a maximum lies in [lo, x2]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        new = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
+        f_new = f(new)
+        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
 def pointwise_condition(
     inst: KypInstance, grid: FrequencyGrid | None = None, tol: float = FORM_TOL
 ) -> PointwiseReport:
@@ -242,61 +517,51 @@ def pointwise_condition(
     Independent route from frequency_condition: each canonical input column
     is solved for separately and the Hermitian form is assembled pairwise
     from those solutions; the x = 0 branch is the lower-right block of M.
+    When the grid and the limit hold, every local maximum of the grid
+    values is refined by a golden-section search over its bracketing
+    interval, so a peak narrower than the grid spacing still refutes; no
+    Hamiltonian is used.
     """
     if grid is None:
         grid = default_grid(inst.A)
     n, m = inst.n, inst.m
-    M = inst.M
-    worst_omega, worst_value = np.inf, -np.inf
-    worst_kind, worst_emb = "none", None
-    canon = np.full((grid.omegas.size, max(m, 1)), -np.inf)
-    for k, omega in enumerate(grid.omegas):
-        K = np.block(
-            [[-inst.A, -omega * np.eye(n)], [omega * np.eye(n), -inst.A]]
+    omegas = grid.omegas
+    chunks = [_pointwise_forms(inst, w)[:2] for w in _chunks(omegas, n)]
+    values = np.concatenate([c[0] for c in chunks])
+    canon = np.concatenate([c[1] for c in chunks])
+    lam, vec = np.linalg.eigh(inst.M[n:, n:])
+    if max(np.max(values, initial=-np.inf), lam[-1]) <= tol:
+        # only a peak between grid points can still refute
+        peak_omegas, peak_values = _golden_maxima(
+            lambda w: np.concatenate([_pointwise_forms(inst, c)[0] for c in _chunks(w, n)]),
+            *_peak_brackets(inst.A, omegas, values),
         )
-        a = np.zeros((m, n + m))
-        b = np.zeros((m, n + m))
-        for j in range(m):
-            rhs = np.concatenate([inst.B[:, j], np.zeros(n)])
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    f"singular pointwise solve at omega = {omega!r}"
-                ) from exc
-            a[j, :n] = sol[:n]
-            a[j, n + j] = 1.0
-            b[j, :n] = sol[n:]
-            canon[k, j] = float(a[j] @ M @ a[j] + b[j] @ M @ b[j])
-        F = a @ M @ a.T + b @ M @ b.T
-        G = a @ M @ b.T - b @ M @ a.T
-        value, emb = _hermitian_eigmax(F, 0.5 * (G - G.T))
-        if value > worst_value:
-            worst_omega, worst_value = float(omega), value
-            worst_kind, worst_emb = "grid", (emb, a, b)
-    if m:
-        lam, vec = np.linalg.eigh(inst.M[n:, n:])
-        if float(lam[-1]) > worst_value:
-            worst_omega, worst_value = np.inf, float(lam[-1])
-            worst_kind, worst_emb = "limit", vec[:, -1]
+        omegas = np.concatenate([omegas, peak_omegas])
+        values = np.concatenate([values, peak_values])
+    worst_omega, worst_value, worst_kind = np.inf, -np.inf, "none"
+    if values.size:
+        k = int(np.argmax(values))
+        worst_omega, worst_value, worst_kind = float(omegas[k]), float(values[k]), "grid"
+    if float(lam[-1]) > worst_value:
+        worst_omega, worst_value, worst_kind = np.inf, float(lam[-1]), "limit"
     holds = worst_value <= tol
     witness = None
     if not holds and worst_kind == "limit":
         witness = PointwiseWitness(
             omega=np.inf,
             value=worst_value,
-            u_real=worst_emb,
+            u_real=vec[:, -1],
             u_imag=np.zeros(m),
             x_real=np.zeros(n),
             x_imag=np.zeros(n),
         )
     elif not holds and worst_kind == "grid":
-        emb, a, b = worst_emb
-        w = np.linalg.eigh(0.5 * (emb + emb.T))[1][:, -1]
-        cr, ci = w[:m], w[m:]
+        _, _, a, b, forms = _pointwise_forms(inst, np.array([worst_omega]))
+        w = np.linalg.eigh(forms[0])[1][:, -1]
+        cr, ci = w.real, w.imag
         # z = sum_j (cr_j + i ci_j) (a_j + i b_j)
-        zr = cr @ a - ci @ b
-        zi = cr @ b + ci @ a
+        zr = cr @ a[0] - ci @ b[0]
+        zi = cr @ b[0] + ci @ a[0]
         witness = PointwiseWitness(
             omega=worst_omega,
             value=worst_value,
@@ -409,8 +674,10 @@ def iqc_trajectory_condition(inst: KypInstance, trials=20, horizon=None, seed=0)
     state then decays freely, realizing square-integrable trajectories.
     Only applicable when A is Hurwitz and the horizon, max(30, 24/alpha)
     unless given, fits in IQC_MAX_STEPS steps; otherwise reports
-    not_applicable.
+    not_applicable.  More than IQC_MAX_TRIALS trials raise ValueError.
     """
+    if trials > IQC_MAX_TRIALS:
+        raise ValueError(f"trials {trials} over the budget of {IQC_MAX_TRIALS}")
     alpha = _decay_rate(inst.A)
     if alpha <= 0:
         log.info("IQC sampler skipped: A is not Hurwitz (decay rate %.3e)", alpha)

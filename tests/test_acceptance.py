@@ -104,7 +104,7 @@ def test_criterion_3_kyp_constructed_ensembles():
         if res.status == "feasible":
             certified += 1
         assert frequency_condition(inst).holds
-    assert certified >= 48  # >= 95% of 50
+    assert certified == 50
     refuted = 0
     for _ in range(50):
         n = int(rng.integers(1, 5))
@@ -114,11 +114,12 @@ def test_criterion_3_kyp_constructed_ensembles():
         rep = frequency_condition(inst, grid=FrequencyGrid(omegas))
         assert not rep.holds
         res = kyp_lmi(inst)
-        assert res.status != "feasible"  # no certificate survives the post-check
+        # no certificate survives the post-check; a witness refutes every one
+        assert res.status == "infeasible" and res.witness is not None
         refuted += 1
     elapsed = time.perf_counter() - start
     assert refuted == 50
-    assert elapsed < 120.0
+    assert elapsed < 10.0
     print(
         f"criterion 3 PASS: {certified}/50 certified, {refuted}/50 refuted "
         f"in {elapsed:.1f} s"

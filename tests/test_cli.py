@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -65,6 +66,7 @@ def test_sample_kyp(tmp_path):
     assert code == 0
     assert doc["status"] == "feasible"
     assert abs(doc["result"]["lmi"]["P"][0][0] - 1.0) <= 1e-4
+    assert doc["result"]["lmi"]["decided_by"] == "riccati"
     assert doc["result"]["frequency"]["holds"] is True
     assert doc["result"]["defects"] == []
 
@@ -96,6 +98,7 @@ def test_kyp_infeasible_exit_code(tmp_path):
     assert code == 1
     assert doc["status"] == "infeasible"
     assert doc["result"]["lmi"]["status"] == "infeasible"
+    assert doc["result"]["lmi"]["decided_by"] == "rank_one_witness"
     assert doc["result"]["frequency"]["holds"] is False
 
 
@@ -440,19 +443,54 @@ def test_kyp_tol_runs_each_sweep_once(tmp_path, monkeypatch):
 
 def test_kyp_resonance_iqc_over_step_budget(tmp_path):
     # zeta = 1e-4 at omega0 = 7.3: the derived IQC horizon, 24/alpha, needs
-    # about 4.2M steps a trial, far over the sampler's step budget
-    path = write_problem(
-        tmp_path,
-        {
-            "command": "kyp",
-            "A": [[0.0, 1.0], [-53.29, -0.00146]],
-            "B": [[0.0], [1.0]],
-            "M": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2500.0]],
-        },
-    )
+    # about 4.2M steps a trial, far over the sampler's step budget; the
+    # resonance peak lies between grid points
+    doc_in = {
+        "command": "kyp",
+        "A": [[0.0, 1.0], [-53.29, -0.00146]],
+        "B": [[0.0], [1.0]],
+        "M": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2500.0]],
+    }
+    path = write_problem(tmp_path, doc_in)
     code, doc = run_cli(["kyp", "--input", str(path)], tmp_path)
-    assert code in (0, 1, 2)
-    assert doc["result"]["iqc"]["status"] == "not_applicable"
+    assert code == 1
+    assert doc["status"] == "infeasible"
+    res = doc["result"]
+    assert res["iqc"]["status"] == "not_applicable"
+    assert res["lmi"]["status"] == "infeasible"
+    assert res["lmi"]["decided_by"] == "frequency_witness"
+    assert res["frequency"]["holds"] is False and res["pointwise"]["holds"] is False
+    assert res["defects"] == []
+    # the witness refutes every P: PSD, in the kernel of UQV' + VQU', and
+    # of negative objective tr(-MQ)
+    A, B, M = (np.array(doc_in[k]) for k in ("A", "B", "M"))
+    Q = np.array(res["lmi"]["witness"])
+    U = np.hstack([A, B])
+    V = np.hstack([np.eye(2), np.zeros((2, 1))])
+    assert abs(np.trace(Q) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(Q)[0] >= -1e-12
+    assert np.linalg.norm(U @ Q @ V.T + V @ Q @ U.T) <= 1e-9 * (1.0 + np.linalg.norm(U))
+    assert -np.trace(M @ Q) < -1e-6
+
+
+def test_kyp_trials_over_budget(tmp_path):
+    digits = "1" + "0" * 400  # a 401-digit trial count
+    src = json.loads((SAMPLES / "kyp_scalar_passivity.json").read_text(encoding="utf-8"))
+    path = tmp_path / "trials.json"
+    path.write_text(json.dumps(src)[:-1] + f', "trials": {digits}}}', encoding="utf-8")
+    message = f"trials: must be at most {kyp.IQC_MAX_TRIALS}, got {digits}"
+    start = time.perf_counter()
+    code, doc = run_cli(["kyp", "--input", str(path)], tmp_path)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert doc["status"] == "error" and doc["diagnostics"] == [message]
+    code, doc = run_cli(["validate", "--input", str(path)], tmp_path)
+    assert code == 3
+    assert doc["result"]["violations"] == [message]
+    src["trials"] = kyp.IQC_MAX_TRIALS
+    path.write_text(json.dumps(src), encoding="utf-8")
+    code, doc = run_cli(["validate", "--input", str(path)], tmp_path)
+    assert code == 0
 
 
 def test_seed_precedence(tmp_path):

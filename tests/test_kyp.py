@@ -4,6 +4,9 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from conecert import (
@@ -34,6 +37,34 @@ def input_penalty_instance():
     )
 
 
+def resonance_instance():
+    # zeta = 1e-4 at omega0 = 7.3: |G|^2 - 2500 peaks at +6.3e3 between
+    # grid points of the default grid, which reads -2499.9 at best
+    return KypInstance(
+        A=np.array([[0.0, 1.0], [-53.29, -0.00146]]),
+        B=np.array([[0.0], [1.0]]),
+        M=np.diag([1.0, 0.0, -2500.0]),
+    )
+
+
+def touching_instance():
+    # |G(i omega)|^2 - 1 <= 0 with equality at omega = 0: the LMI holds only
+    # at P = 1 and the Riccati equation has no stabilizing solution
+    return KypInstance(
+        A=np.array([[-1.0]]), B=np.array([[1.0]]), M=np.diag([1.0, -1.0])
+    )
+
+
+def assert_kernel_witness(inst, Q):
+    """Q is PSD, in the kernel of UQV' + VQU' and has tr(-MQ) < 0."""
+    U = np.hstack([inst.A, inst.B])
+    V = np.hstack([np.eye(inst.n), np.zeros((inst.n, inst.m))])
+    assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9 * np.trace(Q)
+    image = U @ Q @ V.T + V @ Q @ U.T
+    assert np.linalg.norm(image) <= 1e-9 * np.trace(Q) * (1.0 + np.linalg.norm(U))
+    assert -np.trace(inst.M @ Q) < 0
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         KypInstance(A=np.eye(2), B=np.ones((2, 1)), M=np.eye(2))  # M must be 3x3
@@ -61,6 +92,179 @@ def test_lmi_infeasible_witness():
     assert res.P is None
     np.testing.assert_allclose(res.witness, [[0.0, 0.0], [0.0, 1.0]], atol=1e-9)
     assert abs(res.max_violation - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "make, status, route",
+    [
+        (input_penalty_instance, "infeasible", "rank_one_witness"),
+        (passivity_instance, "feasible", "riccati"),
+        (resonance_instance, "infeasible", "frequency_witness"),
+        (touching_instance, "feasible", "subgradient"),
+    ],
+)
+def test_lmi_decided_by_route(make, status, route):
+    inst = make()
+    res = kyp_lmi(inst)
+    assert (res.status, res.decided_by) == (status, route)
+    if status == "infeasible":
+        assert_kernel_witness(inst, res.witness)
+    else:
+        assert res.max_violation <= kyp.LMI_TOL
+    assert (res.iterations > 0) == (route == "subgradient")
+
+
+def test_lmi_without_inputs_is_a_lyapunov_inequality():
+    # m = 0: M + A'P + PA <= 0, met by every P >= 0.25 for A = -1, M = 0.5
+    inst = KypInstance(A=-np.eye(1), B=np.zeros((1, 0)), M=0.5 * np.eye(1))
+    res = kyp_lmi(inst)
+    assert res.status == "feasible" and res.decided_by == "subgradient"
+    assert res.P[0, 0] >= 0.25 - kyp.LMI_TOL
+
+
+def test_riccati_failing_post_check_falls_back_to_subgradient(monkeypatch):
+    calls = []
+    original = scipy.linalg.solve_continuous_are
+
+    def off_by_one(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs) + 1.0  # P = 0 instead of 1: slack fails
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", off_by_one)
+    res = kyp_lmi(passivity_instance())
+    assert len(calls) == 1
+    assert res.status == "feasible" and res.decided_by == "subgradient"
+    assert res.iterations > 0
+    assert abs(res.P[0, 0] - 1.0) <= 1e-4
+
+
+def test_riccati_solver_error_falls_through(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Failed to find a finite solution.")
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", fail)
+    res = kyp_lmi(passivity_instance())
+    assert res.status == "feasible" and res.decided_by == "subgradient"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 3)
+)
+def test_lmi_witnesses_pass_their_checks(seed, n, m):
+    inst, _ = helpers.infeasible_kyp(np.random.default_rng(seed), n, m)
+    res = kyp_lmi(inst)
+    assert res.status != "feasible"
+    assert (res.status == "infeasible") == (res.witness is not None)
+    if res.witness is not None:
+        assert_kernel_witness(inst, res.witness)
+        assert abs(res.max_violation + np.trace(-inst.M @ res.witness)) <= 1e-12 * (
+            1.0 + res.max_violation
+        )
+
+
+def reference_frequency_values(inst, omegas):
+    """The Popov form's top eigenvalue, one complex solve per frequency."""
+    out = []
+    for omega in omegas:
+        G = np.linalg.solve(1j * omega * np.eye(inst.n) - inst.A, inst.B)
+        H = np.vstack([G, np.eye(inst.m)])
+        out.append(np.linalg.eigvalsh(H.conj().T @ inst.M @ H)[-1])
+    return np.array(out)
+
+
+def reference_canonical_values(inst, omegas):
+    """Per frequency and input column: x_j solved alone, then (x_j, e_j)*M(x_j, e_j)."""
+    out = np.empty((omegas.size, inst.m))
+    for k, omega in enumerate(omegas):
+        for j in range(inst.m):
+            z = np.zeros(inst.n + inst.m, dtype=complex)
+            z[: inst.n] = np.linalg.solve(1j * omega * np.eye(inst.n) - inst.A, inst.B[:, j])
+            z[inst.n + j] = 1.0
+            out[k, j] = np.real(np.conj(z) @ inst.M @ z)
+    return out
+
+
+@pytest.mark.parametrize("batch_values", [None, 64])
+def test_batched_sweeps_match_per_frequency_reference(batch_values, monkeypatch):
+    if batch_values is not None:  # many small chunks instead of one stack
+        monkeypatch.setattr(kyp, "SWEEP_BATCH_VALUES", batch_values)
+    rng = np.random.default_rng(62)
+    for n, m in [(1, 1), (2, 2), (3, 1), (4, 3)]:
+        for inst in (helpers.feasible_kyp(rng, n, m)[0], helpers.infeasible_kyp(rng, n, m)[0]):
+            grid = default_grid(inst.A, points=60)
+            fr = frequency_condition(inst, grid=grid)
+            ref = reference_frequency_values(inst, fr.omegas)
+            scale = np.maximum(1.0, np.abs(ref))
+            assert np.max(np.abs(fr.values - ref) / scale) <= 1e-12
+            pw = pointwise_condition(inst, grid=grid)
+            ref = reference_canonical_values(inst, grid.omegas)
+            scale = np.maximum(1.0, np.abs(ref))
+            assert np.max(np.abs(pw.canonical_values - ref) / scale) <= 1e-12
+
+
+def test_sweeps_name_the_frequency_of_a_singular_solve():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
+    inst = KypInstance(A=A, B=np.array([[0.0], [1.0]]), M=-np.eye(3))
+    grid = FrequencyGrid(np.array([0.5, 1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"transfer solve at omega = np\.float64\(1\.0\)"):
+        frequency_condition(inst, grid=grid)
+    with pytest.raises(ValueError, match=r"pointwise solve at omega = np\.float64\(1\.0\)"):
+        pointwise_condition(inst, grid=grid)
+
+
+def test_frequency_sweep_residual_check_names_its_frequency(monkeypatch):
+    solve = np.linalg.solve
+
+    def spoiled(K, rhs):  # a wrong solution at the second frequency only
+        sol = solve(K, rhs)
+        if sol.ndim == 3 and sol.shape[0] > 1:
+            sol[1] += 1.0
+        return sol
+
+    monkeypatch.setattr(np.linalg, "solve", spoiled)
+    grid = FrequencyGrid(np.array([0.5, 1.0, 2.0]))
+    message = r"ill-conditioned transfer solve at omega = np\.float64\(1\.0\)"
+    with pytest.raises(ValueError, match=message):
+        frequency_condition(passivity_instance(), grid=grid)
+
+
+def test_frequency_condition_merges_hamiltonian_crossings():
+    inst = resonance_instance()
+    crossings = kyp.hamiltonian_crossings(inst)
+    np.testing.assert_allclose(crossings, [7.29884069, 7.30115898], atol=1e-7)
+    grid = default_grid(inst.A)
+    rep = frequency_condition(inst, grid=grid)
+    assert np.max(rep.values[np.isin(rep.omegas, grid.omegas)]) < -2499.0
+    assert not rep.holds
+    assert crossings[0] < rep.worst_omega < crossings[1]
+    assert rep.worst_value > 6000.0
+
+
+def test_pointwise_refutes_resonance_without_the_hamiltonian(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pointwise_condition must not use the Hamiltonian")
+
+    monkeypatch.setattr(kyp, "hamiltonian_crossings", forbidden)
+    inst = resonance_instance()
+    rep = pointwise_condition(inst)
+    assert not rep.holds
+    assert abs(rep.worst_omega - 7.3) <= 1e-3
+    assert rep.worst_value > 6000.0
+    w = rep.witness
+    u = w.u_real + 1j * w.u_imag
+    x = w.x_real + 1j * w.x_imag
+    assert np.linalg.norm(1j * w.omega * x - inst.A @ x - inst.B @ u) <= 1e-8 * np.linalg.norm(x)
+    z = np.concatenate([x, u])
+    assert abs(np.real(np.conj(z) @ inst.M @ z) - w.value) <= 1e-8 * abs(w.value)
+
+
+def test_cross_validate_resonance_has_no_defects():
+    out = cross_validate(resonance_instance(), trials=2)
+    assert out.lmi.status == "infeasible"
+    assert not out.frequency.holds and not out.pointwise.holds
+    assert out.iqc.status == "not_applicable"
+    assert out.defects == [] and out.consistent
 
 
 def test_frequency_scalar_passivity_values():
@@ -214,6 +418,11 @@ def test_iqc_horizon_over_step_budget_not_applicable(caplog):
     assert rep.status == "not_applicable"
     assert rep.samples == []
     assert "196608 steps, over the budget of 131072" in caplog.text
+
+
+def test_iqc_trials_over_budget_raise():
+    with pytest.raises(ValueError, match="over the budget of 100"):
+        iqc_trajectory_condition(passivity_instance(), trials=kyp.IQC_MAX_TRIALS + 1)
 
 
 def test_iqc_not_applicable_without_decay():

@@ -8,6 +8,7 @@ byte for byte.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -532,6 +533,7 @@ def _configure_logging():
     root.setLevel(level)
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _parser():
     parser = argparse.ArgumentParser(
         prog="cone-cert",

@@ -11,7 +11,6 @@ import dataclasses
 import logging
 
 import numpy as np
-import scipy.linalg
 
 from .certificates import (
     Certificate,
@@ -220,6 +219,11 @@ def _hermitian(F, G):
     return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
 
 
+def _top_eigenvalues(forms):
+    """Largest eigenvalue of each stacked Hermitian form; -inf for an empty (m = 0) form."""
+    return np.max(np.linalg.eigvalsh(forms), axis=-1, initial=-np.inf)
+
+
 def _popov_tops(inst, omegas):
     """Top eigenvalue of the Popov form at each omega.
 
@@ -233,7 +237,7 @@ def _popov_tops(inst, omegas):
     HrT, HiT = np.swapaxes(Hr, 1, 2), np.swapaxes(Hi, 1, 2)
     F = HrT @ inst.M @ Hr + HiT @ inst.M @ Hi
     G = HrT @ inst.M @ Hi - HiT @ inst.M @ Hr
-    return np.linalg.eigvalsh(_hermitian(F, G))[:, -1]
+    return _top_eigenvalues(_hermitian(F, G))
 
 
 def _frequency_values(inst, omegas):
@@ -273,6 +277,8 @@ def _riccati_certificate(inst, prob) -> Certificate | None:
     R = -M[n:, n:]
     if _singular(R):
         R = R + RICCATI_REG * np.eye(inst.m)
+    import scipy.linalg  # loaded on first use: only this route needs scipy
+
     try:
         X = scipy.linalg.solve_continuous_are(inst.A, inst.B, -M[:n, :n], R, s=-M[:n, n:])
     except (np.linalg.LinAlgError, ValueError):
@@ -406,8 +412,9 @@ def frequency_condition(
     n, m = inst.n, inst.m
     omegas = np.union1d(grid.omegas, _crossing_points(inst))
     values = _frequency_values(inst, omegas)
-    limit_value = float(np.linalg.eigvalsh(inst.M[n:, n:])[-1]) if m else -np.inf
-    if values.size and float(np.max(values)) >= limit_value:
+    limit_value = float(_top_eigenvalues(inst.M[n:, n:]))
+    # with no input (m = 0) the form is empty: there is no worst frequency
+    if m and values.size and float(np.max(values)) >= limit_value:
         worst_idx = int(np.argmax(values))
         worst_omega = float(omegas[worst_idx])
         worst_value = float(values[worst_idx])
@@ -468,7 +475,7 @@ def _pointwise_forms(inst, omegas):
     F = a @ M @ aT + b @ M @ bT
     G = a @ M @ bT - b @ M @ aT
     forms = _hermitian(F, G)
-    return np.linalg.eigvalsh(forms)[:, -1], np.diagonal(F, axis1=1, axis2=2), a, b, forms
+    return _top_eigenvalues(forms), np.diagonal(F, axis1=1, axis2=2), a, b, forms
 
 
 def _peak_brackets(A, omegas, values):
@@ -530,7 +537,8 @@ def pointwise_condition(
     values = np.concatenate([c[0] for c in chunks])
     canon = np.concatenate([c[1] for c in chunks])
     lam, vec = np.linalg.eigh(inst.M[n:, n:])
-    if max(np.max(values, initial=-np.inf), lam[-1]) <= tol:
+    limit_value = float(np.max(lam, initial=-np.inf))
+    if max(np.max(values, initial=-np.inf), limit_value) <= tol:
         # only a peak between grid points can still refute
         peak_omegas, peak_values = _golden_maxima(
             lambda w: np.concatenate([_pointwise_forms(inst, c)[0] for c in _chunks(w, n)]),
@@ -539,11 +547,11 @@ def pointwise_condition(
         omegas = np.concatenate([omegas, peak_omegas])
         values = np.concatenate([values, peak_values])
     worst_omega, worst_value, worst_kind = np.inf, -np.inf, "none"
-    if values.size:
+    if m and values.size:  # an input-free (m = 0) form is empty
         k = int(np.argmax(values))
         worst_omega, worst_value, worst_kind = float(omegas[k]), float(values[k]), "grid"
-    if float(lam[-1]) > worst_value:
-        worst_omega, worst_value, worst_kind = np.inf, float(lam[-1]), "limit"
+    if limit_value > worst_value:
+        worst_omega, worst_value, worst_kind = np.inf, limit_value, "limit"
     holds = worst_value <= tol
     witness = None
     if not holds and worst_kind == "limit":

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .validation import as_square, as_symmetric, require_finite, symmetrize
 
@@ -138,6 +137,8 @@ def matrix_rank(M, cutoff=None, abs_cutoff=None):
 
 def expm(M):
     """Matrix exponential (scaling and squaring)."""
+    import scipy.linalg  # loaded on first use: most commands never need scipy
+
     M = as_square("M", M)
     return scipy.linalg.expm(M)
 

@@ -540,6 +540,79 @@ def test_log_env_levels(monkeypatch, capsys):
     assert root.level == logging.WARNING
 
 
+FRESH_RUNS = """
+import json, sys
+from conecert import cli
+
+report = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    report.append([code, "scipy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def run_fresh(runs, tmp_path):
+    """cli.run on each argv in turn, in one new interpreter with this checkout's src.
+
+    Returns whether scipy is loaded after `import conecert.cli`, then
+    [exit code, scipy loaded] after each run, and the child's stderr.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, json.dumps(runs)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    return report[0], report[1:], proc.stderr
+
+
+def test_scipy_loaded_only_by_the_routes_that_use_it(tmp_path):
+    orthant = write_problem(
+        tmp_path,
+        {"command": "certify", "kind": "orthant", "L": [[-2.0, 1.0]], "m": [-1.0, 0.4]},
+        name="orthant.json",
+    )
+    no_scipy = [
+        ["l1gain", "--input", str(SAMPLES / "l1gain_2x2.json")],
+        ["certify", "--input", str(orthant)],
+        ["decompose", "--input", str(SAMPLES / "decompose_synthesized.json")],
+    ] + [["validate", "--input", str(path)] for path in sorted(SAMPLES.glob("*.json"))]
+    runs = [argv + ["--output", str(tmp_path / f"{k}.json")] for k, argv in enumerate(no_scipy)]
+    at_import, after, _ = run_fresh(runs, tmp_path)
+    assert at_import is False
+    assert [loaded for _, loaded in after] == [False] * len(runs)
+    assert [code for code, _ in after] == [0, 1, 0] + [0] * (len(runs) - 3)
+
+    # the Riccati route loads scipy, and its result is the in-process one
+    kyp_argv = ["kyp", "--input", str(SAMPLES / "kyp_scalar_passivity.json"), "--output"]
+    at_import, after, _ = run_fresh([kyp_argv + [str(tmp_path / "fresh.json")]], tmp_path)
+    assert at_import is False and after == [[0, True]]
+    assert cli.run(kyp_argv + [str(tmp_path / "here.json")]) == 0
+    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # in-process runs follow one another on the cached parser; each is
+    # compared with the same run in a fresh interpreter
+    assert cli._parser() is cli._parser()
+    usage_error = ["l1gain"]  # --input is required
+    _, [[code, _]], err = run_fresh([usage_error], tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(usage_error)
+    assert exc.value.code == code == 2
+    assert capsys.readouterr().err == err
+    for command, sample in (("l1gain", "l1gain_2x2"), ("validate", "kyp_scalar_passivity")):
+        argv = [command, "--input", str(SAMPLES / f"{sample}.json"), "--output"]
+        _, [[code, _]], _ = run_fresh([argv + [str(tmp_path / "fresh.json")]], tmp_path)
+        assert cli.run(argv + [str(tmp_path / "here.json")]) == code == 0
+        assert (tmp_path / "here.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
 def run_entry_point(argv, tmp_path):
     """Run the ``cone-cert`` target from [project.scripts] as pip's wrapper does.
 

@@ -267,6 +267,22 @@ def test_cross_validate_resonance_has_no_defects():
     assert out.defects == [] and out.consistent
 
 
+def test_sweeps_on_an_input_free_instance():
+    # m = 0: the frequency-domain form is empty, so both sweeps hold everywhere
+    inst = KypInstance(A=-np.eye(1), B=np.zeros((1, 0)), M=-np.eye(1))
+    assert kyp_lmi(inst).status == "feasible"
+    freq = frequency_condition(inst)
+    point = pointwise_condition(inst)
+    for report in (freq, point):
+        assert report.holds
+        assert report.worst_value == -np.inf and report.worst_omega == np.inf
+    assert freq.limit_value == -np.inf
+    assert point.witness is None
+    out = cross_validate(inst, trials=2)
+    assert out.lmi.status == "feasible" and out.frequency.holds and out.pointwise.holds
+    assert out.defects == [] and out.consistent
+
+
 def test_frequency_scalar_passivity_values():
     grid = FrequencyGrid(np.array([0.0, 1.0, 10.0]))
     rep = frequency_condition(passivity_instance(), grid=grid)

@@ -123,10 +123,13 @@ def load_problem(path):
     return doc, raw
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _finite_numbers(values):
     """True iff all values are ints or floats (not bools) finite as doubles."""
     try:
-        return all(type(x) in (int, float) and math.isfinite(x) for x in values)
+        return _NUMBER_TYPES.issuperset(map(type, values)) and all(map(math.isfinite, values))
     except OverflowError:  # an int too large for a double
         return False
 

@@ -7,10 +7,12 @@ Conventions
 * ODE integration is fixed-step classical RK4 on a uniform ``TimeGrid``.
   Every simulation of a linear field x' = F(t)x + g(t) runs through
   ``rk4_linear``, which writes the RK4 step as the affine recurrence
-  x_{k+1} = T_k x_k + c_k and builds all T_k and c_k at once from F and g
-  at the stage times.  ``ode_solve`` is the generic integrator for any
-  field f(t, x) and the reference the kernel is tested against; it
-  estimates the accumulated error by step halving.
+  x_{k+1} = T_k x_k + c_k, builds all T_k and c_k at once from F and g at
+  the stage times, and solves the recurrence by recursive doubling in
+  ceil(log2(steps + 1)) stacked products; no loop runs per step unless the
+  state leaves the floating-point range.  ``ode_solve`` is the generic
+  integrator for any field f(t, x) and the reference the kernel is tested
+  against; it estimates the accumulated error by step halving.
 * No complex arithmetic here; frequency-domain code builds complex values
   from real solves in the kyp module.
 """
@@ -190,9 +192,16 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
     On a linear field one RK4 step is affine in the state,
     x_{k+1} = T_k x_k + c_k, with T_k and c_k fixed by F and g at the stage
     times t_k, t_k + h/2 and t_k + h.  These are built for all steps at once
-    by stacked products; only the matrix-vector recurrence runs in a loop.
-    The result is that of ode_solve up to the order of floating-point
-    operations.
+    by stacked products, and the recurrence is solved by recursive doubling
+    in ceil(log2(steps + 1)) stacked products, with no per-step loop (see
+    ``_doubling``).  The result is that of ode_solve up to the order of
+    floating-point operations.
+
+    A product over many steps can overflow where the stepped state stays
+    finite (inf * 0 = nan), so a result that is not well inside the
+    floating-point range is recomputed step by step.  That recurrence is the
+    reference: it returns the finite path or raises at the first non-finite
+    sample.
 
     ``F`` is an (n, n) matrix, or its values at the 2*steps+1 half-grid
     times t0 + j*h/2 with shape (2*steps+1, n, n).  ``g`` is None or its
@@ -219,34 +228,98 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
     K4 = F1 + h * (F1 @ K3)
     T = np.eye(n) + (h / 6.0) * (F0 + 2.0 * K2 + 2.0 * K3 + K4)
     x = x0 if x0.ndim == 2 else x0[:, None]
-    if g is None:
-        c = itertools.repeat(0.0, N)
-    else:
+    if g is not None:
         g = np.asarray(g, dtype=float)
         if g.shape != (2 * N + 1,) + x0.shape:
             raise ValueError(
                 f"g must have shape {(2 * N + 1,) + x0.shape}, got {g.shape}"
             )
         g = g if g.ndim == 3 else g[:, :, None]
-        g0, gm, g1 = g[0:-1:2], g[1::2], g[2::2]
-        d2 = gm + (0.5 * h) * (Fm @ g0)
-        d3 = gm + (0.5 * h) * (Fm @ d2)
-        d4 = g1 + h * (F1 @ d3)
-        c = (h / 6.0) * (g0 + 2.0 * d2 + 2.0 * d3 + d4)
-    Ts = T if T.ndim == 3 else itertools.repeat(T, N)
-    out = np.empty((N + 1,) + x.shape)
-    out[0] = x
-    # a diverging state is reported once below instead of tested every step
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (Tk, ck) in enumerate(zip(Ts, c)):
-            nxt = out[k + 1]
-            np.dot(Tk, out[k], out=nxt)  # np.dot: less call overhead than @
-            nxt += ck
-    finite = np.isfinite(out).all(axis=(1, 2))
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"non-finite state encountered at t = {grid.t0 + k * h:.6g}")
-    return TrajectoryGrid(grid, out.reshape((N + 1,) + x0.shape))
+        out = _doubling(T, _step_rows(x, g, Fm, F1, h, N), g is None)
+        if not (out.max(initial=0.0) < _SCAN_LIMIT and out.min(initial=0.0) > -_SCAN_LIMIT):
+            # a diverging state is reported once below, not tested every step
+            out = _step_rows(x, g, Fm, F1, h, N)
+            for k, Tk in enumerate(T if T.ndim == 3 else itertools.repeat(T, N)):
+                out[k + 1] += out[k] @ Tk.T
+            finite = np.isfinite(out).all(axis=(1, 2))
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise ValueError(
+                    f"non-finite state encountered at t = {grid.t0 + k * h:.6g}"
+                )
+    return TrajectoryGrid(grid, out.transpose(0, 2, 1).reshape((N + 1,) + x0.shape))
+
+
+def _step_rows(x, g, Fm, F1, h, N):
+    """States as rows: s[0] = x0' and s[k+1] = c_k', shape (steps+1, k, n).
+
+    c_k is the forcing term of the RK4 step, zero when g is None.  It is
+    built in place, so that no more than three arrays of its size are held.
+    """
+    s = np.zeros((N + 1, x.shape[1], x.shape[0]))
+    s[0] = x.T
+    if g is not None:
+        # forcing parts of the stage slopes k_i = K_i x + d_i, as rows
+        rows = g.transpose(0, 2, 1)
+        g0, gm, g1 = rows[0:-1:2], rows[1::2], rows[2::2]
+        d2 = _right_product(g0, Fm)
+        d2 *= 0.5 * h
+        d2 += gm
+        d3 = _right_product(d2, Fm)
+        d3 *= 0.5 * h
+        d3 += gm
+        d4 = _right_product(d3, F1)
+        d4 *= h
+        d4 += g1
+        # c = (h/6)(g0 + 2 d2 + 2 d3 + d4), summed in that order
+        d2 *= 2.0
+        d2 += g0
+        d3 *= 2.0
+        d2 += d3
+        d2 += d4
+        np.multiply(d2, h / 6.0, out=s[1:])
+    return s
+
+
+def _right_product(rows, F):
+    """rows[j] @ F_j' for stacked rows; one 2-D product when F is one matrix."""
+    if F.ndim == 3:
+        return rows @ F.transpose(0, 2, 1)
+    return (rows.reshape(-1, F.shape[0]) @ F.T).reshape(rows.shape)
+
+
+# a doubling result beyond this magnitude is recomputed step by step, so that
+# where the result is finite is decided by the stepped recurrence alone
+_SCAN_LIMIT = 1e300
+
+
+def _doubling(T, s, homogeneous):
+    """Solve s[k+1] <- T_k s[k] + s[k+1] for all k by recursive doubling.
+
+    Rows of s are states transposed, so each step is a right product with
+    T_k'.  At level d (1, 2, 4, ...), row j already sums the last d steps
+    into it; adding the d-step map applied to row j - d doubles that window,
+    so after ceil(log2(len(s))) levels every row reaches s[0] (Kogge and
+    Stone 1973).  A constant T needs only its power T^d per level, applied
+    to all rows as one 2-D product; a time-varying T needs the d-step
+    products P_j = T_{j-1} ... T_{j-d}, doubled alongside.  When
+    ``homogeneous`` (s[1:] = 0), rows past 2d are still zero at level d and
+    are skipped; the products P_j are doubled at every row all the same.
+    """
+    count = len(s)
+    P = T if T.ndim == 2 else np.concatenate([np.zeros((1,) + T.shape[1:]), T])
+    d = 1
+    while d < count:
+        hi = min(2 * d, count) if homogeneous else count
+        if P.ndim == 2:
+            s[d:hi] += _right_product(s[: hi - d], P)
+            P = P @ P
+        else:
+            s[d:hi] += _right_product(s[: hi - d], P[d:hi])
+            P[2 * d :] = P[2 * d :] @ P[d:-d]
+        d *= 2
+    return s
 
 
 def trapz(samples: TrajectoryGrid) -> float:

@@ -169,7 +169,10 @@ def _sample_ranks(traj: MatrixTrajectory, cutoff: float | None = None):
 
 
 def rank_segments(traj: MatrixTrajectory, cutoff: float | None = None) -> RankSegmentation:
-    ranks = _sample_ranks(traj, cutoff)
+    return _segments_of(_sample_ranks(traj, cutoff))
+
+
+def _segments_of(ranks) -> RankSegmentation:
     N = len(ranks) - 1
     runs = []  # (start, end, rank) maximal constant runs
     a = 0
@@ -303,8 +306,8 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     else:
         schur_min = 0.0
 
-    seg = rank_segments(traj)
     ranks = _sample_ranks(traj)
+    seg = _segments_of(ranks)
     # X' = (A + B R(t)')X with R linearly interpolated between samples
     half = TimeGrid(traj.grid.t0, traj.grid.t1, 2 * N).times()
     F = A + B @ interpolate_samples(traj.grid, R, half).transpose(0, 2, 1)
@@ -425,10 +428,21 @@ def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
     for j, (x_init, u) in enumerate(zip(x_inits, u_signals)):
         x0[:, j] = np.asarray(x_init, dtype=float).reshape(n)
         u_stages[:, :, j] = _input_stages(u, grid, m, times)
+    return synthesize_from_stages(A, B, x0, u_stages, grid)[1]
+
+
+def synthesize_from_stages(A, B, x0, u_stages, grid: TimeGrid):
+    """synthesize_Q on checked arrays, returning the component states too.
+
+    Column j of x0 (n, k) starts component j, and u_stages (2*steps+1, m, k)
+    holds the inputs at the RK4 stage times.  Returns the states, shape
+    (steps+1, n, k), and the trajectory.
+    """
+    n, m = B.shape
     x_path = rk4_linear(A, B @ u_stages, x0, grid).values
     Z = np.concatenate([x_path, u_stages[::2]], axis=1)  # (N+1, n+m, k)
     values = np.einsum("tik,tjk->tij", Z, Z)
 
     traj = MatrixTrajectory(grid=grid, values=values, n=n, m=m)
     traj.dynamics_residual = dynamics_residual(traj, A, B)
-    return traj
+    return x_path, traj

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, expm, matrix_rank, rk4_linear
-from .rankone import MatrixTrajectory, synthesize_Q
+from .rankone import MatrixTrajectory, synthesize_from_stages
 from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
 
 GRAMIAN_COND_LIMIT = 1e12
@@ -36,13 +36,23 @@ def controllability_rank(A, B):
 
 
 def _expm_table(A, step, count):
-    """exp(A * j * step) for j = 0..count via one expm and a product recurrence."""
+    """exp(A * j * step) for j = 0..count via one expm and doubling.
+
+    Powers of E = exp(A * step) commute, so E^(j+d) = E^j E^d fills entries
+    d..2d-1 from entries 0..d-1 with one product per level.
+    """
     n = A.shape[0]
     out = np.empty((count + 1, n, n))
     out[0] = np.eye(n)
     E = expm(A * step)
-    for j in range(count):
-        out[j + 1] = E @ out[j]
+    rows = out.reshape(-1, n)
+    d = 1
+    while d <= count:
+        hi = min(2 * d, count + 1)
+        rows[d * n : hi * n] = rows[: (hi - d) * n] @ E
+        d *= 2
+        if d <= count:
+            E = E @ E
     return out
 
 
@@ -124,26 +134,12 @@ class SteeringInput:
         return self._B.T @ (Phi @ self.eta)
 
 
-def _steering_input(A, B, x0, x1, t1, steps, table, gram):
-    W = gram.W
-    rhs = x1 - table[-1] @ x0
-    eta = np.linalg.solve(W, rhs)
+def _steering_values(B, x0, x1, table, W):
+    """eta = W^-1 (x1 - exp(A t1) x0) and u = B' exp(A'(t1 - tau)) eta on the half grid."""
+    eta = np.linalg.solve(W, x1 - table[-1] @ x0)
     # u on the half grid: exp(A(t1 - tau_j)) = table[2*steps - j]
     vs = np.einsum("tij,i->tj", table[::-1], eta)
-    u_vals = vs @ B
-    grid = TimeGrid(0.0, float(t1), steps)
-    u = SteeringInput(
-        grid=grid,
-        values=u_vals,
-        eta=eta,
-        endpoint_error=np.nan,
-        gramian=gram,
-        _A=A,
-        _B=B,
-    )
-    path = rk4_linear(A, u_vals @ B.T, x0, grid)
-    u.endpoint_error = float(np.linalg.norm(path.values[-1] - x1))
-    return u
+    return eta, vs @ B
 
 
 def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
@@ -163,7 +159,18 @@ def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
         raise ValueError(f"steps must be >= 1, got {steps}")
     table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
     gram = _steering_gramian(table, B, t1, steps)
-    return _steering_input(A, B, x0, x1, t1, steps, table, gram)
+    eta, u_vals = _steering_values(B, x0, x1, table, gram.W)
+    grid = TimeGrid(0.0, float(t1), steps)
+    path = rk4_linear(A, u_vals @ B.T, x0, grid)
+    return SteeringInput(
+        grid=grid,
+        values=u_vals,
+        eta=eta,
+        endpoint_error=float(np.linalg.norm(path.values[-1] - x1)),
+        gramian=gram,
+        _A=A,
+        _B=B,
+    )
 
 
 def _psd_factors(name, X, n):
@@ -238,12 +245,12 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
 
     table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
     gram = _steering_gramian(table, B, t1, steps)
-    signals = [
-        _steering_input(A, B, starts[i], targets[i], t1, steps, table, gram)
-        for i in range(k)
-    ]
-
-    traj = synthesize_Q(A, B, list(starts), signals, grid)
+    # each component's input at the RK4 stage times, shape (2*steps+1, m, k)
+    u_stages = np.stack(
+        [_steering_values(B, x0, x1, table, gram.W)[1] for x0, x1 in zip(starts, targets)],
+        axis=-1,
+    )
+    x_path, traj = synthesize_from_stages(A, B, starts.T, u_stages, grid)
     tol = 1e-5 * (1.0 + float(np.linalg.norm(X1)))
     e0 = float(np.linalg.norm(traj.q_nn[0] - X0))
     e1 = float(np.linalg.norm(traj.q_nn[-1] - X1))
@@ -252,14 +259,13 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
             f"steering endpoint errors ({e0:.3e}, {e1:.3e}) exceed tolerance {tol:.3e}; "
             "try a longer horizon or finer grid"
         )
-    inputs = np.stack([sig.values[::2] for sig in signals])
     return SteeringPlan(
         trajectory=traj,
-        inputs=inputs,
+        inputs=u_stages[::2].transpose(2, 0, 1),
         X0=X0,
         X1=X1,
         endpoint_errors=(e0, e1),
-        component_endpoint_errors=[sig.endpoint_error for sig in signals],
+        component_endpoint_errors=np.linalg.norm(x_path[-1] - targets.T, axis=0).tolist(),
         gramian=gram,
     )
 

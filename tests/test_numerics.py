@@ -17,6 +17,7 @@ from conecert import (
     trapz,
 )
 from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
+from conecert.steering import _expm_table
 
 
 def test_time_grid_samples():
@@ -246,13 +247,92 @@ def test_rk4_linear_matches_ode_solve_time_varying_field():
 
 
 def test_rk4_linear_rejects_diverging_field():
+    # x_k = T^k x0 with T near 1.7e10 leaves the double range at step 31 from
+    # 1 and at step 60 from 1e-300; the power T^32 overflows before either,
+    # and the first non-finite sample is reported all the same
     grid = TimeGrid(0.0, 100.0, 100)
-    with pytest.raises(ValueError, match="non-finite state encountered at t = "):
+    with pytest.raises(ValueError, match="non-finite state encountered at t = 31$"):
         rk4_linear(np.array([[800.0]]), None, np.ones(1), grid)
+    with pytest.raises(ValueError, match="non-finite state encountered at t = 60$"):
+        rk4_linear(np.diag([800.0, -1.0]), None, np.array([1e-300, 1.0]), grid)
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="non-finite state encountered at t = "
     ):
         ode_solve(lambda t, x: 800.0 * x, np.ones(1), grid, error_estimate=False)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 1023, 1025])
+@pytest.mark.parametrize("forced", [False, True])
+def test_rk4_linear_doubling_edges(steps, forced):
+    # step counts on both sides of a power of two, with and without g, each on
+    # a batched state; ode_solve steps the same method one sample at a time
+    rng = np.random.default_rng(24 + steps)
+    A = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
+    W = rng.standard_normal((3, 4))
+
+    def G(t):
+        return W * np.cos(np.arange(1, 5) * t) if forced else np.zeros((3, 4))
+
+    grid = TimeGrid(0.0, 0.01 * steps + 0.05, steps)
+    X0 = rng.standard_normal((3, 4))
+    ref = ode_solve(lambda t, X: A @ X + G(t), X0, grid, error_estimate=False)
+    g = np.stack([G(t) for t in _stage_times(grid)]) if forced else None
+    out = rk4_linear(A, g, X0, grid)
+    assert out.values.shape == (steps + 1, 3, 4)
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [1, 5, 1025])
+def test_rk4_linear_time_varying_field_with_input(steps):
+    rng = np.random.default_rng(25)
+    A = rng.standard_normal((2, 2)) - np.eye(2)
+    E = rng.standard_normal((2, 2))
+    W = rng.standard_normal((2, 3))
+
+    def F(t):
+        return A + np.cos(3.0 * t) * E
+
+    def G(t):
+        return W * np.sin(np.arange(1, 4) * t)
+
+    grid = TimeGrid(0.2, 2.2, steps)
+    times = _stage_times(grid)
+    X0 = rng.standard_normal((2, 3))
+    ref = ode_solve(lambda t, X: F(t) @ X + G(t), X0, grid, error_estimate=False)
+    out = rk4_linear(np.stack([F(t) for t in times]), np.stack([G(t) for t in times]),
+                     X0, grid)
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+
+
+def test_rk4_linear_long_constant_field_run():
+    rng = np.random.default_rng(26)
+    A = rng.standard_normal((2, 2)) - 1.5 * np.eye(2)
+    b = rng.standard_normal(2)
+    grid = TimeGrid(0.0, 64.0, 2**15)
+    x0 = rng.standard_normal(2)
+    ref = ode_solve(lambda t, x: A @ x + np.sin(t) * b, x0, grid, error_estimate=False)
+    g = np.sin(_stage_times(grid))[:, None] * b
+    out = rk4_linear(A, g, x0, grid)
+    assert _rel_dev(out.values, ref.values) <= 1e-12
+
+
+def test_rk4_linear_overflowing_products_keep_a_finite_path():
+    # powers of the step map overflow here while the stepped state does not;
+    # the result must be that of stepping: zeros from zero, and the decaying
+    # mode alone from e1
+    grid = TimeGrid(0.0, 100.0, 100)
+    zeros = rk4_linear(np.array([[800.0]]), None, np.zeros(1), grid)
+    assert not np.any(zeros.values)
+    path = rk4_linear(np.diag([-1.0, 800.0]), None, np.array([1.0, 0.0]), grid)
+    assert np.all(np.isfinite(path.values)) and not np.any(path.values[:, 1])
+    ref = ode_solve(lambda t, x: -x, np.ones(1), grid, error_estimate=False)
+    assert _rel_dev(path.values[:, :1], ref.values) <= 1e-12
+
+
+def test_rk4_linear_empty_batch():
+    grid = TimeGrid(0.0, 1.0, 8)
+    out = rk4_linear(-np.eye(2), np.zeros((17, 2, 0)), np.zeros((2, 0)), grid)
+    assert out.values.shape == (9, 2, 0)
 
 
 def test_rk4_linear_rejects_mismatched_stage_values():
@@ -261,6 +341,18 @@ def test_rk4_linear_rejects_mismatched_stage_values():
         rk4_linear(-np.eye(2), np.zeros((9, 2)), np.ones(2), grid)
     with pytest.raises(ValueError, match="F must have shape"):
         rk4_linear(np.zeros((9, 2, 2)), None, np.ones(2), grid)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 1025])
+def test_expm_table_matches_expm(count):
+    rng = np.random.default_rng(27)
+    A = rng.standard_normal((3, 3)) - np.eye(3)
+    step = 1.0 / max(count, 1)
+    table = _expm_table(A, step, count)
+    assert table.shape == (count + 1, 3, 3)
+    for j in range(count + 1):
+        ref = expm(A * j * step)
+        assert np.linalg.norm(table[j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_trapz_constant_exact():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from conecert import rankone
 from conecert import (
     MatrixTrajectory,
     TimeGrid,
@@ -206,6 +207,23 @@ def test_decompose_rank_crossing_stitching():
     assert dec.reconstruction_error <= 1e-4 * max(dec.max_q_norm, 1.0)
     finite = dec.ode_residuals[~np.isnan(dec.ode_residuals)]
     assert np.max(finite) <= 1e-3
+
+
+def test_decompose_ranks_each_sample_once(monkeypatch):
+    # the per-sample ranks (a stacked eigvalsh over every sample) serve both
+    # the segmentation and the anchor choice
+    calls = []
+    sample_ranks = rankone._sample_ranks
+    monkeypatch.setattr(rankone, "_sample_ranks",
+                        lambda *args: calls.append(1) or sample_ranks(*args))
+    A, B = np.array([[-0.5]]), np.array([[1.0]])
+    grid = TimeGrid(0.0, 2.0, 512)
+    traj = synthesize_Q(A, B, [np.array([-1.0])],
+                        [lambda t: np.atleast_1d(0.5 * (t - 1.0) + 1.0)], grid)
+    dec = decompose(traj, A, B)
+    assert len(calls) == 1
+    assert dec.segmentation.segments == rank_segments(traj).segments
+    assert len(dec.segmentation.segments) == 2
 
 
 def test_dynamics_residual_flags_wrong_system():

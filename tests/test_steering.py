@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import helpers
+from conecert import rankone, steering
 from conecert import (
     TimeGrid,
     controllability_rank,
@@ -175,6 +176,34 @@ def test_psd_steer_rank_change_endpoints():
     assert max(plan.endpoint_errors) <= tol
     np.testing.assert_allclose(plan.trajectory.values[0, :3, :3], X0, atol=tol)
     np.testing.assert_allclose(plan.trajectory.values[-1, :3, :3], X1, atol=tol)
+
+
+def test_psd_steer_integrates_all_components_once(monkeypatch):
+    # one batched run gives both the trajectory and each component's endpoint
+    rng = np.random.default_rng(60)
+    A, B = helpers.controllable_pair(rng, 3, 2)
+    X0 = helpers.random_psd(rng, 3, rank=2)
+    X1 = helpers.random_psd(rng, 3, rank=3)
+    runs = []
+    kernel = rankone.rk4_linear
+    for module in (rankone, steering):
+        monkeypatch.setattr(module, "rk4_linear", lambda *args: runs.append(1) or kernel(*args))
+    plan = psd_steer(A, B, X0, X1)
+    assert len(runs) == 1
+    assert len(plan.component_endpoint_errors) == 3 == plan.inputs.shape[0]
+    assert all(isinstance(e, float) for e in plan.component_endpoint_errors)
+    # each component alone, steered and integrated by min_energy_input; X0
+    # has rank 2, so the third component starts at zero
+    for x0, x1, err, u in zip(
+        steering._psd_factors("X0", X0, 3).tolist() + [[0.0] * 3],
+        steering._psd_factors("X1", X1, 3),
+        plan.component_endpoint_errors,
+        plan.inputs,
+    ):
+        sig = min_energy_input(A, B, np.array(x0), x1)
+        np.testing.assert_array_equal(sig.values[::2], u)
+        assert abs(err - sig.endpoint_error) <= 1e-12
+        assert err <= 1e-8
 
 
 def test_psd_steer_rejects_uncontrollable():

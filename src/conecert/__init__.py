@@ -9,8 +9,8 @@ from .certificates import (
     Certificate,
     ConeId,
     KernelWitness,
+    LmiResult,
     OrthantProblem,
-    PsdFeasibility,
     PsdProblem,
     cone_contains,
     cone_contains_strict,
@@ -31,6 +31,7 @@ from .kyp import (
     iqc_trajectory_condition,
     kyp_lmi,
     pointwise_condition,
+    psd_lmi,
 )
 from .numerics import (
     SV_CUTOFF,

@@ -9,12 +9,13 @@ Two instantiations:
 * orthant: L is a matrix, the adjoint inequality L'p <= m is an LP,
   decided exactly by the two-phase simplex;
 * PSD cone: L(Q) = U Q V' + V Q U', the adjoint inequality
-  U'PV + V'PU <= C is a nonsmooth eigenvalue program, decided up to a
-  (feasible / infeasible-with-witness / undecided) trichotomy.
+  U'PV + V'PU <= C is decided up to a (feasible / infeasible-with-witness
+  / undecided) trichotomy.  This module holds the rank-one witness search
+  and the subgradient fallback; kyp.psd_lmi runs the whole route chain.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,7 @@ __all__ = [
     "PsdProblem",
     "Certificate",
     "KernelWitness",
-    "PsdFeasibility",
+    "LmiResult",
     "cone_contains",
     "cone_contains_strict",
     "orthant_certificate",
@@ -165,14 +166,29 @@ class KernelWitness:
 
 
 @dataclass
-class PsdFeasibility:
-    """Trichotomy outcome of the PSD feasibility search."""
+class LmiResult:
+    """Outcome of deciding U'PV + V'PU <= C, and the route that decided it.
 
-    status: str  # 'feasible' | 'infeasible' | 'undecided'
-    certificate: Certificate | None = None
-    witness: KernelWitness | None = None
-    residual: float = field(default=np.inf)  # best phi = lambda_max(He(P) - C) seen
-    iterations: int = 0
+    max_violation is lambda_max(He(P) - C) at the certificate (feasible),
+    minus the witness objective (infeasible), or the best lambda_max the
+    subgradient search reached (undecided).
+    """
+
+    status: str  # "feasible" | "infeasible" | "undecided"
+    P: np.ndarray | None
+    max_violation: float
+    witness: np.ndarray | None
+    iterations: int
+    # "rank_one_witness" | "riccati" | "frequency_witness" | "subgradient"
+    decided_by: str
+
+    @classmethod
+    def certified(cls, cert: Certificate, route, iterations=0) -> "LmiResult":
+        return cls("feasible", cert.p, float(-cert.slack[0]), None, iterations, route)
+
+    @classmethod
+    def refuted(cls, witness: KernelWitness, route) -> "LmiResult":
+        return cls("infeasible", None, float(-witness.objective), witness.z0, 0, route)
 
 
 # ---------------------------------------------------------------------------
@@ -307,21 +323,17 @@ def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
     )
 
 
-def psd_certificate(prob: PsdProblem, seed: int = 0) -> PsdFeasibility:
-    """Decide U'PV + V'PU <= C up to the documented trichotomy.
+def psd_certificate(prob: PsdProblem, seed: int = 0) -> LmiResult:
+    """Search for P with U'PV + V'PU <= C: feasible or undecided, never infeasible.
 
-    Infeasibility is declared only on a rank-one kernel witness with
-    objective < -1e-6.  Feasibility is searched by projected subgradient on
+    The fallback route of the decision chain in kyp, which has already
+    looked for kernel witnesses.  Projected subgradient on
     phi(P) = lambda_max(U'PV + V'PU - C) with diminishing steps a/k,
     a = 1/(1 + ||C||_F), 5 restarts x 5000 iterations, then a short
     adaptive polish from the best iterate; declared feasible iff the best
     phi <= 1e-6 (the final eigenvalue check is the proof, not the
     optimizer's word).  Anything else is undecided.
     """
-    witness = rank_one_witness(prob)
-    if witness is not None:
-        return PsdFeasibility(status="infeasible", witness=witness)
-
     n = prob.state_dim
     cnorm = np.linalg.norm(prob.C)
     a = 1.0 / (1.0 + cnorm)
@@ -386,8 +398,6 @@ def psd_certificate(prob: PsdProblem, seed: int = 0) -> PsdFeasibility:
     if best_phi <= 1e-6:
         slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(best_P))
         cert = Certificate(p=symmetrize(best_P), slack=slack, tol=1e-6)
-        return PsdFeasibility(
-            status="feasible", certificate=cert, residual=best_phi, iterations=iterations
-        )
+        return LmiResult.certified(cert, "subgradient", iterations)
     logger.info("psd_certificate undecided: best residual %.3e", best_phi)
-    return PsdFeasibility(status="undecided", residual=best_phi, iterations=iterations)
+    return LmiResult("undecided", None, float(best_phi), None, iterations, "subgradient")

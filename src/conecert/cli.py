@@ -25,9 +25,8 @@ from .certificates import (
     orthant_certificate,
     orthant_kernel_minimum,
     orthant_surjectivity,
-    psd_certificate,
 )
-from .kyp import FORM_TOL, IQC_MAX_TRIALS, KypInstance, cross_validate, default_grid
+from .kyp import FORM_TOL, IQC_MAX_TRIALS, KypInstance, cross_validate, default_grid, psd_lmi
 from .numerics import TimeGrid
 from .possys import (
     PositiveSystem,
@@ -468,17 +467,19 @@ def _run_certify(doc, opts):
             return "infeasible", payload
         return "undecided", payload
     prob = PsdProblem(U=_mat(doc, "U"), V=_mat(doc, "V"), C=_mat(doc, "C"))
-    res = psd_certificate(prob, seed=opts["seed"])
+    res = psd_lmi(prob, seed=opts["seed"])
     payload = {
         "kind": "psd",
         "status": res.status,
-        "residual": res.residual,
+        "decided_by": res.decided_by,
+        "residual": res.max_violation,
         "iterations": res.iterations,
     }
     if res.status == "feasible":
-        payload["certificate"] = {"P": res.certificate.p, "slack": res.certificate.slack}
+        slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(res.P))
+        payload["certificate"] = {"P": res.P, "slack": slack}
     elif res.status == "infeasible":
-        payload["witness"] = {"z0": res.witness.z0, "objective": res.witness.objective}
+        payload["witness"] = {"z0": res.witness, "objective": -res.max_violation}
     return res.status, payload
 
 

@@ -4,7 +4,8 @@ The linear-matrix-inequality route decides the conic problem by a Riccati
 certificate, rank-one and rank-2 kernel witnesses, or the PSD subgradient
 search; the frequency-domain, pointwise, and integral routes check the same
 property by separate computations so the harness can cross-validate them
-against each other.
+against each other.  The same route chain decides the general PSD-cone
+problem U'PV + V'PU <= C (psd_lmi) through its KYP form.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from .certificates import (
     Certificate,
     ConeId,
     KernelWitness,
+    LmiResult,
     PsdProblem,
     cone_contains,
     psd_certificate,
@@ -244,24 +246,21 @@ def _frequency_values(inst, omegas):
     return np.concatenate([_popov_tops(inst, w) for w in _chunks(omegas, inst.n)])
 
 
-@dataclasses.dataclass
-class LmiResult:
-    """Outcome of the matrix-inequality route."""
+def _kyp_form(prob: PsdProblem):
+    """(instance, T): prob in KYP form, or (None, None) when V lacks full row rank.
 
-    status: str  # "feasible" | "infeasible" | "undecided"
-    P: np.ndarray | None
-    max_violation: float
-    witness: np.ndarray | None
-    iterations: int
-    # "rank_one_witness" | "riccati" | "frequency_witness" | "subgradient"
-    decided_by: str
-
-
-def _lmi_problem(inst):
-    n, m = inst.n, inst.m
-    U = np.hstack([inst.A, inst.B])
-    V = np.hstack([np.eye(n), np.zeros((n, m))])
-    return PsdProblem(U=U, V=V, C=-inst.M)
+    With T = [V^+, N], N an orthonormal basis of ker V, VT = [I 0] and
+    T'(C - He(P))T = -M - (A B)'P(I 0) - (I 0)'P(A B) for A = UV^+,
+    B = UN and M = -T'CT: the same P, and T is nonsingular.  A Q of the
+    instance's cone maps to TQT' in prob's.
+    """
+    n, d = prob.V.shape
+    W, s, Xt = np.linalg.svd(prob.V)
+    if n > d or not s[-1] > SV_CUTOFF * s[0]:
+        return None, None
+    T = np.hstack([(Xt[:n].T / s) @ W.T, Xt[n:].T])
+    UT = prob.U @ T
+    return KypInstance(A=UT[:, :n], B=UT[:, n:], M=-symmetrize(T.T @ prob.C @ T)), T
 
 
 def _riccati_certificate(inst, prob) -> Certificate | None:
@@ -269,18 +268,20 @@ def _riccati_certificate(inst, prob) -> Certificate | None:
 
     X solves A'X + XA - (XB - M12) R^-1 (B'X - M21) - M11 = 0 with
     R = -M22: the LMI's Schur complement at equality (Willems 1971).  A
-    singular M22 is regularized by RICCATI_REG.
+    singular M22 is regularized by RICCATI_REG.  Without inputs the LMI is
+    M11 + A'P + PA <= 0, and X solves the Lyapunov equation A'X + XA = M11.
     """
     n, M = inst.n, inst.M
-    if not inst.m:  # scipy's solver needs an input
-        return None
     R = -M[n:, n:]
     if _singular(R):
         R = R + RICCATI_REG * np.eye(inst.m)
     import scipy.linalg  # loaded on first use: only this route needs scipy
 
     try:
-        X = scipy.linalg.solve_continuous_are(inst.A, inst.B, -M[:n, :n], R, s=-M[:n, n:])
+        if inst.m:
+            X = scipy.linalg.solve_continuous_are(inst.A, inst.B, -M[:n, :n], R, s=-M[:n, n:])
+        else:
+            X = scipy.linalg.solve_continuous_lyapunov(inst.A.T, M[:n, :n])
     except (np.linalg.LinAlgError, ValueError):
         return None
     if not np.all(np.isfinite(X)):
@@ -292,16 +293,17 @@ def _riccati_certificate(inst, prob) -> Certificate | None:
     return Certificate(p=P, slack=slack, tol=LMI_TOL)
 
 
-def _frequency_witness(inst, prob) -> KernelWitness | None:
+def _frequency_witness(inst, prob, T) -> KernelWitness | None:
     """Rank-2 kernel witness from the Popov form at the worst crossing point.
 
     At the point of _crossing_points where the form's top eigenvalue is
     largest, z = H(i*omega)u with H = ((i*omega*I - A)^-1 B; I) and u a top
     eigenvector.  Q0 = Re(zz*)/tr is PSD, lies in the kernel of
     UQV' + VQU' because Uz = i*omega*Vz, and has tr(-M Q0) = -(form
-    value)/tr.  Q0 is returned only when the three checks pass on the
-    computed matrix; an objective below -LMI_TOL rules out every P the
-    post-check would accept, since tr((M + He(P)) Q0) = tr(M Q0).
+    value)/tr.  With a congruence T from _kyp_form, z is mapped to Tz
+    first.  Q0 is returned only when the three checks pass on the computed
+    matrix and prob's own U, V and C; an objective below -LMI_TOL rules out
+    every P the post-check would accept, since tr((C - He(P)) Q0) = tr(C Q0).
     """
     points = _crossing_points(inst)
     if not points.size:
@@ -315,6 +317,8 @@ def _frequency_witness(inst, prob) -> KernelWitness | None:
     H = np.vstack([G, np.eye(inst.m)])
     u = np.linalg.eigh(H.conj().T @ inst.M @ H)[1][:, -1]
     z = H @ u
+    if T is not None:
+        z = T @ z
     Q0 = np.real(np.outer(z, z.conj()))
     Q0 = Q0 / np.trace(Q0)
     image = prob.U @ Q0 @ prob.V.T
@@ -329,59 +333,37 @@ def _frequency_witness(inst, prob) -> KernelWitness | None:
     return None
 
 
-def _certified(cert: Certificate, route, iterations=0) -> LmiResult:
-    return LmiResult(
-        status="feasible",
-        P=cert.p,
-        max_violation=float(-cert.slack[0]),
-        witness=None,
-        iterations=iterations,
-        decided_by=route,
-    )
+def _decide(prob: PsdProblem, inst, T, seed) -> LmiResult:
+    """Decide U'PV + V'PU <= C by the one route chain; each route proves itself on prob.
 
-
-def _refuted(witness: KernelWitness, route, iterations=0) -> LmiResult:
-    return LmiResult(
-        status="infeasible",
-        P=None,
-        max_violation=float(-witness.objective),
-        witness=witness.z0,
-        iterations=iterations,
-        decided_by=route,
-    )
+    In order: a rank-one kernel witness; the Riccati certificate (eigenvalue
+    post-check); a rank-2 frequency witness (PSD, kernel and objective
+    checks); the subgradient search of psd_certificate.  The Riccati and
+    frequency routes run on inst, prob in KYP form, whose coordinates T
+    maps to prob's (T None: the same); they are skipped when inst is None.
+    """
+    witness = rank_one_witness(prob)
+    if witness is not None:
+        return LmiResult.refuted(witness, "rank_one_witness")
+    if inst is not None:
+        cert = _riccati_certificate(inst, prob)
+        if cert is not None:
+            return LmiResult.certified(cert, "riccati")
+        witness = _frequency_witness(inst, prob, T)
+        if witness is not None:
+            return LmiResult.refuted(witness, "frequency_witness")
+    return psd_certificate(prob, seed=seed)
 
 
 def kyp_lmi(inst: KypInstance, seed=0) -> LmiResult:
-    """Search for symmetric P with M + (A B)'P(I 0) + (I 0)'P(A B) <= 0.
+    """Search for symmetric P with M + (A B)'P(I 0) + (I 0)'P(A B) <= 0 by _decide."""
+    V = np.hstack([np.eye(inst.n), np.zeros((inst.n, inst.m))])
+    return _decide(PsdProblem(U=np.hstack([inst.A, inst.B]), V=V, C=-inst.M), inst, None, seed)
 
-    Four routes run in order, each accepted only through the check that
-    proves it: a rank-one kernel witness; the Riccati certificate
-    (eigenvalue post-check); a rank-2 frequency witness (PSD, kernel and
-    objective checks); and the subgradient search of psd_certificate as the
-    fallback.  decided_by names the route that produced the result.
-    """
-    prob = _lmi_problem(inst)
-    witness = rank_one_witness(prob)
-    if witness is not None:
-        return _refuted(witness, "rank_one_witness")
-    cert = _riccati_certificate(inst, prob)
-    if cert is not None:
-        return _certified(cert, "riccati")
-    witness = _frequency_witness(inst, prob)
-    if witness is not None:
-        return _refuted(witness, "frequency_witness")
-    # feasible or undecided: its own rank-one search is the one above
-    res = psd_certificate(prob, seed=seed)
-    if res.status == "feasible":
-        return _certified(res.certificate, "subgradient", res.iterations)
-    return LmiResult(
-        status="undecided",
-        P=None,
-        max_violation=float(res.residual),
-        witness=None,
-        iterations=res.iterations,
-        decided_by="subgradient",
-    )
+
+def psd_lmi(prob: PsdProblem, seed=0) -> LmiResult:
+    """Decide U'PV + V'PU <= C by _decide, on the KYP form when V has full row rank."""
+    return _decide(prob, *_kyp_form(prob), seed)
 
 
 @dataclasses.dataclass

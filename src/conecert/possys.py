@@ -12,6 +12,7 @@ other feasible p.  V(x) = p'x then serves as a linear storage function for
 the supply rate w(x, u) = gamma 1'u - 1'x.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,16 +48,16 @@ def is_metzler(A) -> bool:
     return bool(np.min(off) >= -METZLER_TOL) if A.shape[0] > 1 else True
 
 
-@dataclass
+@dataclass(frozen=True)
 class PositiveSystem:
-    """x' = Ax + Bu with A Metzler and B entrywise nonnegative."""
+    """x' = Ax + Bu with A Metzler and B entrywise nonnegative; fixed once built."""
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        self.A = as_square("A", self.A)
-        self.B = as_matrix("B", self.B, rows=self.A.shape[0])
+        object.__setattr__(self, "A", as_square("A", self.A))
+        object.__setattr__(self, "B", as_matrix("B", self.B, rows=self.A.shape[0]))
         if not is_metzler(self.A):
             raise ValueError("A is not Metzler")
         if np.min(self.B) < -METZLER_TOL:
@@ -69,6 +70,13 @@ class PositiveSystem:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @functools.cached_property
+    def _minimal_p(self) -> np.ndarray:
+        # one stability LP and one solve per system, however many routes ask
+        if not is_hurwitz_metzler(self.A):
+            raise ValueError("A is not Hurwitz; the L1 gain is unbounded")
+        return np.linalg.solve(self.A.T, -np.ones(self.n))
 
 
 @dataclass
@@ -139,9 +147,7 @@ def is_hurwitz_metzler(A) -> bool:
 
 def minimal_certificate_vector(sys: PositiveSystem) -> np.ndarray:
     """p = -A^{-T} 1, the entrywise-minimal feasible certificate; A must be Hurwitz."""
-    if not is_hurwitz_metzler(sys.A):
-        raise ValueError("A is not Hurwitz; the L1 gain is unbounded")
-    return np.linalg.solve(sys.A.T, -np.ones(sys.n))
+    return sys._minimal_p.copy()
 
 
 def exact_l1_gain(sys: PositiveSystem) -> float:

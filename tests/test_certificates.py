@@ -17,7 +17,9 @@ from conecert import (
     orthant_kernel_minimum,
     orthant_surjectivity,
     psd_certificate,
+    psd_lmi,
 )
+from conecert.kyp import LMI_TOL
 
 
 def test_cone_contains_orthant():
@@ -155,12 +157,17 @@ def test_duality_on_planted_instances():
             assert np.linalg.norm(prob.Lmap @ wit.z0) <= 1e-8 * (1.0 + np.linalg.norm(wit.z0))
 
 
+def psd_slack(prob, P):
+    """Eigenvalues of C - U'PV - V'PU, ascending."""
+    return np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
+
+
 def test_psd_trivial_feasible():
     U = np.array([[1.0, 2.0]])
     prob = PsdProblem(U=U, V=U.copy(), C=np.eye(2))
     out = psd_certificate(prob)
     assert out.status == "feasible"
-    assert out.residual <= 1e-6
+    assert out.max_violation <= 1e-6
 
 
 def test_psd_pinned_certificate():
@@ -172,8 +179,8 @@ def test_psd_pinned_certificate():
     )
     out = psd_certificate(prob)
     assert out.status == "feasible"
-    assert abs(out.certificate.p[0, 0] - 1.0) <= 1e-3
-    slack_eigs = np.sort(out.certificate.slack)
+    assert abs(out.P[0, 0] - 1.0) <= 1e-3
+    slack_eigs = psd_slack(prob, out.P)
     np.testing.assert_allclose(slack_eigs, [0.0, 2.0], atol=1e-3)
 
 
@@ -183,17 +190,17 @@ def test_psd_infeasible_with_witness():
         V=np.array([[1.0, 0.0]]),
         C=np.array([[0.0, 1.0], [1.0, -1.0]]),
     )
-    out = psd_certificate(prob)
-    assert out.status == "infeasible"
-    np.testing.assert_allclose(out.witness.z0, [[0.0, 0.0], [0.0, 1.0]], atol=1e-9)
-    assert abs(out.witness.objective + 1.0) <= 1e-9
-    assert abs(np.trace(out.witness.z0) - 1.0) <= 1e-9
+    out = psd_lmi(prob)
+    assert out.status == "infeasible" and out.decided_by == "rank_one_witness"
+    np.testing.assert_allclose(out.witness, [[0.0, 0.0], [0.0, 1.0]], atol=1e-9)
+    objective = -out.max_violation
+    assert abs(objective + 1.0) <= 1e-9
+    assert abs(np.trace(out.witness) - 1.0) <= 1e-9
 
 
 def test_psd_feasible_by_construction_ensemble():
-    # C = U'P0 V + V'P0 U + S is feasible by construction; the subgradient
-    # search may leave boundary-tight instances undecided but must never
-    # call one infeasible
+    # C = U'P0 V + V'P0 U + S is feasible by construction; every V has full
+    # row rank, so the Riccati route of the KYP form certifies each one
     rng = np.random.default_rng(22)
     feasible = 0
     for _ in range(10):
@@ -207,13 +214,14 @@ def test_psd_feasible_by_construction_ensemble():
         S = G @ G.T / (n + m)
         he = U.T @ P0 @ V
         C = he + he.T + S
-        out = psd_certificate(PsdProblem(U=U, V=V, C=0.5 * (C + C.T)))
+        prob = PsdProblem(U=U, V=V, C=0.5 * (C + C.T))
+        out = psd_lmi(prob)
         assert out.status in ("feasible", "undecided")
         if out.status == "feasible":
-            assert out.residual <= 1e-6
-            assert np.min(out.certificate.slack) >= -out.certificate.tol
+            assert out.max_violation <= 1e-6
+            assert np.min(psd_slack(prob, out.P)) >= -LMI_TOL
             feasible += 1
-    assert feasible >= 8
+    assert feasible == 10
 
 
 def test_psd_dimension_mismatch():

@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conecert import cli, kyp
+import helpers
+from conecert import cli, kyp, possys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_problems"
@@ -59,6 +60,19 @@ def test_sample_l1gain(tmp_path):
     assert code == 0
     np.testing.assert_allclose(doc["result"]["gain"], 3.0, atol=1e-9)
     np.testing.assert_allclose(doc["result"]["certificate"]["p"], [1.0, 2.0], atol=1e-9)
+
+
+def test_l1gain_solves_the_closed_form_once(tmp_path, monkeypatch):
+    calls = []
+    original = possys.is_hurwitz_metzler
+
+    def counted(A):
+        calls.append(A)
+        return original(A)
+
+    monkeypatch.setattr(possys, "is_hurwitz_metzler", counted)
+    code, _ = run_cli(["l1gain", "--input", str(SAMPLES / "l1gain_2x2.json")], tmp_path)
+    assert code == 0 and len(calls) == 1
 
 
 def test_sample_kyp(tmp_path):
@@ -155,6 +169,51 @@ def test_certify_psd_pinned(tmp_path):
     assert code == 0
     assert doc["status"] == "feasible"
     assert abs(doc["result"]["certificate"]["P"][0][0] - 1.0) <= 1e-3
+    assert doc["result"]["decided_by"] == "riccati"
+    assert doc["result"]["residual"] == -doc["result"]["certificate"]["slack"][0]
+
+
+def disguised_kyp(rng, n, m, feasible):
+    """A planted KYP instance as U'PV + V'PU <= C, hidden by random R and S.
+
+    U = R(A B)S, V = R(I 0)S and C = -S'MS keep the verdict: the KYP
+    inequality at P holds iff this one does at R^-T P R^-1.
+    """
+    make = helpers.feasible_kyp if feasible else helpers.infeasible_kyp
+    inst = make(rng, n, m)[0]
+    R = rng.standard_normal((n, n))
+    S = rng.standard_normal((n + m, n + m))
+    C = -S.T @ inst.M @ S
+    return (
+        R @ np.hstack([inst.A, inst.B]) @ S,
+        R @ np.hstack([np.eye(n), np.zeros((n, m))]) @ S,
+        0.5 * (C + C.T),
+    )
+
+
+def test_certify_psd_decides_disguised_kyp_instances(tmp_path):
+    rng = np.random.default_rng(10)
+    for k in range(24):
+        feasible = k % 2 == 0
+        U, V, C = disguised_kyp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)), feasible)
+        doc = {"command": "certify", "kind": "psd", "U": U.tolist(), "V": V.tolist(),
+               "C": C.tolist()}
+        path = write_problem(tmp_path, doc)
+        code, out = run_cli(["certify", "--input", str(path)], tmp_path)
+        res = out["result"]
+        assert (code, res["status"]) == ((0, "feasible") if feasible else (1, "infeasible"))
+        if feasible:
+            assert res["decided_by"] == "riccati"
+            G = U.T @ np.array(res["certificate"]["P"]) @ V
+            assert np.linalg.eigvalsh(C - G - G.T)[0] >= -kyp.LMI_TOL
+        else:
+            Q = np.array(res["witness"]["z0"])
+            assert np.linalg.eigvalsh(Q)[0] >= -1e-9 * np.trace(Q)
+            image = U @ Q @ V.T
+            assert np.linalg.norm(image + image.T) <= 1e-9 * np.trace(Q) * (
+                1.0 + np.linalg.norm(U)
+            )
+            assert np.trace(C @ Q) < -kyp.LMI_TOL
 
 
 def test_certify_orthant_infeasible(tmp_path):
@@ -572,21 +631,28 @@ def run_fresh(runs, tmp_path):
 
 
 def test_scipy_loaded_only_by_the_routes_that_use_it(tmp_path):
-    orthant = write_problem(
-        tmp_path,
-        {"command": "certify", "kind": "orthant", "L": [[-2.0, 1.0]], "m": [-1.0, 0.4]},
-        name="orthant.json",
+    orthant = write_problem(tmp_path, ORTHANT, name="orthant.json")
+    # refuted by the rank-one witness, before the Riccati route
+    psd_rank_one = write_problem(
+        tmp_path, dict(PSD, C=[[0.0, 1.0], [1.0, -1.0]]), name="psd_rank_one.json"
     )
     no_scipy = [
         ["l1gain", "--input", str(SAMPLES / "l1gain_2x2.json")],
         ["certify", "--input", str(orthant)],
+        ["certify", "--input", str(psd_rank_one)],
         ["decompose", "--input", str(SAMPLES / "decompose_synthesized.json")],
     ] + [["validate", "--input", str(path)] for path in sorted(SAMPLES.glob("*.json"))]
     runs = [argv + ["--output", str(tmp_path / f"{k}.json")] for k, argv in enumerate(no_scipy)]
     at_import, after, _ = run_fresh(runs, tmp_path)
     assert at_import is False
     assert [loaded for _, loaded in after] == [False] * len(runs)
-    assert [code for code, _ in after] == [0, 1, 0] + [0] * (len(runs) - 3)
+    assert [code for code, _ in after] == [0, 1, 1, 0] + [0] * (len(runs) - 4)
+
+    # certify --kind psd loads scipy when it reaches the Riccati route
+    psd = write_problem(tmp_path, PSD, name="psd.json")
+    _, after, _ = run_fresh([["certify", "--input", str(psd), "--output",
+                              str(tmp_path / "psd_out.json")]], tmp_path)
+    assert after == [[0, True]]
 
     # the Riccati route loads scipy, and its result is the in-process one
     kyp_argv = ["kyp", "--input", str(SAMPLES / "kyp_scalar_passivity.json"), "--output"]

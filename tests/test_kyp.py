@@ -12,6 +12,7 @@ import helpers
 from conecert import (
     FrequencyGrid,
     KypInstance,
+    PsdProblem,
     cross_validate,
     default_grid,
     frequency_condition,
@@ -20,6 +21,7 @@ from conecert import (
     kyp,
     kyp_lmi,
     pointwise_condition,
+    psd_lmi,
 )
 from conecert.kyp import imaginary_axis_frequencies
 
@@ -115,11 +117,26 @@ def test_lmi_decided_by_route(make, status, route):
 
 
 def test_lmi_without_inputs_is_a_lyapunov_inequality():
-    # m = 0: M + A'P + PA <= 0, met by every P >= 0.25 for A = -1, M = 0.5
+    # m = 0: M + A'P + PA <= 0, met by every P >= 0.25 for A = -1, M = 0.5;
+    # the Lyapunov equation gives P = 0.25, where it holds with equality
     inst = KypInstance(A=-np.eye(1), B=np.zeros((1, 0)), M=0.5 * np.eye(1))
     res = kyp_lmi(inst)
-    assert res.status == "feasible" and res.decided_by == "subgradient"
+    assert res.status == "feasible" and res.decided_by == "riccati"
     assert res.P[0, 0] >= 0.25 - kyp.LMI_TOL
+
+
+def test_psd_lmi_without_kyp_form_reaches_subgradient():
+    # V has rank 1 < 2 rows: no congruence to a KYP form, so the Riccati and
+    # frequency routes are skipped
+    prob = PsdProblem(
+        U=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        V=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+        C=np.eye(3),
+    )
+    assert kyp._kyp_form(prob) == (None, None)
+    res = psd_lmi(prob)
+    assert (res.status, res.decided_by) == ("feasible", "subgradient")
+    assert res.iterations > 0 and res.max_violation <= kyp.LMI_TOL
 
 
 def test_riccati_failing_post_check_falls_back_to_subgradient(monkeypatch):

@@ -39,9 +39,10 @@ RICCATI_REG = 1e-10
 # systems at once (512 KB); with a chunk's other per-frequency arrays that
 # keeps a chunk to a few MB however large the grid
 SWEEP_BATCH_VALUES = 2**16
-# golden-section steps per peak of the pointwise sweep: 40 shrink a bracket
-# to 4e-9 of its width
-GOLDEN_STEPS = 40
+# multi-section search per peak of the pointwise sweep: 10 passes of 15 points
+# shrink a bracket to 8**-10 = 9.3e-10 of its width
+SECTION_POINTS = 15
+SECTION_PASSES = 10
 # RK4 steps per unit of IQC horizon, and the most steps one sampler run may
 # take: 2**17 steps is a 1024 s horizon
 IQC_STEPS_PER_UNIT = 128
@@ -269,7 +270,8 @@ def _riccati_certificate(inst, prob) -> Certificate | None:
     X solves A'X + XA - (XB - M12) R^-1 (B'X - M21) - M11 = 0 with
     R = -M22: the LMI's Schur complement at equality (Willems 1971).  A
     singular M22 is regularized by RICCATI_REG.  Without inputs the LMI is
-    M11 + A'P + PA <= 0, and X solves the Lyapunov equation A'X + XA = M11.
+    M11 + A'P + PA <= 0, and X solves the Lyapunov equation A'X + XA = M11,
+    skipped as singular when eigenvalues of A have |l_i + l_j| <= SV_CUTOFF ||A||.
     """
     n, M = inst.n, inst.M
     R = -M[n:, n:]
@@ -281,6 +283,9 @@ def _riccati_certificate(inst, prob) -> Certificate | None:
         if inst.m:
             X = scipy.linalg.solve_continuous_are(inst.A, inst.B, -M[:n, :n], R, s=-M[:n, n:])
         else:
+            lam = np.linalg.eigvals(inst.A)
+            if np.any(np.abs(lam[:, None] + lam) <= SV_CUTOFF * np.linalg.norm(inst.A)):
+                return None
             X = scipy.linalg.solve_continuous_lyapunov(inst.A.T, M[:n, :n])
     except (np.linalg.LinAlgError, ValueError):
         return None
@@ -475,27 +480,24 @@ def _peak_brackets(A, omegas, values):
     return lo[clear], hi[clear]
 
 
-def _golden_maxima(f, lo, hi):
-    """Golden-section search for a maximum of f on every [lo_i, hi_i] at once.
+def _multisection_maxima(f, lo, hi):
+    """Multi-section search for a maximum of f on every [lo_i, hi_i] at once.
 
-    f maps an array of frequencies to values.  GOLDEN_STEPS steps shrink
-    each bracket by 0.618 apiece.  Returns the best point of each bracket
-    and its value.
+    Each pass calls f once on SECTION_POINTS equally spaced interior points
+    of every bracket, bracket after bracket, and keeps the best point so far
+    +- one spacing; SECTION_POINTS is odd, so that point is the next midpoint.
+    Returns the best point of each bracket and its value.
     """
     if not lo.size:
         return lo, lo
-    r = 0.5 * (np.sqrt(5.0) - 1.0)
-    x1, x2 = hi - r * (hi - lo), lo + r * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_STEPS):
-        left = f1 >= f2  # a maximum lies in [lo, x2]
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        new = np.where(left, hi - r * (hi - lo), lo + r * (hi - lo))
-        f_new = f(new)
-        x1, x2 = np.where(left, new, x2), np.where(left, x1, new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    first = f1 >= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
+    t, rows = np.linspace(-1.0, 1.0, SECTION_POINTS + 2)[1:-1], np.arange(lo.size)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for _ in range(SECTION_PASSES):
+        x = mid[:, None] + half[:, None] * t
+        v = f(x.ravel()).reshape(x.shape)
+        k = np.argmax(v, axis=1)
+        mid, half = x[rows, k], half * (t[1] - t[0])
+    return mid, v[rows, k]
 
 
 def pointwise_condition(
@@ -507,27 +509,25 @@ def pointwise_condition(
     is solved for separately and the Hermitian form is assembled pairwise
     from those solutions; the x = 0 branch is the lower-right block of M.
     When the grid and the limit hold, every local maximum of the grid
-    values is refined by a golden-section search over its bracketing
-    interval, so a peak narrower than the grid spacing still refutes; no
-    Hamiltonian is used.
+    values is refined by a multi-section search over its bracketing
+    interval, 10 stacked passes of 15 points, so a peak narrower than the
+    grid spacing still refutes; no Hamiltonian is used.
     """
     if grid is None:
         grid = default_grid(inst.A)
     n, m = inst.n, inst.m
     omegas = grid.omegas
     chunks = [_pointwise_forms(inst, w)[:2] for w in _chunks(omegas, n)]
-    values = np.concatenate([c[0] for c in chunks])
-    canon = np.concatenate([c[1] for c in chunks])
+    values, canon = (np.concatenate(c) for c in zip(*chunks))
     lam, vec = np.linalg.eigh(inst.M[n:, n:])
     limit_value = float(np.max(lam, initial=-np.inf))
     if max(np.max(values, initial=-np.inf), limit_value) <= tol:
         # only a peak between grid points can still refute
-        peak_omegas, peak_values = _golden_maxima(
+        peak_omegas, peak_values = _multisection_maxima(
             lambda w: np.concatenate([_pointwise_forms(inst, c)[0] for c in _chunks(w, n)]),
             *_peak_brackets(inst.A, omegas, values),
         )
-        omegas = np.concatenate([omegas, peak_omegas])
-        values = np.concatenate([values, peak_values])
+        omegas, values = np.append(omegas, peak_omegas), np.append(values, peak_values)
     worst_omega, worst_value, worst_kind = np.inf, -np.inf, "none"
     if m and values.size:  # an input-free (m = 0) form is empty
         k = int(np.argmax(values))

@@ -125,6 +125,17 @@ def test_lmi_without_inputs_is_a_lyapunov_inequality():
     assert res.P[0, 0] >= 0.25 - kyp.LMI_TOL
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("A", [np.zeros((1, 1)), np.array([[0.0, 1.0], [-1.0, 0.0]])])
+def test_lmi_without_inputs_skips_a_singular_lyapunov_equation(A):
+    # eigenvalues with lambda_i + lambda_j = 0 make A'X + XA = M11 singular:
+    # scipy's solver warns and, for A = 0, returns P ~ 1e292
+    inst = KypInstance(A=A, B=np.zeros((A.shape[0], 0)), M=-np.eye(A.shape[0]))
+    res = kyp_lmi(inst)
+    assert res.status == "feasible" and res.decided_by != "riccati"
+    assert np.max(np.abs(res.P)) <= 1.0
+
+
 def test_psd_lmi_without_kyp_form_reaches_subgradient():
     # V has rank 1 < 2 rows: no congruence to a KYP form, so the Riccati and
     # frequency routes are skipped
@@ -266,14 +277,70 @@ def test_pointwise_refutes_resonance_without_the_hamiltonian(monkeypatch):
     inst = resonance_instance()
     rep = pointwise_condition(inst)
     assert not rep.holds
-    assert abs(rep.worst_omega - 7.3) <= 1e-3
-    assert rep.worst_value > 6000.0
+    # |G(i omega)|^2 = 1/((w0^2 - omega^2)^2 + c^2 omega^2) peaks at
+    # omega^2 = w0^2 - c^2/2 with value 1/(c^2 w0^2 - c^4/4)
+    w0_sq, c = 53.29, 0.00146
+    peak_omega = np.sqrt(w0_sq - c**2 / 2.0)
+    peak_value = 1.0 / (c**2 * w0_sq - c**4 / 4.0) - 2500.0
+    assert abs(rep.worst_value - peak_value) <= 1e-10 * peak_value
+    assert abs(rep.worst_omega - peak_omega) <= 1e-8 * peak_omega
     w = rep.witness
     u = w.u_real + 1j * w.u_imag
     x = w.x_real + 1j * w.x_imag
     assert np.linalg.norm(1j * w.omega * x - inst.A @ x - inst.B @ u) <= 1e-8 * np.linalg.norm(x)
     z = np.concatenate([x, u])
     assert abs(np.real(np.conj(z) @ inst.M @ z) - w.value) <= 1e-8 * abs(w.value)
+
+
+def test_multisection_search_against_a_dense_oracle():
+    lo, hi = np.array([0.0, 2.0, 5.0]), np.array([1.0, 3.5, 6.0])
+    oracles = [np.linspace(a, b, 10**5 + 1) for a, b in zip(lo, hi)]
+    peaks = [oracles[0][31416], oracles[1][77777]]  # on oracle nodes
+
+    def g(w):  # unimodal, unimodal, bimodal
+        return np.select(
+            [w < 1.5, w < 4.0],
+            [
+                1.0 / (1.0 + 50.0 * (w - peaks[0]) ** 2),
+                3.0 - np.cosh(w - peaks[1]),
+            ],
+            np.exp(-200.0 * (w - 5.2) ** 2) + 0.8 * np.exp(-200.0 * (w - 5.75) ** 2),
+        )
+
+    passes = []
+
+    def f(w):  # points come bracket after bracket
+        passes.append(w.reshape(lo.size, -1))
+        return g(w)
+
+    omega, value = kyp._multisection_maxima(f, lo, hi)
+    points = np.stack(passes)  # (pass, bracket, point)
+    assert points.shape == (kyp.SECTION_PASSES, lo.size, kyp.SECTION_POINTS)
+    assert np.all((points > lo[:, None]) & (points < hi[:, None]))
+    assert np.all(np.diff(np.max(g(points), axis=2), axis=0) >= 0.0)
+    last = points[-1]
+    final_width = 2.0 * (last[:, -1] - last[:, 0]) / (kyp.SECTION_POINTS - 1)
+    assert np.all(final_width <= 0.618**40 * (hi - lo))
+    assert np.all((omega > lo) & (omega < hi))
+    np.testing.assert_array_equal(value, g(omega))
+    best = np.array([np.max(g(o)) for o in oracles])
+    np.testing.assert_allclose(value[:2], best[:2], rtol=1e-12, atol=0.0)
+    assert 0.8 <= value[2] <= best[2] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("make, other_calls", [(passivity_instance, 1), (resonance_instance, 2)])
+def test_pointwise_refines_in_one_stacked_call_per_pass(make, other_calls, monkeypatch):
+    # the grid, then one call per pass; resonance adds its witness's call
+    calls = []
+    forms = kyp._pointwise_forms
+
+    def counted(inst, omegas):
+        calls.append(omegas.size)
+        return forms(inst, omegas)
+
+    monkeypatch.setattr(kyp, "_pointwise_forms", counted)
+    pointwise_condition(make())
+    assert kyp.SECTION_PASSES < len(calls) <= other_calls + kyp.SECTION_PASSES
 
 
 def test_cross_validate_resonance_has_no_defects():

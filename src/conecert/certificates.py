@@ -11,7 +11,7 @@ Two instantiations:
 * PSD cone: L(Q) = U Q V' + V Q U', the adjoint inequality
   U'PV + V'PU <= C is decided up to a (feasible / infeasible-with-witness
   / undecided) trichotomy.  This module holds the rank-one witness search
-  and the subgradient fallback; kyp.psd_lmi runs the whole route chain.
+  and the interior-point fallback; kyp.psd_lmi runs the whole route chain.
 """
 
 import logging
@@ -39,6 +39,7 @@ __all__ = [
     "orthant_certificate_strict",
     "orthant_surjectivity",
     "psd_certificate",
+    "psd_kernel_witness",
     "rank_one_witness",
 ]
 
@@ -46,6 +47,8 @@ logger = logging.getLogger("conecert.certificates")
 
 ORTHANT = "orthant"
 PSD = "psd"
+LMI_TOL = 1e-6  # bounds a PSD certificate's slack and a witness's objective
+IPM_MAX_ITERATIONS = 50  # psd_certificate's cap; no surveyed problem needed 12
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,9 @@ class KernelWitness:
 class LmiResult:
     """Outcome of deciding U'PV + V'PU <= C, and the route that decided it.
 
-    max_violation is lambda_max(He(P) - C) at the certificate (feasible),
-    minus the witness objective (infeasible), or the best lambda_max the
-    subgradient search reached (undecided).
+    max_violation is lambda_max(He(P) - C) at P, the certificate (feasible) or
+    the last interior-point iterate (undecided), or minus the witness
+    objective (infeasible); iterations counts interior-point iterations.
     """
 
     status: str  # "feasible" | "infeasible" | "undecided"
@@ -179,7 +182,7 @@ class LmiResult:
     max_violation: float
     witness: np.ndarray | None
     iterations: int
-    # "rank_one_witness" | "riccati" | "frequency_witness" | "subgradient"
+    # "rank_one_witness" | "riccati" | "frequency_witness" | "interior_point"
     decided_by: str
 
     @classmethod
@@ -187,8 +190,8 @@ class LmiResult:
         return cls("feasible", cert.p, float(-cert.slack[0]), None, iterations, route)
 
     @classmethod
-    def refuted(cls, witness: KernelWitness, route) -> "LmiResult":
-        return cls("infeasible", None, float(-witness.objective), witness.z0, 0, route)
+    def refuted(cls, witness: KernelWitness, route, iterations=0) -> "LmiResult":
+        return cls("infeasible", None, float(-witness.objective), witness.z0, iterations, route)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,7 @@ def orthant_surjectivity(Lmap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PSD instantiation (eigenvalue minimization + rank-one witness search)
+# PSD instantiation (rank-one witness search + interior-point method)
 
 
 def _null_basis(M, cutoff=SV_CUTOFF):
@@ -323,81 +326,91 @@ def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
     )
 
 
-def psd_certificate(prob: PsdProblem, seed: int = 0) -> LmiResult:
-    """Search for P with U'PV + V'PU <= C: feasible or undecided, never infeasible.
+def psd_kernel_witness(prob: PsdProblem, Q) -> KernelWitness | None:
+    """Q0 = Q / tr(Q) as a witness against prob, or None unless it passes three checks.
 
-    The fallback route of the decision chain in kyp, which has already
-    looked for kernel witnesses.  Projected subgradient on
-    phi(P) = lambda_max(U'PV + V'PU - C) with diminishing steps a/k,
-    a = 1/(1 + ||C||_F), 5 restarts x 5000 iterations, then a short
-    adaptive polish from the best iterate; declared feasible iff the best
-    phi <= 1e-6 (the final eigenvalue check is the proof, not the
-    optimizer's word).  Anything else is undecided.
+    On prob's own U, V and C: Q0 is PSD (to 1e-9), UQ0V' + VQ0U' vanishes to
+    1e-9 (1 + ||U||), and tr(C Q0) < -LMI_TOL.  The last rules out every P
+    the post-check accepts, since tr((C - He(P)) Q0) = tr(C Q0).
     """
-    n = prob.state_dim
-    cnorm = np.linalg.norm(prob.C)
-    a = 1.0 / (1.0 + cnorm)
-    rng = np.random.default_rng(seed)
+    Q0 = Q / np.trace(Q)
+    image = prob.U @ Q0 @ prob.V.T
+    objective = float(np.trace(prob.C @ Q0))
+    cone = ConeId.psd(prob.cone_dim)
+    in_kernel = np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + np.linalg.norm(prob.U))
+    if cone_contains(cone, Q0, tol=1e-9) and in_kernel and objective < -LMI_TOL:
+        return KernelWitness(cone=cone, z0=Q0, objective=objective)
+    return None
 
-    def phi_at(P):
-        w, W = np.linalg.eigh(prob.adjoint_image(P) - prob.C)
-        return float(w[-1]), W[:, -1]
 
-    def subgrad(w):
-        uw = prob.U @ w
-        vw = prob.V @ w
-        G = np.outer(uw, vw)
-        return G + G.T
+def _step(L, D):
+    """The largest a <= 1 keeping LL' + aD PSD, cut to 0.98 of the way to the boundary."""
+    low = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, D).T))[0]
+    return min(1.0, -0.98 / low) if low < 0 else 1.0
 
-    best_phi = np.inf
-    best_P = np.zeros((n, n))
-    iterations = 0
-    exit_tol = 1e-9  # decision threshold is 1e-6; stop well under it
 
-    for restart in range(5):
-        if restart == 0:
-            P = np.zeros((n, n))
-        else:
-            P = symmetrize(rng.standard_normal((n, n)))
-        for k in range(1, 5001):
-            phi, w = phi_at(P)
-            iterations += 1
-            if phi < best_phi:
-                best_phi, best_P = phi, P
-            if best_phi <= exit_tol:
-                break
-            P = P - (a / k) * subgrad(w)
-        if best_phi <= exit_tol:
-            break
+def psd_certificate(prob: PsdProblem) -> LmiResult:
+    """Decide U'PV + V'PU <= C by a primal-dual interior-point method.
 
-    # adaptive polish: normalized subgradient with grow/shrink step control;
-    # sharpens near-boundary certificates well past what the a/k schedule can
-    # reach; pointless when the iterate is already strictly interior
-    P = best_P
-    step = a if best_phi > -1e-6 else 0.0
-    for _ in range(400):
-        phi0, w = phi_at(P)
-        iterations += 1
-        if phi0 < best_phi:
-            best_phi, best_P = phi0, P
-        G = subgrad(w)
-        gn = np.linalg.norm(G)
-        if gn < 1e-15 or step < 1e-13:
-            break
-        P_try = P - (step / gn) * G
-        phi_try, _ = phi_at(P_try)
-        iterations += 1
-        if phi_try < phi0:
-            P = P_try
-            step *= 1.3
-            if phi_try < best_phi:
-                best_phi, best_P = phi_try, P_try
-        else:
-            step *= 0.5
+    The last route of kyp's decision chain.  HKM directions with Mehrotra's
+    predictor-corrector (Helmberg, Rendl, Vanderbei and Wolkowicz 1996;
+    Vandenberghe and Boyd 1996) solve the phase-I pair min t with
+    Z = tI + C - He(P) >= 0, and max -tr(CX) with X >= 0, tr X = 1 and
+    UXV' + VXU' = 0, in an orthonormal basis F_k of span{-I, He(P)}: a basis
+    keeps the Schur matrix nonsingular where P -> He(P) has a kernel.  An
+    iterate's P certifies when C - He(P) >= 0, or when the gap tr(XZ) has
+    converged and C - He(P) >= -LMI_TOL; its X, moved onto the dual
+    constraints along XGX, refutes when it passes psd_kernel_witness.  A
+    numerical breakdown or IPM_MAX_ITERATIONS iterations leave it undecided.
+    """
+    n, d = prob.state_dim, prob.cone_dim
+    E = np.eye(n * n).reshape(n * n, n, n)
+    E = E + np.swapaxes(E, 1, 2)
+    G = prob.U.T @ E @ prob.V
+    S = np.concatenate([-np.eye(d)[None], G + np.swapaxes(G, 1, 2)]).reshape(-1, d * d)
+    coef, s, F = np.linalg.svd(S)
+    r = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
+    slack, X, k = np.linalg.eigvalsh(prob.C), np.eye(d) / d, 0  # at P = 0
+    t0 = 1.0 - min(slack[0], 0.0)  # C + t0 I >= I
+    y = coef[:, r:] @ coef[0, r:]  # y[0] I = He(sum_j y[j + 1] E_j)
+    if y[0] > SV_CUTOFF:  # I = He(P_I), and P = -t0 P_I leaves C + t0 I
+        P = -t0 / y[0] * symmetrize(np.tensordot(y[1:], E, 1))
+        cert_slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
+        if cert_slack[0] >= 0:
+            return LmiResult.certified(Certificate(P, cert_slack, LMI_TOL), "interior_point")
+    F, coef = F[:r], coef[:, :r] / s[:r]
+    F3, b = F.reshape(r, d, d), -coef[0]  # max b'w is min t
+    w = -t0 * (F @ np.eye(d).ravel())  # Z = C + t0 I
+    reason = f"no decision in {IPM_MAX_ITERATIONS} iterations"
+    try:
+        for k in range(1, IPM_MAX_ITERATIONS + 1):
+            Z = prob.C - (w @ F).reshape(d, d)
+            Lx, Lz, Zi = np.linalg.cholesky(X), np.linalg.cholesky(Z), np.linalg.inv(Z)
+            schur, mu = F @ (X @ F3 @ Zi).reshape(r, -1).T, np.vdot(X, Z) / d
 
-    if best_phi <= 1e-6:
-        slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(best_P))
-        cert = Certificate(p=symmetrize(best_P), slack=slack, tol=1e-6)
-        return LmiResult.certified(cert, "subgradient", iterations)
-    logger.info("psd_certificate undecided: best residual %.3e", best_phi)
-    return LmiResult("undecided", None, float(best_phi), None, iterations, "subgradient")
+            def direction(R):  # X dZ + dX Z = R - XZ, symmetrized
+                dw = np.linalg.solve(schur, b - F @ (R @ Zi).ravel())
+                dZ = -(dw @ F).reshape(d, d)
+                dX = symmetrize((R - X @ dZ) @ Zi) - X
+                return dw, dZ, dX, _step(Lx, dX), _step(Lz, dZ)
+
+            dw, dZ, dX, ap, ad = direction(np.zeros((d, d)))
+            sigma = (np.vdot(X + ap * dX, Z + ad * dZ) / (d * mu)) ** 3
+            dw, dZ, dX, ap, ad = direction(sigma * mu * np.eye(d) - dX @ dZ)
+            X, w = X + ap * dX, w + ad * dw
+            if not (np.isfinite(X).all() and np.isfinite(w).all()):
+                raise np.linalg.LinAlgError("non-finite iterate")
+            P = symmetrize(np.tensordot(coef[1:] @ w, E, 1))
+            slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
+            gap = np.vdot(X, prob.C - (w @ F).reshape(d, d))
+            converged = gap <= 1e-8 * (1.0 + np.linalg.norm(prob.C))
+            if slack[0] >= 0 or (converged and slack[0] >= -LMI_TOL):
+                return LmiResult.certified(Certificate(P, slack, LMI_TOL), "interior_point", k)
+            lam = np.linalg.lstsq(F @ (X @ F3 @ X).reshape(r, -1).T, F @ X.ravel() - b)[0]
+            witness = psd_kernel_witness(prob, symmetrize(X - X @ (lam @ F).reshape(d, d) @ X))
+            if witness is not None:
+                return LmiResult.refuted(witness, "interior_point", k)
+    except np.linalg.LinAlgError as exc:
+        reason = f"numerical breakdown in iteration {k}: {exc}"
+    logger.info("psd_certificate undecided: %s", reason)
+    return LmiResult("undecided", None, float(-slack[0]), None, k, "interior_point")

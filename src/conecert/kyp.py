@@ -1,11 +1,11 @@
 """Non-strict KYP conditions as four independent checkers.
 
 The linear-matrix-inequality route decides the conic problem by a Riccati
-certificate, rank-one and rank-2 kernel witnesses, or the PSD subgradient
-search; the frequency-domain, pointwise, and integral routes check the same
-property by separate computations so the harness can cross-validate them
-against each other.  The same route chain decides the general PSD-cone
-problem U'PV + V'PU <= C (psd_lmi) through its KYP form.
+certificate, rank-one and rank-2 kernel witnesses, or the interior-point
+method of psd_certificate; the frequency-domain, pointwise, and integral
+routes check the same property by separate computations so the harness can
+cross-validate them against each other.  The same route chain decides the
+general PSD-cone problem U'PV + V'PU <= C (psd_lmi) through its KYP form.
 """
 
 import dataclasses
@@ -14,13 +14,13 @@ import logging
 import numpy as np
 
 from .certificates import (
+    LMI_TOL,
     Certificate,
-    ConeId,
     KernelWitness,
     LmiResult,
     PsdProblem,
-    cone_contains,
     psd_certificate,
+    psd_kernel_witness,
     rank_one_witness,
 )
 from .numerics import SV_CUTOFF, TimeGrid, rk4_linear
@@ -30,7 +30,6 @@ from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetriz
 log = logging.getLogger("conecert.kyp")
 
 FORM_TOL = 1e-7
-LMI_TOL = 1e-6
 # added to a singular R = -M22 before the Riccati solve; the LMI's top
 # eigenvalue at the solution equals it, and 1e-8 already moves the scalar
 # passivity certificate P = 1 by 1.4e-4
@@ -306,9 +305,7 @@ def _frequency_witness(inst, prob, T) -> KernelWitness | None:
     eigenvector.  Q0 = Re(zz*)/tr is PSD, lies in the kernel of
     UQV' + VQU' because Uz = i*omega*Vz, and has tr(-M Q0) = -(form
     value)/tr.  With a congruence T from _kyp_form, z is mapped to Tz
-    first.  Q0 is returned only when the three checks pass on the computed
-    matrix and prob's own U, V and C; an objective below -LMI_TOL rules out
-    every P the post-check would accept, since tr((C - He(P)) Q0) = tr(C Q0).
+    first.  Q0 is returned only when it passes psd_kernel_witness.
     """
     points = _crossing_points(inst)
     if not points.size:
@@ -324,26 +321,15 @@ def _frequency_witness(inst, prob, T) -> KernelWitness | None:
     z = H @ u
     if T is not None:
         z = T @ z
-    Q0 = np.real(np.outer(z, z.conj()))
-    Q0 = Q0 / np.trace(Q0)
-    image = prob.U @ Q0 @ prob.V.T
-    objective = float(np.trace(prob.C @ Q0))
-    cone = ConeId.psd(prob.cone_dim)
-    if (
-        cone_contains(cone, Q0)
-        and np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + np.linalg.norm(prob.U))
-        and objective < -LMI_TOL
-    ):
-        return KernelWitness(cone=cone, z0=Q0, objective=objective)
-    return None
+    return psd_kernel_witness(prob, np.real(np.outer(z, z.conj())))
 
 
-def _decide(prob: PsdProblem, inst, T, seed) -> LmiResult:
+def _decide(prob: PsdProblem, inst, T) -> LmiResult:
     """Decide U'PV + V'PU <= C by the one route chain; each route proves itself on prob.
 
     In order: a rank-one kernel witness; the Riccati certificate (eigenvalue
-    post-check); a rank-2 frequency witness (PSD, kernel and objective
-    checks); the subgradient search of psd_certificate.  The Riccati and
+    post-check); a rank-2 frequency witness (psd_kernel_witness); the
+    interior-point method of psd_certificate.  The Riccati and
     frequency routes run on inst, prob in KYP form, whose coordinates T
     maps to prob's (T None: the same); they are skipped when inst is None.
     """
@@ -357,18 +343,18 @@ def _decide(prob: PsdProblem, inst, T, seed) -> LmiResult:
         witness = _frequency_witness(inst, prob, T)
         if witness is not None:
             return LmiResult.refuted(witness, "frequency_witness")
-    return psd_certificate(prob, seed=seed)
+    return psd_certificate(prob)
 
 
-def kyp_lmi(inst: KypInstance, seed=0) -> LmiResult:
+def kyp_lmi(inst: KypInstance) -> LmiResult:
     """Search for symmetric P with M + (A B)'P(I 0) + (I 0)'P(A B) <= 0 by _decide."""
     V = np.hstack([np.eye(inst.n), np.zeros((inst.n, inst.m))])
-    return _decide(PsdProblem(U=np.hstack([inst.A, inst.B]), V=V, C=-inst.M), inst, None, seed)
+    return _decide(PsdProblem(U=np.hstack([inst.A, inst.B]), V=V, C=-inst.M), inst, None)
 
 
-def psd_lmi(prob: PsdProblem, seed=0) -> LmiResult:
+def psd_lmi(prob: PsdProblem) -> LmiResult:
     """Decide U'PV + V'PU <= C by _decide, on the KYP form when V has full row rank."""
-    return _decide(prob, *_kyp_form(prob), seed)
+    return _decide(prob, *_kyp_form(prob))
 
 
 @dataclasses.dataclass
@@ -722,7 +708,7 @@ def cross_validate(
     """
     if grid is None:
         grid = default_grid(inst.A)
-    lmi = kyp_lmi(inst, seed=seed)
+    lmi = kyp_lmi(inst)
     freq = frequency_condition(inst, grid, tol=tol)
     point = pointwise_condition(inst, grid, tol=tol)
     iqc = iqc_trajectory_condition(inst, trials=trials, horizon=horizon, seed=seed)

@@ -14,6 +14,7 @@ from conecert import (
     PositiveSystem,
     TimeGrid,
     controllability_rank,
+    expm,
     synthesize_Q,
 )
 
@@ -180,6 +181,35 @@ def synthesized_instance(rng, n, m, steps=512, horizon=2.0):
     u_signals = [smooth_signal(rng, m) for _ in range(comps)]
     traj = synthesize_Q(A, B, x_inits, u_signals, grid)
     return traj, A, B
+
+
+def sinusoid_trajectory(rng, n, m, steps=512, horizon=2.0):
+    """(A, B, grid, Q): Q the sum of zz' over n+1 exact sinusoid-driven solutions.
+
+    Each input u = sum_q a_q sin(omega_q t + phi_q) per channel is the
+    output of (sin, cos) oscillator pairs, so (x, oscillator) solves one
+    linear system and is propagated by the exponential of its matrix over
+    one step, with no integrator.  Nothing keeps Q_nn well conditioned.
+    """
+    A = 0.5 * rng.standard_normal((n, n))
+    A = A - max(float(np.max(np.linalg.eigvals(A).real)) - 0.2, 0.0) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    Q = np.zeros((steps + 1, n + m, n + m))
+    for _ in range(n + 1):
+        omega = 2.0 * np.pi * rng.uniform(0.1, 0.5, 3 * m)
+        phase = rng.uniform(0.0, 2.0 * np.pi, 3 * m)
+        out = np.zeros((m, 6 * m))  # u reads the sin of each pair
+        out[np.repeat(np.arange(m), 3), np.arange(0, 6 * m, 2)] = rng.uniform(0.1, 0.6, 3 * m)
+        osc = np.kron(np.diag(omega), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        aug = np.block([[A, B @ out], [np.zeros((6 * m, n)), osc]])
+        step = expm(aug * (horizon / steps))
+        pairs = np.column_stack([np.sin(phase), np.cos(phase)]).ravel()
+        state = np.concatenate([rng.standard_normal(n), pairs])
+        for k in range(steps + 1):
+            z = np.concatenate([state[:n], out @ state[n:]])
+            Q[k] += np.outer(z, z)
+            state = step @ state
+    return A, B, TimeGrid(0.0, horizon, steps), Q
 
 
 def random_psd(rng, dim, rank=None):

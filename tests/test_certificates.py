@@ -184,6 +184,15 @@ def test_psd_pinned_certificate():
     np.testing.assert_allclose(slack_eigs, [0.0, 2.0], atol=1e-3)
 
 
+def test_psd_identity_in_the_range_of_he():
+    # d = 1: He(P) = 2(p11 + p12) reaches every scalar, so min t is unbounded
+    # below and P = -s P_I with He(P_I) = 1 certifies before any iteration
+    prob = PsdProblem(U=np.array([[1.0], [0.0]]), V=np.array([[1.0], [1.0]]), C=np.array([[-5.0]]))
+    out = psd_certificate(prob)
+    assert (out.status, out.decided_by, out.iterations) == ("feasible", "interior_point", 0)
+    assert psd_slack(prob, out.P)[0] >= 0
+
+
 def test_psd_infeasible_with_witness():
     prob = PsdProblem(
         U=np.array([[-1.0, 1.0]]),

@@ -97,6 +97,19 @@ def test_sample_decompose(tmp_path):
     assert all(r <= 1e-3 for r in res["ode_residuals"] if isinstance(r, float))
 
 
+def test_decompose_accuracy_shortfall_is_undecided(tmp_path):
+    # Q_nn nears rank loss on this valid trajectory: the interpolated
+    # components miss their ODE by more than 1e-3, which refutes nothing
+    A, B, grid, Q = helpers.sinusoid_trajectory(np.random.default_rng(35), 2, 1)
+    doc = {"command": "decompose", "A": A.tolist(), "B": B.tolist(),
+           "grid": {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps},
+           "samples": Q.reshape(grid.steps + 1, -1).tolist()}
+    code, out = run_cli(["decompose", "--input", str(write_problem(tmp_path, doc))], tmp_path)
+    assert (code, out["status"]) == (2, "undecided")
+    assert max(r for r in out["result"]["ode_residuals"] if isinstance(r, float)) > 1e-3
+    assert out["result"]["reconstruction_error"] <= 1e-4 * out["result"]["max_q_norm"]
+
+
 def test_kyp_infeasible_exit_code(tmp_path):
     path = write_problem(
         tmp_path,
@@ -173,15 +186,17 @@ def test_certify_psd_pinned(tmp_path):
     assert doc["result"]["residual"] == -doc["result"]["certificate"]["slack"][0]
 
 
-def disguised_kyp(rng, n, m, feasible):
+def disguised_kyp(rng, n, m, feasible, extra_rows=0):
     """A planted KYP instance as U'PV + V'PU <= C, hidden by random R and S.
 
-    U = R(A B)S, V = R(I 0)S and C = -S'MS keep the verdict: the KYP
-    inequality at P holds iff this one does at R^-T P R^-1.
+    U = R(A B)S, V = R(I 0)S and C = -S'MS keep the verdict: this
+    inequality holds at P iff the KYP inequality holds at R'PR, which takes
+    every symmetric value as R has full column rank.  With extra rows V
+    lacks full row rank, so there is no KYP form.
     """
     make = helpers.feasible_kyp if feasible else helpers.infeasible_kyp
     inst = make(rng, n, m)[0]
-    R = rng.standard_normal((n, n))
+    R = rng.standard_normal((n + extra_rows, n))
     S = rng.standard_normal((n + m, n + m))
     C = -S.T @ inst.M @ S
     return (
@@ -214,6 +229,23 @@ def test_certify_psd_decides_disguised_kyp_instances(tmp_path):
                 1.0 + np.linalg.norm(U)
             )
             assert np.trace(C @ Q) < -kyp.LMI_TOL
+
+
+def test_certify_psd_verdict_does_not_depend_on_the_seed(tmp_path):
+    # V = R(I 0)S has rank 2 < 3 rows, so only the rank-one witness and the
+    # interior-point route run; a seeded random search that route replaced
+    # came back undecided on this problem under seed 0, feasible under seed 1
+    U, V, C = disguised_kyp(np.random.default_rng(23), 2, 1, True, extra_rows=1)
+    doc = {"command": "certify", "kind": "psd", "U": U.tolist(), "V": V.tolist(),
+           "C": C.tolist()}
+    path = write_problem(tmp_path, doc)
+    runs = [
+        run_cli(["certify", "--input", str(path), "--seed", seed], tmp_path, f"{seed}.json")
+        for seed in ("0", "1")
+    ]
+    (code, out), (code_1, out_1) = runs
+    assert (code, out["status"], out["result"]) == (code_1, out_1["status"], out_1["result"])
+    assert (code, out["status"], out["result"]["decided_by"]) == (0, "feasible", "interior_point")
 
 
 def test_certify_orthant_infeasible(tmp_path):
@@ -636,17 +668,28 @@ def test_scipy_loaded_only_by_the_routes_that_use_it(tmp_path):
     psd_rank_one = write_problem(
         tmp_path, dict(PSD, C=[[0.0, 1.0], [1.0, -1.0]]), name="psd_rank_one.json"
     )
+    # V has rank 1 < 2 rows: certified by the interior-point route
+    psd_interior = write_problem(
+        tmp_path,
+        dict(PSD, U=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], V=[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+             C=np.eye(3).tolist()),
+        name="psd_interior.json",
+    )
     no_scipy = [
         ["l1gain", "--input", str(SAMPLES / "l1gain_2x2.json")],
         ["certify", "--input", str(orthant)],
         ["certify", "--input", str(psd_rank_one)],
+        ["certify", "--input", str(psd_interior)],
         ["decompose", "--input", str(SAMPLES / "decompose_synthesized.json")],
     ] + [["validate", "--input", str(path)] for path in sorted(SAMPLES.glob("*.json"))]
     runs = [argv + ["--output", str(tmp_path / f"{k}.json")] for k, argv in enumerate(no_scipy)]
     at_import, after, _ = run_fresh(runs, tmp_path)
     assert at_import is False
     assert [loaded for _, loaded in after] == [False] * len(runs)
-    assert [code for code, _ in after] == [0, 1, 1, 0] + [0] * (len(runs) - 4)
+    assert [code for code, _ in after] == [0, 1, 1, 0, 0] + [0] * (len(runs) - 5)
+    assert json.loads((tmp_path / "3.json").read_text())["result"]["decided_by"] == (
+        "interior_point"
+    )
 
     # certify --kind psd loads scipy when it reaches the Riccati route
     psd = write_problem(tmp_path, PSD, name="psd.json")

@@ -23,6 +23,7 @@ from conecert import (
     pointwise_condition,
     psd_lmi,
 )
+from conecert.certificates import rank_one_witness
 from conecert.kyp import imaginary_axis_frequencies
 
 
@@ -57,14 +58,18 @@ def touching_instance():
     )
 
 
+def assert_psd_witness(prob, Q):
+    """Q is PSD, in the kernel of UQV' + VQU' and has tr(CQ) < 0."""
+    assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9 * np.trace(Q)
+    image = prob.U @ Q @ prob.V.T + prob.V @ Q @ prob.U.T
+    assert np.linalg.norm(image) <= 1e-9 * np.trace(Q) * (1.0 + np.linalg.norm(prob.U))
+    assert np.trace(prob.C @ Q) < 0
+
+
 def assert_kernel_witness(inst, Q):
     """Q is PSD, in the kernel of UQV' + VQU' and has tr(-MQ) < 0."""
-    U = np.hstack([inst.A, inst.B])
     V = np.hstack([np.eye(inst.n), np.zeros((inst.n, inst.m))])
-    assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9 * np.trace(Q)
-    image = U @ Q @ V.T + V @ Q @ U.T
-    assert np.linalg.norm(image) <= 1e-9 * np.trace(Q) * (1.0 + np.linalg.norm(U))
-    assert -np.trace(inst.M @ Q) < 0
+    assert_psd_witness(PsdProblem(U=np.hstack([inst.A, inst.B]), V=V, C=-inst.M), Q)
 
 
 def test_instance_validation():
@@ -102,7 +107,7 @@ def test_lmi_infeasible_witness():
         (input_penalty_instance, "infeasible", "rank_one_witness"),
         (passivity_instance, "feasible", "riccati"),
         (resonance_instance, "infeasible", "frequency_witness"),
-        (touching_instance, "feasible", "subgradient"),
+        (touching_instance, "feasible", "interior_point"),
     ],
 )
 def test_lmi_decided_by_route(make, status, route):
@@ -113,7 +118,8 @@ def test_lmi_decided_by_route(make, status, route):
         assert_kernel_witness(inst, res.witness)
     else:
         assert res.max_violation <= kyp.LMI_TOL
-    assert (res.iterations > 0) == (route == "subgradient")
+        assert abs(res.P[0, 0] - 1.0) <= 1e-4  # both hold only at P = 1
+    assert (res.iterations > 0) == (route == "interior_point")
 
 
 def test_lmi_without_inputs_is_a_lyapunov_inequality():
@@ -136,7 +142,7 @@ def test_lmi_without_inputs_skips_a_singular_lyapunov_equation(A):
     assert np.max(np.abs(res.P)) <= 1.0
 
 
-def test_psd_lmi_without_kyp_form_reaches_subgradient():
+def test_psd_lmi_without_kyp_form_reaches_interior_point():
     # V has rank 1 < 2 rows: no congruence to a KYP form, so the Riccati and
     # frequency routes are skipped
     prob = PsdProblem(
@@ -146,11 +152,32 @@ def test_psd_lmi_without_kyp_form_reaches_subgradient():
     )
     assert kyp._kyp_form(prob) == (None, None)
     res = psd_lmi(prob)
-    assert (res.status, res.decided_by) == ("feasible", "subgradient")
+    assert (res.status, res.decided_by) == ("feasible", "interior_point")
     assert res.iterations > 0 and res.max_violation <= kyp.LMI_TOL
 
 
-def test_riccati_failing_post_check_falls_back_to_subgradient(monkeypatch):
+def test_interior_point_refutes_without_kyp_form_or_rank_one_witness():
+    # the resonance instance behind R (3 x 2) and S as U = R(A B)S,
+    # V = R(I 0)S, C = -S'MS: V has rank 2 < 3 rows, so there is no KYP form,
+    # and no rank-one vv' in the kernel has a negative objective
+    inst = resonance_instance()
+    rng = np.random.default_rng(0)
+    R, S = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+    C = -S.T @ inst.M @ S
+    prob = PsdProblem(
+        U=R @ np.hstack([inst.A, inst.B]) @ S,
+        V=R @ np.hstack([np.eye(2), np.zeros((2, 1))]) @ S,
+        C=0.5 * (C + C.T),
+    )
+    assert kyp._kyp_form(prob) == (None, None) and rank_one_witness(prob) is None
+    res = psd_lmi(prob)
+    assert (res.status, res.decided_by) == ("infeasible", "interior_point")
+    assert res.iterations > 0
+    assert_psd_witness(prob, res.witness)
+    assert res.max_violation == -np.trace(prob.C @ res.witness)
+
+
+def test_riccati_failing_post_check_falls_back_to_interior_point(monkeypatch):
     calls = []
     original = scipy.linalg.solve_continuous_are
 
@@ -161,7 +188,7 @@ def test_riccati_failing_post_check_falls_back_to_subgradient(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "solve_continuous_are", off_by_one)
     res = kyp_lmi(passivity_instance())
     assert len(calls) == 1
-    assert res.status == "feasible" and res.decided_by == "subgradient"
+    assert res.status == "feasible" and res.decided_by == "interior_point"
     assert res.iterations > 0
     assert abs(res.P[0, 0] - 1.0) <= 1e-4
 
@@ -172,7 +199,8 @@ def test_riccati_solver_error_falls_through(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "solve_continuous_are", fail)
     res = kyp_lmi(passivity_instance())
-    assert res.status == "feasible" and res.decided_by == "subgradient"
+    assert res.status == "feasible" and res.decided_by == "interior_point"
+    assert res.iterations > 0
 
 
 @settings(max_examples=40, deadline=None)

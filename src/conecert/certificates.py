@@ -86,8 +86,8 @@ def cone_contains(cone: ConeId, z, tol: float = 1e-8) -> bool:
     return _cone_margin(cone, z) >= -tol
 
 
-def cone_contains_strict(cone: ConeId, z, tol: float = 1e-8) -> bool:
-    return _cone_margin(cone, z) > tol
+def cone_contains_strict(cone: ConeId, z) -> bool:
+    return _cone_margin(cone, z) > 1e-8
 
 
 @dataclass
@@ -292,11 +292,11 @@ def orthant_surjectivity(Lmap) -> bool:
 # PSD instantiation (rank-one witness search + interior-point method)
 
 
-def _null_basis(M, cutoff=SV_CUTOFF):
-    """Orthonormal basis of ker(M) as columns, by SVD with relative cutoff."""
+def _null_basis(M):
+    """Orthonormal basis of ker(M) as columns, by SVD with relative cutoff SV_CUTOFF."""
     M = np.asarray(M, dtype=float)
     _, s, vt = np.linalg.svd(M)
-    rank = int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > SV_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
     return vt[rank:].T
 
 
@@ -360,8 +360,9 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
     keeps the Schur matrix nonsingular where P -> He(P) has a kernel.  An
     iterate's P certifies when C - He(P) >= 0, or when the gap tr(XZ) has
     converged and C - He(P) >= -LMI_TOL; its X, moved onto the dual
-    constraints along XGX, refutes when it passes psd_kernel_witness.  A
-    numerical breakdown or IPM_MAX_ITERATIONS iterations leave it undecided.
+    constraints along XGX, refutes when it passes psd_kernel_witness.  After a
+    numerical breakdown or IPM_MAX_ITERATIONS iterations, the last iterate
+    with C - He(P) >= -LMI_TOL certifies; without one it is undecided.
     """
     n, d = prob.state_dim, prob.cone_dim
     E = np.eye(n * n).reshape(n * n, n, n)
@@ -382,6 +383,7 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
     F3, b = F.reshape(r, d, d), -coef[0]  # max b'w is min t
     w = -t0 * (F @ np.eye(d).ravel())  # Z = C + t0 I
     reason = f"no decision in {IPM_MAX_ITERATIONS} iterations"
+    passed = None  # the last iterate whose P passed the post-check
     try:
         for k in range(1, IPM_MAX_ITERATIONS + 1):
             Z = prob.C - (w @ F).reshape(d, d)
@@ -404,13 +406,15 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
             slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
             gap = np.vdot(X, prob.C - (w @ F).reshape(d, d))
             converged = gap <= 1e-8 * (1.0 + np.linalg.norm(prob.C))
-            if slack[0] >= 0 or (converged and slack[0] >= -LMI_TOL):
-                return LmiResult.certified(Certificate(P, slack, LMI_TOL), "interior_point", k)
+            if slack[0] >= -LMI_TOL:
+                passed = LmiResult.certified(Certificate(P, slack, LMI_TOL), "interior_point", k)
+                if slack[0] >= 0 or converged:
+                    return passed
             lam = np.linalg.lstsq(F @ (X @ F3 @ X).reshape(r, -1).T, F @ X.ravel() - b)[0]
             witness = psd_kernel_witness(prob, symmetrize(X - X @ (lam @ F).reshape(d, d) @ X))
             if witness is not None:
                 return LmiResult.refuted(witness, "interior_point", k)
     except np.linalg.LinAlgError as exc:
         reason = f"numerical breakdown in iteration {k}: {exc}"
-    logger.info("psd_certificate undecided: %s", reason)
-    return LmiResult("undecided", None, float(-slack[0]), None, k, "interior_point")
+    logger.info("psd_certificate %s: %s", "undecided" if passed is None else "certified", reason)
+    return passed or LmiResult("undecided", None, float(-slack[0]), None, k, "interior_point")

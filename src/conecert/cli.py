@@ -338,15 +338,10 @@ def _run_l1gain(doc, opts):
     return "feasible", payload
 
 
-def _kyp_grid(inst, opts):
-    points = opts["grid"] if opts["grid"] is not None else 200
-    return default_grid(inst.A, points=points)
-
-
 def _run_kyp(doc, opts):
     inst = KypInstance(A=_mat(doc, "A"), B=_mat(doc, "B"), M=_mat(doc, "M"))
     tol = opts["tol"] if opts["tol"] is not None else FORM_TOL
-    grid = _kyp_grid(inst, opts)
+    grid = default_grid(inst.A, points=opts["grid"] if opts["grid"] is not None else 200)
     trials = int(doc.get("trials", 5))
     report = cross_validate(
         inst, grid=grid, trials=trials, seed=opts["seed"], horizon=opts["horizon"], tol=tol
@@ -427,7 +422,7 @@ def _run_steer(doc, opts):
     B = _mat(doc, "B")
     t1 = opts["horizon"] if opts["horizon"] is not None else float(doc.get("t1", 1.0))
     steps = opts["grid"] if opts["grid"] is not None else 512
-    report = verify_k_controllability(A, B, trials=0, seed=opts["seed"])
+    report = verify_k_controllability(A, B, trials=0)
     if not report.controllable:
         return "fails", {
             "controllable": False,

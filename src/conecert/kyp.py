@@ -23,13 +23,15 @@ from .certificates import (
     psd_kernel_witness,
     rank_one_witness,
 )
-from .numerics import SV_CUTOFF, TimeGrid, rk4_linear
+from .numerics import SV_CUTOFF, TimeGrid, rk4_linear, stage_inputs
 from .steering import controllability_rank
 from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
 
 log = logging.getLogger("conecert.kyp")
 
 FORM_TOL = 1e-7
+# eigenvalues of A this close to the imaginary axis are poles; grids keep this far away
+AXIS_TOL = 1e-8
 # added to a singular R = -M22 before the Riccati solve; the LMI's top
 # eigenvalue at the solution equals it, and 1e-8 already moves the scalar
 # passivity certificate P = 1 by 1.4e-4
@@ -80,25 +82,25 @@ class KypInstance:
         return self.B.shape[1]
 
 
-def imaginary_axis_frequencies(A, tol=1e-8):
-    """|Im lambda| for every eigenvalue of A within tol of the imaginary axis."""
+def imaginary_axis_frequencies(A):
+    """|Im lambda| for every eigenvalue of A within AXIS_TOL of the imaginary axis."""
     eig = np.linalg.eigvals(as_square("A", A))
-    on_axis = np.abs(eig.real) <= tol
+    on_axis = np.abs(eig.real) <= AXIS_TOL
     return np.sort(np.abs(eig[on_axis].imag))
 
 
-def _off_eigenfrequencies(A, omegas, tol=1e-8):
-    """The omegas at least tol away from every eigenfrequency of A."""
-    excluded = imaginary_axis_frequencies(A, tol)
+def _off_eigenfrequencies(A, omegas):
+    """The omegas at least AXIS_TOL away from every eigenfrequency of A."""
+    excluded = imaginary_axis_frequencies(A)
     if not excluded.size:
         return omegas
-    keep = np.all(np.abs(omegas[:, None] - excluded[None, :]) >= tol, axis=1)
+    keep = np.all(np.abs(omegas[:, None] - excluded[None, :]) >= AXIS_TOL, axis=1)
     return omegas[keep]
 
 
 @dataclasses.dataclass(frozen=True)
 class FrequencyGrid:
-    """Ascending real frequencies, none within 1e-8 of an eigenfrequency of A."""
+    """Ascending real frequencies, none within AXIS_TOL of an eigenfrequency of A."""
 
     omegas: np.ndarray
 
@@ -109,12 +111,12 @@ class FrequencyGrid:
         object.__setattr__(self, "omegas", om)
 
 
-def default_grid(A, points=200, tol=1e-8) -> FrequencyGrid:
+def default_grid(A, points=200) -> FrequencyGrid:
     """Log-spaced grid over [1e-3, 1e3]*(1+||A||) plus 0, minus eigenfrequencies."""
     A = as_square("A", A)
     scale = 1.0 + float(np.linalg.norm(A, 2))
     omegas = np.concatenate([[0.0], np.logspace(-3.0, 3.0, points) * scale])
-    return FrequencyGrid(np.unique(_off_eigenfrequencies(A, omegas, tol)))
+    return FrequencyGrid(np.unique(_off_eigenfrequencies(A, omegas)))
 
 
 def _singular(S):
@@ -602,9 +604,7 @@ def iqc_integral(inst: KypInstance, u, horizon, steps=4096) -> IqcSample:
     integral does not represent the whole-line value.
     """
     grid = TimeGrid(0.0, float(horizon), steps)
-    times = TimeGrid(0.0, float(horizon), 2 * steps).times()
-    u_stages = np.stack([np.atleast_1d(np.asarray(u(t), dtype=float)) for t in times])
-    return _iqc_samples(inst, u_stages[:, :, None], grid)[0]
+    return _iqc_samples(inst, stage_inputs(u, grid, inst.m)[:, :, None], grid)[0]
 
 
 def _ramped_input(rng, m, active):

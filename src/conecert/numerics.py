@@ -2,17 +2,18 @@
 
 Conventions
 -----------
-* Rank decisions everywhere use one global relative singular-value cutoff
-  ``SV_CUTOFF`` (1e-10), overridable per call.
+* Rank decisions everywhere use one global relative singular-value cutoff,
+  ``SV_CUTOFF`` (1e-10).
 * ODE integration is fixed-step classical RK4 on a uniform ``TimeGrid``.
   Every simulation of a linear field x' = F(t)x + g(t) runs through
   ``rk4_linear``, which writes the RK4 step as the affine recurrence
   x_{k+1} = T_k x_k + c_k, builds all T_k and c_k at once from F and g at
   the stage times, and solves the recurrence by recursive doubling in
   ceil(log2(steps + 1)) stacked products; no loop runs per step unless the
-  state leaves the floating-point range.  ``ode_solve`` is the generic
-  integrator for any field f(t, x) and the reference the kernel is tested
-  against; it estimates the accumulated error by step halving.
+  state leaves the floating-point range; ``stage_inputs`` samples an input
+  at the stage times.  ``ode_solve`` is the generic integrator for any field
+  f(t, x), the reference the kernel is tested against, and the one estimate
+  of the accumulated error (by step halving).
 * No complex arithmetic here; frequency-domain code builds complex values
   from real solves in the kyp module.
 """
@@ -34,6 +35,7 @@ __all__ = [
     "expm",
     "ode_solve",
     "rk4_linear",
+    "stage_inputs",
     "interpolate_samples",
     "trapz",
     "cumtrapz",
@@ -74,8 +76,7 @@ class TrajectoryGrid:
     """Samples of a time-dependent quantity on a TimeGrid.
 
     ``values`` has shape (steps+1, ...): one leading entry per grid sample.
-    ``local_error`` is the step-halving estimate of ode_solve or simulate, when
-    known.
+    ``local_error`` is the step-halving estimate of ode_solve, when asked for.
     """
 
     grid: TimeGrid
@@ -92,15 +93,13 @@ class TrajectoryGrid:
         require_finite("trajectory values", self.values)
 
 
-def sqrtm_psd(S, tol=None):
+def sqrtm_psd(S):
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol is an
-    error.  Default tol = 1e-8 * (1 + ||S||_F).
+    Eigenvalues in [-tol, 0), tol = 1e-8 (1 + ||S||_F), become zero; lower ones raise.
     """
     S = as_symmetric("S", S)
-    if tol is None:
-        tol = 1e-8 * (1.0 + np.linalg.norm(S))
+    tol = 1e-8 * (1.0 + np.linalg.norm(S))
     w, V = np.linalg.eigh(S)
     if w.size and w[0] < -tol:
         raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
@@ -108,33 +107,21 @@ def sqrtm_psd(S, tol=None):
     return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
-def pinv(M, cutoff=None):
-    """Moore-Penrose pseudoinverse; singular values < cutoff*sigma_max are zero."""
+def pinv(M):
+    """Moore-Penrose pseudoinverse; singular values < SV_CUTOFF*sigma_max are zero."""
     M = np.asarray(M, dtype=float)
     require_finite("M", M)
-    if cutoff is None:
-        cutoff = SV_CUTOFF
-    return np.linalg.pinv(M, rcond=cutoff)
+    return np.linalg.pinv(M, rcond=SV_CUTOFF)
 
 
-def matrix_rank(M, cutoff=None, abs_cutoff=None):
-    """Numerical rank: count of singular values above the threshold.
-
-    The threshold is max(cutoff * sigma_max(M), abs_cutoff); ``abs_cutoff``
-    lets callers judge rank against an external scale (e.g. the largest
-    singular value along a whole trajectory) instead of each matrix's own.
-    """
+def matrix_rank(M):
+    """Numerical rank: count of singular values above SV_CUTOFF * sigma_max."""
     M = np.asarray(M, dtype=float)
     require_finite("M", M)
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    if cutoff is None:
-        cutoff = SV_CUTOFF
-    thresh = cutoff * s[0]
-    if abs_cutoff is not None:
-        thresh = max(thresh, abs_cutoff)
-    return int(np.count_nonzero(s > thresh))
+    return int(np.count_nonzero(s > SV_CUTOFF * s[0]))
 
 
 def expm(M):
@@ -356,6 +343,21 @@ def interpolate_samples(grid: TimeGrid, values, times):
     k = np.clip(k, 0, grid.steps - 1).astype(int)
     frac = frac.reshape(frac.shape + (1,) * (v.ndim - 1))
     return (1.0 - frac) * v[k] + frac * v[k + 1]
+
+
+def stage_inputs(u, grid: TimeGrid, m):
+    """An input's values at the RK4 stage times t0 + j*h/2, shape (2*steps+1, m).
+
+    A callable u is called once per stage time; a TrajectoryGrid of samples
+    is linearly interpolated on its own grid (see ``interpolate_samples``).
+    """
+    times = TimeGrid(grid.t0, grid.t1, 2 * grid.steps).times()
+    if isinstance(u, TrajectoryGrid):
+        vals = u.values.reshape(u.values.shape[0], -1)
+        if vals.shape[1] != m:
+            raise ValueError("input samples do not match the input dimension")
+        return interpolate_samples(u.grid, vals, times)
+    return np.stack([np.asarray(u(t), dtype=float).reshape(m) for t in times])
 
 
 def central_diff4(values, h):

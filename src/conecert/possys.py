@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import OrthantProblem, orthant_certificate
-from .numerics import TimeGrid, TrajectoryGrid, cumtrapz, interpolate_samples, rk4_linear
+from .numerics import TimeGrid, TrajectoryGrid, cumtrapz, rk4_linear, stage_inputs
 from .simplex import solve_lp
 from .validation import as_matrix, as_square, as_vector
 
@@ -211,8 +211,8 @@ def gain_supply_rate(sys: PositiveSystem, gamma: float) -> SupplyRate:
     return SupplyRate(c_x=-np.ones(sys.n), c_u=gamma * np.ones(sys.m))
 
 
-def l1_gain_bisection(sys: PositiveSystem, rel_tol: float = 1e-7) -> float:
-    """Smallest certifiable gamma by bisection on LP feasibility alone.
+def l1_gain_bisection(sys: PositiveSystem) -> float:
+    """Smallest certifiable gamma by bisection on LP feasibility alone, to 1e-7 relative.
 
     Deliberately ignores the closed form so it can serve as an independent
     route for cross-checking exact_l1_gain.
@@ -225,7 +225,7 @@ def l1_gain_bisection(sys: PositiveSystem, rel_tol: float = 1e-7) -> float:
     else:
         raise RuntimeError("no feasible gamma found up to 2^60")
     lo = 0.0  # gamma must stay positive; lo is exclusive
-    while hi - lo > rel_tol * max(hi, 1.0):
+    while hi - lo > 1e-7 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if mid <= 0.0:
             break
@@ -236,33 +236,23 @@ def l1_gain_bisection(sys: PositiveSystem, rel_tol: float = 1e-7) -> float:
     return hi
 
 
-def simulate(sys: PositiveSystem, u, x0, grid: TimeGrid, error_estimate=True) -> TrajectoryGrid:
-    """Integrate x' = Ax + Bu from x0; u is a callable t -> R^m or a
-    TrajectoryGrid of samples (linearly interpolated).
+def simulate(sys: PositiveSystem, u, x0, grid: TimeGrid) -> TrajectoryGrid:
+    """Integrate x' = Ax + Bu from x0 on the grid with ``rk4_linear``.
 
-    With ``error_estimate`` the run is repeated at half the step and the
-    max-norm deviation at shared samples is reported as ``local_error``.
+    u is a callable t -> R^m or a TrajectoryGrid of samples (see ``stage_inputs``).
     """
     x0 = as_vector("x0", x0, length=sys.n)
-    # RK4 stage times t0 + j*h/2, or t0 + j*h/4 when the run is repeated at
-    # half the step; every other one of these is a stage time at step h
-    fine = TimeGrid(grid.t0, grid.t1, 2 * grid.steps)
-    stages = (4 if error_estimate else 2) * grid.steps
-    times = TimeGrid(grid.t0, grid.t1, stages).times()
-    if isinstance(u, TrajectoryGrid):
-        vals = u.values.reshape(u.values.shape[0], -1)
-        if vals.shape[1] != sys.m:
-            raise ValueError("input samples do not match the input dimension")
-        u_stages = interpolate_samples(u.grid, vals, times)
-    else:
-        u_stages = np.stack([np.asarray(u(t), float).reshape(-1) for t in times])
-    g = u_stages @ sys.B.T
-    if not error_estimate:
-        return rk4_linear(sys.A, g, x0, grid)
-    path = rk4_linear(sys.A, g[::2], x0, grid)
-    finer = rk4_linear(sys.A, g, x0, fine)
-    path.local_error = float(np.max(np.abs(path.values - finer.values[::2])))
-    return path
+    return rk4_linear(sys.A, stage_inputs(u, grid, sys.m) @ sys.B.T, x0, grid)
+
+
+def _nonnegative_input(u_samples: TrajectoryGrid) -> np.ndarray:
+    """The sampled input as rows of shape (samples, m), checked nonnegative."""
+    u_vals = np.asarray(u_samples.values, float)
+    if u_vals.ndim == 1:
+        u_vals = u_vals[:, None]
+    if np.min(u_vals) < -METZLER_TOL:
+        raise ValueError("input samples must be nonnegative")
+    return u_vals
 
 
 @dataclass
@@ -294,19 +284,13 @@ def simulate_and_check_dissipation(
     quad_tol = 1e-4 * (1 + |int w|).
     """
     p = as_vector("p", p, length=sys.n)
-    u_vals = np.asarray(u_samples.values, float)
-    if u_vals.ndim == 1:
-        u_vals = u_vals[:, None]
-    if np.min(u_vals) < -METZLER_TOL:
-        raise ValueError("input samples must be nonnegative")
+    u_vals = _nonnegative_input(u_samples)
     x0 = as_vector("x0", x0, length=sys.n)
     if np.min(x0) < -METZLER_TOL:
         raise ValueError("x0 must be nonnegative")
 
     grid = u_samples.grid
-    # the margins below are the verification artifact here; the RK4
-    # step-halving probe is available to callers who want it via simulate()
-    states = simulate(sys, u_samples, x0, grid, error_estimate=False)
+    states = simulate(sys, u_samples, x0, grid)
     x = states.values
     state_min = float(np.min(x))
     if state_min < -1e-8:
@@ -343,13 +327,9 @@ def empirical_l1_gain(sys: PositiveSystem, u_samples: TrajectoryGrid, x0=None) -
     """
     if x0 is None:
         x0 = np.zeros(sys.n)
-    u_vals = np.asarray(u_samples.values, float)
-    if u_vals.ndim == 1:
-        u_vals = u_vals[:, None]
-    if np.min(u_vals) < -METZLER_TOL:
-        raise ValueError("input samples must be nonnegative")
+    u_vals = _nonnegative_input(u_samples)
     grid = u_samples.grid
-    states = simulate(sys, u_samples, x0, grid, error_estimate=False)
+    states = simulate(sys, u_samples, x0, grid)
     # for nonnegative signals the L1 norm is the integral of the coordinate sum
     num = float(np.trapezoid(states.values.sum(axis=1), dx=grid.h))
     den = float(np.trapezoid(u_vals.sum(axis=1), dx=grid.h))

@@ -27,6 +27,7 @@ from .numerics import (
     pinv,
     rk4_linear,
     sqrtm_psd,
+    stage_inputs,
 )
 from .validation import as_matrix, as_square, require_finite
 
@@ -101,11 +102,11 @@ class MatrixTrajectory:
         return float(np.max(np.linalg.norm(self.values, axis=(1, 2))))
 
 
-def image_inclusion_check(Q, n: int, m: int, tol: float = 1e-7):
+def image_inclusion_check(Q, n: int, m: int):
     """Column-space inclusion Im(Q_nm) in Im(Q_nn) for a PSD block matrix.
 
     residual = ||Q_nn (Q_nn^+ Q_nm) - Q_nm||_F / (1 + ||Q_nm||_F); holds
-    iff residual <= tol.  A non-PSD Q violates the hypothesis and raises.
+    iff residual <= 1e-7.  A non-PSD Q violates the hypothesis and raises.
     """
     Q = as_square("Q", Q, dim=n + m)
     Q = 0.5 * (Q + Q.T)
@@ -118,7 +119,7 @@ def image_inclusion_check(Q, n: int, m: int, tol: float = 1e-7):
     Qnm = Q[:n, n:]
     R = pinv(Qnn) @ Qnm
     residual = float(np.linalg.norm(Qnn @ R - Qnm) / (1.0 + np.linalg.norm(Qnm)))
-    return residual <= tol, residual
+    return residual <= 1e-7, residual
 
 
 def dynamics_residual(traj: MatrixTrajectory, A, B) -> float:
@@ -151,25 +152,23 @@ class RankSegmentation:
     boundaries: list
 
 
-def _sample_ranks(traj: MatrixTrajectory, cutoff: float | None = None):
+def _sample_ranks(traj: MatrixTrajectory):
     """Per-sample rank of Q_nn against a trajectory-wide threshold.
 
-    Eigenvalues of the PSD blocks are their singular values; the cutoff is
+    Eigenvalues of the PSD blocks are their singular values; SV_CUTOFF is
     relative to the largest singular value along the whole trajectory so a
     sample where Q_nn collapses is not judged against its own scale.
     """
     lam = np.linalg.eigvalsh(traj.q_nn)
     top = float(np.max(lam[:, -1], initial=0.0))
-    if cutoff is None:
-        cutoff = SV_CUTOFF
-    thresh = cutoff * max(top, 0.0)
+    thresh = SV_CUTOFF * max(top, 0.0)
     if thresh == 0.0:
         return np.zeros(lam.shape[0], dtype=int)
     return (lam > thresh).sum(axis=1)
 
 
-def rank_segments(traj: MatrixTrajectory, cutoff: float | None = None) -> RankSegmentation:
-    return _segments_of(_sample_ranks(traj, cutoff))
+def rank_segments(traj: MatrixTrajectory) -> RankSegmentation:
+    return _segments_of(_sample_ranks(traj))
 
 
 def _segments_of(ranks) -> RankSegmentation:
@@ -388,20 +387,6 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     )
 
 
-def _input_stages(u, grid: TimeGrid, m: int, times):
-    """An input's values at the given times, shape (len(times), m)."""
-    if callable(u):
-        return np.stack([np.asarray(u(t), dtype=float).reshape(m) for t in times])
-    vals = np.asarray(u, dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape != (grid.steps + 1, m):
-        raise ValueError(
-            f"sampled input must have shape ({grid.steps + 1}, {m}), got {vals.shape}"
-        )
-    return interpolate_samples(grid, vals, times)
-
-
 def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
     """Sum of rank-one outer products of simulated components.
 
@@ -421,13 +406,20 @@ def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
     if len(x_inits) > n + m:
         raise ValueError(f"at most n+m = {n + m} components, got {len(x_inits)}")
 
-    times = TimeGrid(grid.t0, grid.t1, 2 * grid.steps).times()
     k = len(x_inits)
     x0 = np.empty((n, k))
-    u_stages = np.empty((times.size, m, k))
+    u_stages = np.empty((2 * grid.steps + 1, m, k))
     for j, (x_init, u) in enumerate(zip(x_inits, u_signals)):
         x0[:, j] = np.asarray(x_init, dtype=float).reshape(n)
-        u_stages[:, :, j] = _input_stages(u, grid, m, times)
+        if not callable(u):
+            vals = np.asarray(u, dtype=float)
+            vals = vals[:, None] if vals.ndim == 1 else vals
+            if vals.shape != (grid.steps + 1, m):
+                raise ValueError(
+                    f"sampled input must have shape ({grid.steps + 1}, {m}), got {vals.shape}"
+                )
+            u = TrajectoryGrid(grid, vals)
+        u_stages[:, :, j] = stage_inputs(u, grid, m)
     return synthesize_from_stages(A, B, x0, u_stages, grid)[1]
 
 

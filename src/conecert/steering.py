@@ -96,16 +96,20 @@ def _steering_gramian(table, B, t1, steps):
     return gram
 
 
-def gramian(A, B, t1=1.0, steps=512):
-    """W(t1) = integral of exp(At)BB'exp(A't) over [0, t1], per-cell Simpson."""
-    A = as_square("A", A)
-    B = as_matrix("B", B, rows=A.shape[0])
+def _half_grid_table(A, t1, steps):
+    """exp(A tau) at tau = j*t1/(2*steps), j = 0..2*steps, after checking t1 and steps."""
     if not t1 > 0:
         raise ValueError(f"horizon t1 must be positive, got {t1}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
-    return _gramian_from_table(table, B, t1, steps)
+    return _expm_table(A, 0.5 * t1 / steps, 2 * steps)
+
+
+def gramian(A, B, t1=1.0, steps=512):
+    """W(t1) = integral of exp(At)BB'exp(A't) over [0, t1], per-cell Simpson."""
+    A = as_square("A", A)
+    B = as_matrix("B", B, rows=A.shape[0])
+    return _gramian_from_table(_half_grid_table(A, t1, steps), B, t1, steps)
 
 
 @dataclasses.dataclass
@@ -153,11 +157,7 @@ def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
     B = as_matrix("B", B, rows=n)
     x0 = as_vector("x0", x0, length=n)
     x1 = as_vector("x1", x1, length=n)
-    if not t1 > 0:
-        raise ValueError(f"horizon t1 must be positive, got {t1}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
+    table = _half_grid_table(A, t1, steps)
     gram = _steering_gramian(table, B, t1, steps)
     eta, u_vals = _steering_values(B, x0, x1, table, gram.W)
     grid = TimeGrid(0.0, float(t1), steps)
@@ -214,10 +214,7 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     m = B.shape[1]
     X0 = as_symmetric("X0", X0, dim=n)
     X1 = as_symmetric("X1", X1, dim=n)
-    if not t1 > 0:
-        raise ValueError(f"horizon t1 must be positive, got {t1}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    table = _half_grid_table(A, t1, steps)
 
     f0 = _psd_factors("X0", X0, n)
     f1 = _psd_factors("X1", X1, n)
@@ -227,7 +224,6 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     if k == 0:
         values = np.zeros((steps + 1, n + m, n + m))
         traj = MatrixTrajectory(grid, values, n, m, dynamics_residual=0.0)
-        gram = gramian(A, B, t1, steps)
         return SteeringPlan(
             trajectory=traj,
             inputs=np.zeros((0, steps + 1, m)),
@@ -235,7 +231,7 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
             X1=X1,
             endpoint_errors=(0.0, 0.0),
             component_endpoint_errors=[],
-            gramian=gram,
+            gramian=_gramian_from_table(table, B, t1, steps),
         )
 
     starts = np.zeros((k, n))
@@ -243,7 +239,6 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     starts[: f0.shape[0]] = f0
     targets[: f1.shape[0]] = f1
 
-    table = _expm_table(A, 0.5 * t1 / steps, 2 * steps)
     gram = _steering_gramian(table, B, t1, steps)
     # each component's input at the RK4 stage times, shape (2*steps+1, m, k)
     u_stages = np.stack(
@@ -282,10 +277,11 @@ class KControllabilityReport:
     passed: bool
 
 
-def verify_k_controllability(A, B, trials=10, seed=0, t1=1.0, steps=512):
+def verify_k_controllability(A, B, trials=10, seed=0):
     """Steer random PSD pairs when (A, B) is controllable; else exhibit a witness.
 
-    The witness is a unit left null vector w of the Kalman matrix: w'x(t) is
+    Each trial runs psd_steer on its default horizon and grid.  The witness
+    is a unit left null vector w of the Kalman matrix: w'x(t) is
     input-independent, so no steering between matrices differing along ww'
     can succeed.
     """
@@ -310,7 +306,7 @@ def verify_k_controllability(A, B, trials=10, seed=0, t1=1.0, steps=512):
         G0 = rng.normal(size=(n, n))
         G1 = rng.normal(size=(n, n))
         X1 = G1 @ G1.T
-        plan = psd_steer(A, B, G0 @ G0.T, X1, t1=t1, steps=steps)
+        plan = psd_steer(A, B, G0 @ G0.T, X1)
         scale = 1.0 + float(np.linalg.norm(X1))
         errors.append(max(plan.endpoint_errors) / scale)
     return KControllabilityReport(

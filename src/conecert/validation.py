@@ -61,15 +61,14 @@ def symmetrize(S):
     return 0.5 * (S + S.T)
 
 
-def as_symmetric(name, a, dim=None, tol=None):
+def as_symmetric(name, a, dim=None):
     """Coerce to an exactly symmetric square matrix.
 
-    Input asymmetry beyond ``tol`` (default 1e-8 * (1 + ||a||_F)) is an
-    error; smaller asymmetry is folded away by symmetrizing.
+    Input asymmetry beyond 1e-8 * (1 + ||a||_F) is an error; smaller
+    asymmetry is folded away by symmetrizing.
     """
     a = as_square(name, a, dim=dim)
-    if tol is None:
-        tol = 1e-8 * (1.0 + np.linalg.norm(a))
+    tol = 1e-8 * (1.0 + np.linalg.norm(a))
     skew = np.max(np.abs(a - a.T)) if a.size else 0.0
     if skew > tol:
         raise ValueError(f"{name} is not symmetric (max asymmetry {skew:.3e})")

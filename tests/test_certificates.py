@@ -19,6 +19,7 @@ from conecert import (
     psd_certificate,
     psd_lmi,
 )
+from conecert.certificates import IPM_MAX_ITERATIONS
 from conecert.kyp import LMI_TOL
 
 
@@ -231,6 +232,22 @@ def test_psd_feasible_by_construction_ensemble():
             assert np.min(psd_slack(prob, out.P)) >= -LMI_TOL
             feasible += 1
     assert feasible == 10
+
+
+def test_psd_breakdown_keeps_the_last_passing_iterate():
+    # a degenerate integer instance: the Schur matrix turns singular before
+    # the gap converges, after an iterate whose P already passes the post-check
+    prob = PsdProblem(
+        U=[[1, 0, -1, 0], [-1, 1, 0, 1], [-1, -1, 1, -1]],
+        V=[[1, 0, 0, -1], [-1, 0, 0, 0], [0, -1, -1, 1]],
+        C=[[-1, 0, 0.5, 0], [0, 1, -0.5, 1], [0.5, -0.5, -1, 0.5], [0, 1, 0.5, 1]],
+    )
+    out = psd_lmi(prob)
+    assert (out.status, out.decided_by) == ("feasible", "interior_point")
+    assert 1 <= out.iterations < IPM_MAX_ITERATIONS
+    slack = psd_slack(prob, out.P)
+    assert slack[0] >= -LMI_TOL
+    assert out.max_violation == -slack[0]
 
 
 def test_psd_dimension_mismatch():

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from conecert import cli, kyp, possys
@@ -499,6 +501,88 @@ def test_subcommand_file_mismatch(tmp_path):
     )
     assert code == 3
     assert any("subcommand" in d for d in doc["diagnostics"])
+
+
+# every JSON value, nested a few levels deep; floats include nan and inf,
+# which json.dumps writes as NaN and Infinity and json.loads reads back
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_FIELDS = sorted(set().union(*cli._ALLOWED_FIELDS.values()) - {"command"})
+_ANY_DOCUMENT = _JSON | st.builds(
+    lambda command, fields: {"command": command, **fields},
+    st.sampled_from(cli.COMMANDS) | _JSON,
+    st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=5),
+)
+_ENTRY = st.floats(-1e300, 1e300) | st.integers(-3, 3)
+
+
+def _matrix(draw, rows, cols):
+    return draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@st.composite
+def _well_formed_document(draw):
+    """A document of the right shapes for its command, entries up to 1e300."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    doc = {"command": command}
+    if command in ("l1gain", "kyp", "decompose", "steer"):
+        doc.update(A=_matrix(draw, n, n), B=_matrix(draw, n, m))
+    if command == "l1gain":
+        doc["gamma"] = draw(st.floats(1e-300, 1e300))
+    elif command == "kyp":
+        doc["M"] = _matrix(draw, n + m, n + m)
+    elif command == "decompose":
+        steps = draw(st.integers(4, 8))
+        doc["grid"] = {"t0": 0.0, "t1": draw(st.floats(1e-3, 1e300)), "steps": steps}
+        doc["samples"] = _matrix(draw, steps + 1, (n + m) ** 2)
+    elif command == "steer":
+        doc.update(X0=_matrix(draw, n, n), X1=_matrix(draw, n, n))
+    elif draw(st.booleans()):
+        doc.update(kind="orthant", L=_matrix(draw, n, n + m), m=_matrix(draw, 1, n + m)[0])
+    else:
+        doc.update(kind="psd", U=_matrix(draw, n, n + m), V=_matrix(draw, n, n + m),
+                   C=_matrix(draw, n + m, n + m))
+    return doc
+
+
+def _check_cli_contract(tmp, doc, subcommands):
+    """validate and each subcommand return a known exit code and never raise;
+    exit 3 carries diagnostics, and a document validate rejects exits 3."""
+    path = tmp / "fuzz.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(["validate", "--input", str(path)], tmp)
+    assert code in (0, 3)
+    rejected = code == 3
+    if rejected:
+        assert (out["result"] or {}).get("violations") or out["diagnostics"]
+    for sub in subcommands:
+        code, out = run_cli([sub, "--input", str(path)], tmp)
+        assert code in (0, 1, 2, 3)
+        assert code != 3 or out["diagnostics"]
+        assert code == 3 or not rejected
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_ANY_DOCUMENT)
+def test_cli_fuzz_arbitrary_documents(fuzz_dir, doc):
+    _check_cli_contract(fuzz_dir, doc, cli.COMMANDS)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_well_formed_document())
+def test_cli_fuzz_well_formed_extreme_documents(fuzz_dir, doc):
+    _check_cli_contract(fuzz_dir, doc, [doc["command"]])
 
 
 def test_kyp_horizon_override_reaches_sampler(tmp_path):

@@ -173,7 +173,7 @@ def test_simulation_positivity():
         sys_ = helpers.positive_system(rng, int(rng.integers(1, 6)), int(rng.integers(1, 3)))
         u = helpers.nonneg_input(rng, sys_.m, grid)
         x0 = np.abs(rng.standard_normal(sys_.n))
-        states = simulate(sys_, TrajectoryGrid(grid, u), x0, grid, error_estimate=False)
+        states = simulate(sys_, TrajectoryGrid(grid, u), x0, grid)
         assert np.min(states.values) >= -1e-8
 
 
@@ -279,4 +279,3 @@ def test_simulate_sampled_input_matches_ode_solve():
     out = simulate(sys_, TrajectoryGrid(u_grid, u_vals), x0, grid)
     scale = float(np.max(np.abs(ref.values)))
     assert float(np.max(np.abs(out.values - ref.values))) <= 1e-12 * scale
-    assert abs(out.local_error - ref.local_error) <= 1e-12 * scale

@@ -11,9 +11,11 @@ from conecert import (
     decompose,
     dynamics_residual,
     image_inclusion_check,
+    ode_solve,
     rank_segments,
     synthesize_Q,
 )
+from conecert.numerics import interpolate_samples
 
 
 def test_image_inclusion_identity():
@@ -122,6 +124,36 @@ def test_synthesize_constant_rank_two():
     np.testing.assert_allclose(traj.values, np.tile(np.diag([1.0, 1.0, 0.0]), (17, 1, 1)))
     seg = rank_segments(traj)
     assert seg.segments == [(0, 16, 2)]
+
+
+def test_synthesize_sampled_inputs_match_ode_solve():
+    # array inputs are interpolated linearly on the grid; each component must
+    # follow the ode_solve path driven by the same interpolant
+    rng = np.random.default_rng(36)
+    n, m = 3, 2
+    A = rng.standard_normal((n, n)) - 2.0 * np.eye(n)
+    B = rng.standard_normal((n, m))
+    grid = TimeGrid(0.0, 2.0, 200)
+    x_inits = [rng.standard_normal(n) for _ in range(2)]
+    u_signals = [helpers.nonneg_input(rng, m, grid) - 0.3 for _ in range(2)]
+    traj = synthesize_Q(A, B, x_inits, u_signals, grid)
+    ref = np.zeros_like(traj.values)
+    for x0, u in zip(x_inits, u_signals):
+        x = ode_solve(
+            lambda t, x: A @ x + B @ interpolate_samples(grid, u, t), x0, grid,
+            error_estimate=False,
+        ).values
+        z = np.concatenate([x, u], axis=1)
+        ref += z[:, :, None] * z[:, None, :]
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(traj.values - ref))) <= 1e-12 * scale
+
+
+def test_synthesize_rejects_misshapen_samples():
+    grid = TimeGrid(0.0, 1.0, 8)
+    for u in (np.zeros((8, 1)), np.zeros((9, 2))):
+        with pytest.raises(ValueError, match="sampled input must have shape"):
+            synthesize_Q(np.array([[-1.0]]), np.array([[1.0]]), [np.ones(1)], [u], grid)
 
 
 def test_synthesize_rejects_too_many_components():

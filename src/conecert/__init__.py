@@ -13,9 +13,7 @@ from .certificates import (
     OrthantProblem,
     PsdProblem,
     cone_contains,
-    cone_contains_strict,
     orthant_certificate,
-    orthant_certificate_strict,
     orthant_kernel_minimum,
     orthant_surjectivity,
     psd_certificate,
@@ -42,7 +40,6 @@ from .numerics import (
     ode_solve,
     pinv,
     sqrtm_psd,
-    trapz,
 )
 from .possys import (
     DissipationReport,

@@ -33,10 +33,8 @@ __all__ = [
     "KernelWitness",
     "LmiResult",
     "cone_contains",
-    "cone_contains_strict",
     "orthant_certificate",
     "orthant_kernel_minimum",
-    "orthant_certificate_strict",
     "orthant_surjectivity",
     "psd_certificate",
     "psd_kernel_witness",
@@ -73,21 +71,11 @@ class ConeId:
         return ConeId(PSD, d)
 
 
-def _cone_margin(cone: ConeId, z) -> float:
-    """Smallest entry (orthant) or smallest eigenvalue (PSD) of z."""
-    if cone.kind == ORTHANT:
-        z = as_vector("z", z, length=cone.dim)
-        return float(np.min(z))
-    z = as_symmetric("z", z, dim=cone.dim)
-    return float(np.linalg.eigvalsh(z)[0])
-
-
 def cone_contains(cone: ConeId, z, tol: float = 1e-8) -> bool:
-    return _cone_margin(cone, z) >= -tol
-
-
-def cone_contains_strict(cone: ConeId, z) -> bool:
-    return _cone_margin(cone, z) > 1e-8
+    """Whether the smallest entry (orthant) or eigenvalue (PSD) of z is >= -tol."""
+    if cone.kind == ORTHANT:
+        return float(np.min(as_vector("z", z, length=cone.dim))) >= -tol
+    return float(np.linalg.eigvalsh(as_symmetric("z", z, dim=cone.dim))[0]) >= -tol
 
 
 @dataclass
@@ -163,7 +151,6 @@ class KernelWitness:
     Normalized to ||z0||_1 = 1 (orthant) or tr(z0) = 1 (PSD).
     """
 
-    cone: ConeId
     z0: np.ndarray
     objective: float
 
@@ -232,41 +219,7 @@ def orthant_kernel_minimum(prob: OrthantProblem):
         return np.inf, None
     if res.status != "optimal":
         raise RuntimeError(f"unexpected LP status {res.status} in kernel minimum")
-    witness = KernelWitness(
-        cone=ConeId.orthant(z), z0=res.x, objective=float(res.objective)
-    )
-    return float(res.objective), witness
-
-
-def orthant_certificate_strict(prob: OrthantProblem):
-    """max eps s.t. L'p + eps*1 <= m (eps capped at 1); strict iff eps > 1e-8.
-
-    Returns (Certificate, margin) or None.  The LP is always feasible
-    (eps can go negative) and bounded by the cap, so simplex terminates
-    optimal.
-    """
-    x, z = prob.x_dim, prob.z_dim
-    Lt = prob.Lmap.T
-    ones = np.ones((z, 1))
-    # variables: p+, p-, e+, e-, s (z slacks), s_cap
-    top = np.concatenate([Lt, -Lt, ones, -ones, np.eye(z), np.zeros((z, 1))], axis=1)
-    cap = np.concatenate(
-        [np.zeros((1, 2 * x)), [[1.0, -1.0]], np.zeros((1, z)), [[1.0]]], axis=1
-    )
-    A = np.concatenate([top, cap], axis=0)
-    b = np.concatenate([prob.m, [1.0]])
-    c = np.zeros(2 * x + 2 + z + 1)
-    c[2 * x] = -1.0  # maximize e+ - e-
-    c[2 * x + 1] = 1.0
-    res = solve_lp(c, A, b)
-    if res.status != "optimal":
-        raise RuntimeError(f"unexpected LP status {res.status} in strict certificate")
-    eps = res.x[2 * x] - res.x[2 * x + 1]
-    if eps <= 1e-8:
-        return None
-    p = res.x[:x] - res.x[x : 2 * x]
-    slack = prob.m - Lt @ p
-    return Certificate(p=p, slack=slack), float(eps)
+    return float(res.objective), KernelWitness(z0=res.x, objective=float(res.objective))
 
 
 def orthant_surjectivity(Lmap) -> bool:
@@ -321,9 +274,7 @@ def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
     if best is None:
         return None
     val, v = best
-    return KernelWitness(
-        cone=ConeId.psd(prob.cone_dim), z0=np.outer(v, v), objective=val
-    )
+    return KernelWitness(z0=np.outer(v, v), objective=val)
 
 
 def psd_kernel_witness(prob: PsdProblem, Q) -> KernelWitness | None:
@@ -339,7 +290,7 @@ def psd_kernel_witness(prob: PsdProblem, Q) -> KernelWitness | None:
     cone = ConeId.psd(prob.cone_dim)
     in_kernel = np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + np.linalg.norm(prob.U))
     if cone_contains(cone, Q0, tol=1e-9) and in_kernel and objective < -LMI_TOL:
-        return KernelWitness(cone=cone, z0=Q0, objective=objective)
+        return KernelWitness(z0=Q0, objective=objective)
     return None
 
 

@@ -220,10 +220,7 @@ def validate_problem(doc) -> list:
 
     if command == "l1gain":
         A = _check_matrix(doc, "A", out, square=True)
-        if A is not None:
-            _check_matrix(doc, "B", out, rows=A.shape[0])
-        else:
-            _check_matrix(doc, "B", out)
+        _check_matrix(doc, "B", out, rows=None if A is None else A.shape[0])
         _check_scalar(doc, "gamma", out, required=True, positive=True)
     elif command == "kyp":
         A = _check_matrix(doc, "A", out, square=True)
@@ -455,11 +452,17 @@ def _run_certify(doc, opts):
             "kernel_minimum": minimum,
             "kernel_witness": None if witness is None else witness.z0,
         }
+        refuted = minimum < -1e-7
+        if cert is not None and refuted:
+            raise RuntimeError(
+                "checkers disagree: orthant certificate exists but the kernel minimum "
+                f"is {minimum:.3e}"
+            )
         if cert is not None:
             payload["certificate"] = {"p": cert.p, "slack": cert.slack}
             return "feasible", payload
         payload["certificate"] = None
-        if np.isfinite(minimum) and minimum < -1e-7:
+        if refuted:
             return "infeasible", payload
         return "undecided", payload
     prob = PsdProblem(U=_mat(doc, "U"), V=_mat(doc, "V"), C=_mat(doc, "C"))

@@ -37,7 +37,6 @@ __all__ = [
     "rk4_linear",
     "stage_inputs",
     "interpolate_samples",
-    "trapz",
     "cumtrapz",
     "central_diff4",
 ]
@@ -307,16 +306,6 @@ def _doubling(T, s, homogeneous):
             P[2 * d :] = P[2 * d :] @ P[d:-d]
         d *= 2
     return s
-
-
-def trapz(samples: TrajectoryGrid) -> float:
-    """Composite trapezoid integral of a sampled scalar trajectory."""
-    v = np.asarray(samples.values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("trapz expects scalar samples")
-    if v.shape[0] < 2:
-        raise ValueError("trapz needs at least 2 samples")
-    return float(np.trapezoid(v, dx=samples.grid.h))
 
 
 def cumtrapz(values, h):

@@ -221,10 +221,6 @@ class RankOneDecomposition:
     segmentation: RankSegmentation
     schur_min_eig: float
 
-    def reconstruct(self) -> np.ndarray:
-        Z = np.concatenate([self.xs, self.us], axis=2)  # (comp, N+1, n+m)
-        return np.einsum("ckd,cke->kde", Z, Z)
-
 
 def _integrate_segment(traj, F, lo, hi, anchor):
     """Solve X' = F(t)X across samples lo..hi from the anchor.

@@ -64,7 +64,7 @@ def _bland_iterate(T, basis, ncols, max_iter):
         if leaving < 0:
             return "unbounded"
         _pivot(T, basis, leaving, entering)
-    raise RuntimeError("simplex iteration budget exhausted")
+    raise RuntimeError(f"simplex exhausted its budget of {max_iter} pivots in one phase")
 
 
 def solve_lp(c, A, b, max_iter=None):
@@ -72,7 +72,9 @@ def solve_lp(c, A, b, max_iter=None):
 
     Returns a SimplexResult; x is None unless status is 'optimal'.
     Phase-1 'unbounded' cannot occur (the artificial objective is bounded
-    below by 0); phase-2 unbounded is reported as such.
+    below by 0); phase-2 unbounded is reported as such.  Each phase has a
+    budget of max_iter pivots, 200 (m + n + 10) by default; running out of
+    it raises RuntimeError.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, expm, matrix_rank, rk4_linear
+from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, _doubling, expm, matrix_rank, rk4_linear
 from .rankone import MatrixTrajectory, synthesize_from_stages
 from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
 
@@ -36,24 +36,10 @@ def controllability_rank(A, B):
 
 
 def _expm_table(A, step, count):
-    """exp(A * j * step) for j = 0..count via one expm and doubling.
-
-    Powers of E = exp(A * step) commute, so E^(j+d) = E^j E^d fills entries
-    d..2d-1 from entries 0..d-1 with one product per level.
-    """
-    n = A.shape[0]
-    out = np.empty((count + 1, n, n))
-    out[0] = np.eye(n)
-    E = expm(A * step)
-    rows = out.reshape(-1, n)
-    d = 1
-    while d <= count:
-        hi = min(2 * d, count + 1)
-        rows[d * n : hi * n] = rows[: (hi - d) * n] @ E
-        d *= 2
-        if d <= count:
-            E = E @ E
-    return out
+    """exp(A * j * step) for j = 0..count: the powers of exp(A * step) by doubling."""
+    table = np.zeros((count + 1,) + A.shape)
+    table[0] = np.eye(A.shape[0])
+    return _doubling(expm(A * step).T, table, True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,28 +100,13 @@ def gramian(A, B, t1=1.0, steps=512):
 
 @dataclasses.dataclass
 class SteeringInput:
-    """Minimum-energy input u(t) = B' exp(A'(t1 - t)) eta, callable on [0, t1].
-
-    Values at the integration half-grid are precomputed; off-grid times fall
-    back to an exact matrix exponential.
-    """
+    """Minimum-energy input u(t) = B' exp(A'(t1 - t)) eta on the integration half-grid."""
 
     grid: TimeGrid
     values: np.ndarray
     eta: np.ndarray
     endpoint_error: float
     gramian: Gramian
-    _A: np.ndarray
-    _B: np.ndarray
-
-    def __call__(self, t):
-        half = 0.5 * self.grid.h
-        j = (float(t) - self.grid.t0) / half
-        k = int(round(j))
-        if 0 <= k < self.values.shape[0] and abs(j - k) <= 1e-9 * (1.0 + abs(j)):
-            return self.values[k]
-        Phi = expm(self._A.T * (self.grid.t1 - float(t)))
-        return self._B.T @ (Phi @ self.eta)
 
 
 def _steering_values(B, x0, x1, table, W):
@@ -168,8 +139,6 @@ def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
         eta=eta,
         endpoint_error=float(np.linalg.norm(path.values[-1] - x1)),
         gramian=gram,
-        _A=A,
-        _B=B,
     )
 
 
@@ -193,8 +162,6 @@ class SteeringPlan:
 
     trajectory: MatrixTrajectory
     inputs: np.ndarray
-    X0: np.ndarray
-    X1: np.ndarray
     endpoint_errors: tuple
     component_endpoint_errors: list
     gramian: Gramian
@@ -227,8 +194,6 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
         return SteeringPlan(
             trajectory=traj,
             inputs=np.zeros((0, steps + 1, m)),
-            X0=X0,
-            X1=X1,
             endpoint_errors=(0.0, 0.0),
             component_endpoint_errors=[],
             gramian=_gramian_from_table(table, B, t1, steps),
@@ -257,8 +222,6 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     return SteeringPlan(
         trajectory=traj,
         inputs=u_stages[::2].transpose(2, 0, 1),
-        X0=X0,
-        X1=X1,
         endpoint_errors=(e0, e1),
         component_endpoint_errors=np.linalg.norm(x_path[-1] - targets.T, axis=0).tolist(),
         gramian=gram,

@@ -11,9 +11,7 @@ from conecert import (
     OrthantProblem,
     PsdProblem,
     cone_contains,
-    cone_contains_strict,
     orthant_certificate,
-    orthant_certificate_strict,
     orthant_kernel_minimum,
     orthant_surjectivity,
     psd_certificate,
@@ -31,12 +29,6 @@ def test_cone_contains_orthant():
 def test_cone_contains_psd():
     assert not cone_contains(ConeId.psd(2), [[1.0, 0.0], [0.0, -1.0]])
     assert cone_contains(ConeId.psd(2), [[1.0, 1.0], [1.0, 1.0]])
-
-
-def test_cone_contains_strict():
-    assert cone_contains_strict(ConeId.orthant(2), [1.0, 1.0])
-    assert not cone_contains_strict(ConeId.orthant(2), [1.0, 0.0])
-    assert cone_contains_strict(ConeId.psd(2), np.eye(2))
 
 
 def test_cone_shape_mismatch():
@@ -92,37 +84,6 @@ def test_kernel_minimum_boundary_zero():
     prob = OrthantProblem(Lmap=np.array([[-2.0, 1.0]]), m=np.array([-1.0, 0.5]))
     val, _ = orthant_kernel_minimum(prob)
     assert abs(val) <= 1e-8
-
-
-def test_strict_certificate_full_margin():
-    prob = OrthantProblem(Lmap=np.zeros((2, 3)), m=np.ones(3))
-    cert, margin = orthant_certificate_strict(prob)
-    assert abs(margin - 1.0) <= 1e-9
-    np.testing.assert_allclose(cert.p, 0.0)
-
-
-def test_strict_certificate_boundary_infeasible():
-    prob = OrthantProblem(Lmap=np.zeros((2, 3)), m=np.zeros(3))
-    assert orthant_certificate_strict(prob) is None
-
-
-def test_strict_certificate_interior():
-    prob = OrthantProblem(Lmap=np.array([[-2.0, 1.0]]), m=np.array([-1.0, 0.6]))
-    out = orthant_certificate_strict(prob)
-    assert out is not None
-    cert, margin = out
-    assert margin > 1e-8
-    assert np.min(cert.slack) >= margin - 1e-9
-
-
-def test_strict_implies_nonstrict():
-    rng = np.random.default_rng(20)
-    for _ in range(40):
-        x_dim = int(rng.integers(1, 5))
-        z_dim = int(rng.integers(2 * x_dim, 9))
-        prob = helpers.feasible_orthant(rng, x_dim, z_dim)
-        if orthant_certificate_strict(prob) is not None:
-            assert orthant_certificate(prob) is not None
 
 
 def test_surjectivity_examples():

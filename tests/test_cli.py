@@ -261,6 +261,20 @@ def test_certify_orthant_infeasible(tmp_path):
     assert doc["result"]["kernel_minimum"] < -1e-7
 
 
+def test_certify_orthant_certificate_against_kernel_witness_is_an_error(tmp_path):
+    # at this scale the certificate p = [-1] and the kernel minimum -2 cannot
+    # both hold; the result must not read feasible next to its refutation
+    path = write_problem(
+        tmp_path,
+        {"command": "certify", "kind": "orthant", "L": [[1e300, -1e300, 1.0]],
+         "m": [1e300, 1e300, -1.0]},
+    )
+    code, doc = run_cli(["certify", "--input", str(path)], tmp_path)
+    assert code == 3
+    assert doc["status"] == "error"
+    assert doc["diagnostics"][0].startswith("checkers disagree")
+
+
 def test_validate_clean(tmp_path):
     code, doc = run_cli(
         ["validate", "--input", str(SAMPLES / "l1gain_2x2.json")], tmp_path

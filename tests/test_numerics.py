@@ -14,7 +14,6 @@ from conecert import (
     ode_solve,
     pinv,
     sqrtm_psd,
-    trapz,
 )
 from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
 from conecert.steering import _expm_table
@@ -355,54 +354,13 @@ def test_expm_table_matches_expm(count):
         assert np.linalg.norm(table[j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_trapz_constant_exact():
-    # trapezoid has no truncation error on constants; on a dyadic step the
-    # value is bitwise exact, elsewhere only rounding remains
-    dyadic = TimeGrid(0.0, 1.0, 8)
-    assert trapz(TrajectoryGrid(dyadic, np.ones(9))) == 1.0
-    grid = TimeGrid(0.0, 1.0, 7)
-    assert abs(trapz(TrajectoryGrid(grid, np.ones(8))) - 1.0) <= 1e-14
-
-
-def test_trapz_affine_exact():
-    grid = TimeGrid(0.0, 1.0, 10)
-    assert abs(trapz(TrajectoryGrid(grid, grid.times())) - 0.5) <= 1e-15
-
-
-def test_trapz_exponential():
-    grid = TimeGrid(0.0, 8.0, 4096)
-    val = trapz(TrajectoryGrid(grid, np.exp(-2.0 * grid.times())))
-    assert abs(val - 0.5) <= 1e-5
-
-
-def test_trapz_rejects_matrix_samples():
-    grid = TimeGrid(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        trapz(TrajectoryGrid(grid, np.zeros((3, 2))))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(st.floats(-10, 10), min_size=2, max_size=40),
-    st.floats(0.01, 2.0),
-    st.floats(-3, 3),
-    st.floats(-3, 3),
-)
-def test_trapz_linearity(vals, h, a, b):
-    v = np.asarray(vals)
-    grid = TimeGrid(0.0, h * (v.size - 1), v.size - 1)
-    lhs = trapz(TrajectoryGrid(grid, a * v + b))
-    rhs = a * trapz(TrajectoryGrid(grid, v)) + b * (grid.t1 - grid.t0)
-    assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
-
-
 def test_cumtrapz_endpoint_matches_trapz():
     rng = np.random.default_rng(4)
     v = rng.standard_normal(33)
     grid = TimeGrid(0.0, 1.0, 32)
     running = cumtrapz(v, grid.h)
     assert running[0] == 0.0
-    assert abs(running[-1] - trapz(TrajectoryGrid(grid, v))) <= 1e-12
+    assert abs(running[-1] - np.trapezoid(v, dx=grid.h)) <= 1e-12
 
 
 def test_central_diff4_exact_on_quartic():

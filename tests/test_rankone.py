@@ -1,5 +1,9 @@
 """Rank-one trajectory decomposition, both directions, plus image inclusion."""
 
+import importlib.util
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,8 @@ from conecert import (
     synthesize_Q,
 )
 from conecert.numerics import interpolate_samples
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_image_inclusion_identity():
@@ -263,3 +269,18 @@ def test_dynamics_residual_flags_wrong_system():
     traj, A, B = helpers.synthesized_instance(rng, 2, 1, steps=128)
     assert dynamics_residual(traj, A, B) <= 1e-6
     assert dynamics_residual(traj, A + 0.5 * np.eye(2), B) > 1e-3
+
+
+def test_sample_script_reproduces_the_committed_decompose_sample():
+    # the committed file predates the current RK4 kernel: equal to roundoff
+    spec = importlib.util.spec_from_file_location(
+        "make_decompose_sample", ROOT / "scripts" / "make_decompose_sample.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    built = script.build()
+    committed = json.loads((ROOT / "sample_problems" / "decompose_synthesized.json").read_text())
+    np.testing.assert_array_equal(built["A"], committed["A"])
+    np.testing.assert_array_equal(built["B"], committed["B"])
+    assert built["grid"] == committed["grid"]
+    np.testing.assert_allclose(built["samples"], committed["samples"], rtol=0.0, atol=1e-12)

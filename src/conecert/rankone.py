@@ -11,7 +11,9 @@ satisfies the dynamics.  The decomposition follows the constructive
 argument: R = Q_nn^+ Q_nm, X solves X' = (A + B R')X from a square-root
 initial condition on each constant-rank segment, segments are glued with
 an orthogonal Procrustes factor, and the residual S = Q_mm - R'Q_nn R is
-spectrally factored into components with x = 0.
+spectrally factored into components with x = 0.  One stacked eigh of Q_nn
+gives every sample's rank, Q_nn^+ and sqrt(Q_nn); besides it, each segment
+takes one batched Procrustes SVD and S one stacked eigh.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +28,6 @@ from .numerics import (
     interpolate_samples,
     pinv,
     rk4_linear,
-    sqrtm_psd,
     stage_inputs,
 )
 from .validation import as_matrix, as_square, require_finite
@@ -35,6 +36,7 @@ __all__ = [
     "MatrixTrajectory",
     "RankSegmentation",
     "RankOneDecomposition",
+    "Refutation",
     "image_inclusion_check",
     "dynamics_residual",
     "rank_segments",
@@ -51,8 +53,9 @@ _BOUNDARY_SKIRT = 2
 class MatrixTrajectory:
     """Sampled Q : [t0, t1] -> S^{n+m}_+ with block sizes (n, m).
 
-    Every sample must be PSD within lambda_min >= -1e-8 * (1 + ||Q||_F)
-    and is stored exactly symmetric.  ``dynamics_residual`` is filled in by
+    Every sample must be PSD within lambda_min >= -1e-8 * (1 + ||Q||_F),
+    accepted by one stacked Cholesky of Q_k + 1e-8 (1 + ||Q_k||_F) I, and
+    is stored exactly symmetric.  ``dynamics_residual`` is filled in by
     synthesize_Q as its certification record.
     """
 
@@ -77,13 +80,14 @@ class MatrixTrajectory:
         if skew > 1e-8 * (1.0 + norms.max(initial=0.0)):
             raise ValueError(f"samples not symmetric (max asymmetry {skew:.3e})")
         v = 0.5 * (v + v.transpose(0, 2, 1))
-        eig_min = np.linalg.eigvalsh(v)[:, 0]
-        bad = eig_min + 1e-8 * (1.0 + norms)
-        if np.min(bad) < 0:
-            k = int(np.argmin(bad))
-            raise ValueError(
-                f"sample {k} is not PSD: min eigenvalue {eig_min[k]:.3e}"
-            )
+        tau = 1e-8 * (1.0 + norms)
+        try:
+            np.linalg.cholesky(v + tau[:, None, None] * np.eye(d))
+        except np.linalg.LinAlgError:  # the eigenvalues decide, and name the sample
+            eig_min = np.linalg.eigvalsh(v)[:, 0]
+            k = int(np.argmin(eig_min + tau))
+            if eig_min[k] + tau[k] < 0:
+                raise ValueError(f"sample {k} is not PSD: min eigenvalue {eig_min[k]:.3e}")
         self.values = v
 
     @property
@@ -152,34 +156,29 @@ class RankSegmentation:
     boundaries: list
 
 
-def _sample_ranks(traj: MatrixTrajectory):
-    """Per-sample rank of Q_nn against a trajectory-wide threshold.
+def _q_nn_spectrum(q_nn):
+    """One stacked eigh of Q_nn, and the eigenvalues that count toward rank.
 
-    Eigenvalues of the PSD blocks are their singular values; SV_CUTOFF is
-    relative to the largest singular value along the whole trajectory so a
-    sample where Q_nn collapses is not judged against its own scale.
+    Returns (lam, vecs, live).  Eigenvalues of the PSD blocks are their
+    singular values; live marks those above SV_CUTOFF times the largest
+    along the whole trajectory, so a sample where Q_nn collapses is not
+    judged against its own scale.  Per-sample ranks are live.sum(axis=1).
     """
-    lam = np.linalg.eigvalsh(traj.q_nn)
+    lam, vecs = np.linalg.eigh(q_nn)
     top = float(np.max(lam[:, -1], initial=0.0))
-    thresh = SV_CUTOFF * max(top, 0.0)
-    if thresh == 0.0:
-        return np.zeros(lam.shape[0], dtype=int)
-    return (lam > thresh).sum(axis=1)
+    return lam, vecs, lam > SV_CUTOFF * max(top, 0.0)
 
 
 def rank_segments(traj: MatrixTrajectory) -> RankSegmentation:
-    return _segments_of(_sample_ranks(traj))
+    return _segments_of(_q_nn_spectrum(traj.q_nn)[2].sum(axis=1))
 
 
 def _segments_of(ranks) -> RankSegmentation:
     N = len(ranks) - 1
-    runs = []  # (start, end, rank) maximal constant runs
-    a = 0
-    for k in range(1, N + 1):
-        if ranks[k] != ranks[a]:
-            runs.append((a, k - 1, int(ranks[a])))
-            a = k
-    runs.append((a, N, int(ranks[a])))
+    starts = np.flatnonzero(np.diff(ranks)) + 1
+    # (start, end, rank) maximal constant runs
+    runs = list(zip([0, *starts.tolist()], [*(starts - 1).tolist(), N],
+                    np.asarray(ranks)[np.r_[0, starts]].tolist()))
 
     real = [r for r in runs if r[1] > r[0]]
     if not real:
@@ -222,8 +221,8 @@ class RankOneDecomposition:
     schur_min_eig: float
 
 
-def _integrate_segment(traj, F, lo, hi, anchor):
-    """Solve X' = F(t)X across samples lo..hi from the anchor.
+def _integrate_segment(traj, F, lo, hi, anchor, X0):
+    """Solve X' = F(t)X across samples lo..hi from X0 at the anchor.
 
     F holds the field at the 2*steps+1 half-grid times of the whole
     trajectory, the stage times of RK4 on its grid.
@@ -231,7 +230,6 @@ def _integrate_segment(traj, F, lo, hi, anchor):
     times = traj.grid.times()
     n = traj.n
     X = np.empty((hi - lo + 1, n, n))
-    X0 = sqrtm_psd(traj.q_nn[anchor])
     X[anchor - lo] = X0
     if hi > anchor:
         fwd = rk4_linear(
@@ -249,7 +247,7 @@ def _integrate_segment(traj, F, lo, hi, anchor):
     return X
 
 
-def _gram_correct(X, Qnn):
+def _gram_correct(X, roots):
     """Snap each X_k onto {X : XX' = Q_nn(k)}, staying close to the path.
 
     The exact flow preserves XX' = Q_nn; the integrated path drifts off it
@@ -258,21 +256,30 @@ def _gram_correct(X, Qnn):
     1/sigma_min).  The nearest Gram-consistent matrix to X_k is
     sqrt(Q_nn) Omega with Omega the orthogonal Procrustes factor of
     sqrt(Q_nn) X_k, which pins the reconstruction exactly and leaves all
-    remaining approximation visible in the reported ODE residuals.
+    remaining approximation visible in the reported ODE residuals.  roots
+    holds sqrt(Q_nn(k)) from decompose's one eigh of Q_nn; Omega comes from
+    one batched SVD, which keeps the condition number of sqrt(Q_nn) X_k
+    (a polar factor from the eigh of its Gram matrix would square it).
     """
-    lam, vecs = np.linalg.eigh(Qnn)
-    lam = np.clip(lam, 0.0, None)
-    roots = (vecs * np.sqrt(lam)[:, None, :]) @ vecs.transpose(0, 2, 1)
     Uo, _, Vo = np.linalg.svd(roots @ X)
     return roots @ (Uo @ Vo)
+
+
+class Refutation(ValueError):
+    """decompose's input is refuted: ``name`` is the check, ``value`` its number."""
+
+    def __init__(self, message, name, value):
+        super().__init__(message)
+        self.name, self.value = name, value
 
 
 def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     """Split a dynamics-satisfying PSD trajectory into rank-one components.
 
-    Rejects inputs whose finite-difference dynamics residual exceeds 1e-5
-    (not a solution) and verifies Q_mm >= R'Q_nn R within -1e-7 before
-    factoring the remainder.
+    Raises Refutation when the finite-difference dynamics residual exceeds
+    1e-5 (not a solution) or Q_mm >= R'Q_nn R fails by more than 1e-7 (the
+    Schur complement has a negative eigenvalue), checked before factoring
+    the remainder.
     """
     A = as_square("A", A, dim=traj.n)
     B = as_matrix("B", B, rows=traj.n, cols=traj.m)
@@ -281,12 +288,17 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
 
     defect = dynamics_residual(traj, A, B)
     if defect > 1e-5:
-        raise ValueError(
-            f"trajectory does not satisfy the matrix dynamics: residual {defect:.3e} > 1e-5"
+        raise Refutation(
+            f"trajectory does not satisfy the matrix dynamics: residual {defect:.3e} > 1e-5",
+            "dynamics_residual", defect,
         )
 
     Qnn, Qnm, Qmm = traj.q_nn, traj.q_nm, traj.q_mm
-    R = pinv(Qnn) @ Qnm  # (N+1, n, m)
+    lam, vecs, live = _q_nn_spectrum(Qnn)
+    vecs_t = vecs.transpose(0, 2, 1)
+    inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=live)
+    R = vecs @ (inv[:, :, None] * (vecs_t @ Qnm))  # Q_nn^+ Q_nm, (N+1, n, m)
+    roots = (vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]) @ vecs_t
     S = Qmm - R.transpose(0, 2, 1) @ Qnn @ R
     S = 0.5 * (S + S.transpose(0, 2, 1))
     norms = np.linalg.norm(traj.values, axis=(1, 2))
@@ -294,14 +306,15 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
         s_eigs, s_vecs = np.linalg.eigh(S)
         schur_min = float(np.min(s_eigs[:, 0]))
         if np.min(s_eigs[:, 0] + 1e-7 * (1.0 + norms)) < 0:
-            raise ValueError(
+            raise Refutation(
                 f"Schur residual Q_mm - R'Q_nn R has eigenvalue {schur_min:.3e}; "
-                "PSD structure violated"
+                "PSD structure violated",
+                "schur_min_eig", schur_min,
             )
     else:
         schur_min = 0.0
 
-    ranks = _sample_ranks(traj)
+    ranks = live.sum(axis=1)
     seg = _segments_of(ranks)
     # X' = (A + B R(t)')X with R linearly interpolated between samples
     half = TimeGrid(traj.grid.t0, traj.grid.t1, 2 * N).times()
@@ -312,14 +325,13 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     prev_boundary_X = None
     for lo, hi, seg_rank in seg.segments:
         idx = lo + int(np.argmax(ranks[lo : hi + 1] == seg_rank))
-        Xseg = _integrate_segment(traj, F, lo, hi, idx)
-        Xseg = _gram_correct(Xseg, Qnn[lo : hi + 1])
+        Xseg = _integrate_segment(traj, F, lo, hi, idx, roots[idx])
+        Xseg = _gram_correct(Xseg, roots[lo : hi + 1])
         if prev_boundary_X is not None:
             # orthogonal Procrustes alignment at the shared sample: U = W Z'
             # from the SVD of X_right(t*)' X_left(t*)
             W_svd, _, Z_svd = np.linalg.svd(Xseg[0].T @ prev_boundary_X)
-            U = W_svd @ Z_svd
-            Xseg = Xseg @ U
+            Xseg = Xseg @ (W_svd @ Z_svd)
             stitch_residuals.append(float(np.linalg.norm(Xseg[0] - prev_boundary_X)))
             X[lo + 1 : hi + 1] = Xseg[1:]
         else:
@@ -331,23 +343,17 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     us = np.zeros((n + m, N + 1, m))
     xs[:n] = X.transpose(2, 0, 1)
     if m > 0:
-        UX = R.transpose(0, 2, 1) @ X  # (N+1, m, n)
-        us[:n] = UX.transpose(2, 0, 1)
+        us[:n] = (R.transpose(0, 2, 1) @ X).transpose(2, 0, 1)
         lam = np.clip(s_eigs[:, ::-1], 0.0, None)  # descending
         vec = s_vecs[:, :, ::-1]
         # fix each eigenvector's sign by its largest-magnitude entry
         pick = np.argmax(np.abs(vec), axis=1)
-        signs = np.sign(
-            np.take_along_axis(vec, pick[:, None, :], axis=1)[:, 0, :]
-        )
+        signs = np.sign(np.take_along_axis(vec, pick[:, None, :], axis=1)[:, 0, :])
         signs[signs == 0.0] = 1.0
         factors = vec * signs[:, None, :] * np.sqrt(lam)[:, None, :]
         us[n:] = factors.transpose(2, 0, 1)
 
-    scale = float(np.max(np.abs(X))) if X.size else 0.0
-    zero_x = np.array(
-        [np.max(np.abs(xs[i])) <= 1e-10 * max(scale, 1.0) for i in range(n + m)]
-    )
+    zero_x = np.max(np.abs(xs), axis=(1, 2)) <= 1e-10 * max(float(np.max(np.abs(X))), 1.0)
 
     Z = np.concatenate([xs, us], axis=2)
     recon = np.einsum("ckd,cke->kde", Z, Z)
@@ -356,16 +362,10 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     keep = np.ones(N + 1, dtype=bool)
     for b in seg.boundaries:
         keep[max(0, b - _BOUNDARY_SKIRT) : b + _BOUNDARY_SKIRT + 1] = False
-    keep = keep[2:-2]
-    ode_res = np.full(n + m, np.nan)
-    h = traj.grid.h
-    for i in range(n + m):
-        if zero_x[i]:
-            continue
-        dx = central_diff4(xs[i], h)
-        rhs = xs[i] @ A.T + us[i] @ B.T
-        defect_i = np.linalg.norm(dx - rhs[2:-2], axis=1)
-        ode_res[i] = float(np.max(defect_i[keep])) if np.any(keep) else 0.0
+    dx = central_diff4(xs.transpose(1, 0, 2), traj.grid.h)  # (N-3, n+m, n)
+    rhs = (xs @ A.T + us @ B.T).transpose(1, 0, 2)[2:-2]
+    ode_res = np.max(np.linalg.norm(dx - rhs, axis=2)[keep[2:-2]], axis=0, initial=0.0)
+    ode_res[zero_x] = np.nan
 
     return RankOneDecomposition(
         grid=traj.grid,

@@ -112,6 +112,22 @@ def test_decompose_accuracy_shortfall_is_undecided(tmp_path):
     assert out["result"]["reconstruction_error"] <= 1e-4 * out["result"]["max_q_norm"]
 
 
+def test_decompose_refutation_fails_with_its_residual(tmp_path):
+    # the broken trajectory of test_decompose_rejects_non_solution: a PSD
+    # bump that no longer solves the dynamics is refuted, not malformed
+    rng = np.random.default_rng(44)
+    traj, A, B = helpers.synthesized_instance(rng, 2, 1, steps=128)
+    vals = traj.values.copy()
+    vals[40:90, 0, 0] += 0.3
+    grid = traj.grid
+    doc = {"command": "decompose", "A": A.tolist(), "B": B.tolist(),
+           "grid": {"t0": grid.t0, "t1": grid.t1, "steps": grid.steps},
+           "samples": vals.reshape(grid.steps + 1, -1).tolist()}
+    code, out = run_cli(["decompose", "--input", str(write_problem(tmp_path, doc))], tmp_path)
+    assert (code, out["status"]) == (1, "fails")
+    assert out["result"]["dynamics_residual"] > 1e-5
+
+
 def test_kyp_infeasible_exit_code(tmp_path):
     path = write_problem(
         tmp_path,

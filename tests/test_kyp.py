@@ -539,6 +539,34 @@ def test_iqc_trajectory_condition_batch_matches_single_trials(batch, monkeypatch
             assert abs(a - b) <= 1e-12 * abs(b)
 
 
+def test_ramped_input_matches_the_masked_formula_bit_for_bit():
+    # the sinusoids run only on (0, active); the values are those of
+    # np.where over every time, endpoints and outside times included
+    def masked(rng, m, active):
+        freqs = rng.uniform(0.2, 2.0, size=3)
+        amps = rng.normal(size=(m, 3))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(m, 3))
+
+        def u(t):
+            t = np.asarray(t, dtype=float)[..., None]
+            env = np.sin(np.pi * t / active) ** 2
+            waves = np.sum(amps * np.sin(freqs * t[..., None] + phases), axis=-1)
+            return np.where((0.0 < t) & (t < active), env * waves, 0.0)
+
+        return u
+
+    active = 10.0
+    times = [0.0, active, 3.7, -1.0, np.linspace(-1.0, 3.0 * active, 1001),
+             np.linspace(0.0, active, 35).reshape(5, 7)]
+    for m in (1, 3):
+        ref = masked(np.random.default_rng(12), m, active)
+        u = kyp._ramped_input(np.random.default_rng(12), m, active)
+        for t in times:
+            got, want = u(t), ref(t)
+            assert got.shape == want.shape == np.shape(t) + (m,)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_iqc_horizon_over_step_budget_not_applicable(caplog):
     horizon = 1.5 * kyp.IQC_MAX_STEPS / kyp.IQC_STEPS_PER_UNIT
     with caplog.at_level(logging.WARNING, logger="conecert.kyp"):

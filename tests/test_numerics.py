@@ -13,9 +13,8 @@ from conecert import (
     matrix_rank,
     ode_solve,
     pinv,
-    sqrtm_psd,
 )
-from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
+from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear, sqrtm_psd
 from conecert.steering import _expm_table
 
 

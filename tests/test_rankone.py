@@ -93,6 +93,31 @@ def test_trajectory_rejects_indefinite_sample():
         MatrixTrajectory(grid=grid, values=vals, n=1, m=1)
 
 
+def _with_min_eigenvalue(scale):
+    # identity samples, sample 1 rotated to eigenvalues (1, -scale * tau)
+    # with tau = 1e-8 (1 + ||Q_1||_F), the acceptance tolerance
+    tau = 1e-8 * (1.0 + np.hypot(1.0, scale * 2e-8))
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    vals = np.tile(np.eye(2), (3, 1, 1))
+    vals[1] = rot @ np.diag([1.0, -scale * tau]) @ rot.T
+    return vals
+
+
+def test_trajectory_psd_tolerance_boundary():
+    grid = TimeGrid(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match=r"^sample 1 is not PSD: min eigenvalue -4\.\d+e-08$"):
+        MatrixTrajectory(grid=grid, values=_with_min_eigenvalue(2.0), n=1, m=1)
+    MatrixTrajectory(grid=grid, values=_with_min_eigenvalue(0.5), n=1, m=1)
+
+
+def test_trajectory_accepts_singular_psd_samples():
+    grid = TimeGrid(0.0, 1.0, 8)
+    z = np.stack([np.cos(grid.times()), np.sin(grid.times())], axis=1)
+    traj = MatrixTrajectory(grid=grid, values=np.einsum("ki,kj->kij", z, z), n=1, m=1)
+    assert np.all(np.linalg.eigvalsh(traj.values)[:, 0] <= 1e-15)
+
+
 def test_trajectory_rejects_asymmetric_sample():
     grid = TimeGrid(0.0, 1.0, 2)
     vals = np.tile(np.eye(2), (3, 1, 1))
@@ -247,21 +272,43 @@ def test_decompose_rank_crossing_stitching():
     assert np.max(finite) <= 1e-3
 
 
-def test_decompose_ranks_each_sample_once(monkeypatch):
-    # the per-sample ranks (a stacked eigvalsh over every sample) serve both
-    # the segmentation and the anchor choice
-    calls = []
-    sample_ranks = rankone._sample_ranks
-    monkeypatch.setattr(rankone, "_sample_ranks",
-                        lambda *args: calls.append(1) or sample_ranks(*args))
+def test_decompose_factors_each_sample_once(monkeypatch):
+    # one stacked eigh of Q_nn gives the ranks, Q_nn^+ and sqrt(Q_nn); S takes
+    # one more, and each segment one batched Procrustes SVD
     A, B = np.array([[-0.5]]), np.array([[1.0]])
     grid = TimeGrid(0.0, 2.0, 512)
     traj = synthesize_Q(A, B, [np.array([-1.0])],
                         [lambda t: np.atleast_1d(0.5 * (t - 1.0) + 1.0)], grid)
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                calls.append((name, np.array_equal(a, traj.q_nn)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "svd", "pinv"):
+        monkeypatch.setattr(rankone.np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(rankone, "pinv", counted("pinv", rankone.pinv))
     dec = decompose(traj, A, B)
-    assert len(calls) == 1
-    assert dec.segmentation.segments == rank_segments(traj).segments
-    assert len(dec.segmentation.segments) == 2
+    monkeypatch.undo()
+    segments = dec.segmentation.segments
+    assert len(segments) == 2
+    assert sorted(c for c in calls if c[0] == "eigh") == [("eigh", False), ("eigh", True)]
+    assert [c[0] for c in calls if c[0] != "eigh"] == ["svd"] * len(segments)
+    assert segments == rank_segments(traj).segments
+
+
+def test_decompose_reconstruction_accuracy_gate():
+    # the Procrustes factor comes from an SVD of sqrt(Q_nn) X: a polar factor
+    # from the eigh of its Gram matrix squares the condition number and
+    # misses this bound by orders of magnitude on these instances
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        A, B, grid, Q = helpers.sinusoid_trajectory(rng, 3, 2)
+        dec = decompose(MatrixTrajectory(grid=grid, values=Q, n=3, m=2), A, B)
+        assert dec.reconstruction_error <= 1e-10 * dec.max_q_norm
 
 
 def test_dynamics_residual_flags_wrong_system():

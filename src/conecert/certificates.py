@@ -267,7 +267,7 @@ def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
         if N.shape[1] == 0:
             continue
         w, W = np.linalg.eigh(symmetrize(N.T @ prob.C @ N))
-        if w[0] < -1e-6 and (best is None or w[0] < best[0]):
+        if w[0] < -LMI_TOL and (best is None or w[0] < best[0]):
             v = N @ W[:, 0]
             v = v / np.linalg.norm(v)
             best = (float(w[0]), v)

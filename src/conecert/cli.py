@@ -197,12 +197,36 @@ def _check_scalar(doc, field, out, required=False, positive=False, integer=False
     return val
 
 
+# The settings each command reads, as setting -> (file field, default, flag
+# help).  A value comes from the flag, else the file field, else the default;
+# --seed, on every subcommand, is resolved apart from these.
+_SETTINGS = {
+    "l1gain": {"tol": ("tol", 1e-8, "gain decision tolerance (default 1e-8)")},
+    "kyp": {
+        "tol": ("tol", FORM_TOL, f"frequency sweep threshold (default {FORM_TOL:g})"),
+        "grid": (None, 200, "frequency grid points (default 200)"),
+        "horizon": ("horizon", None, "IQC sampler horizon (default max(30, 24/decay rate))"),
+    },
+    "decompose": {"tol": ("tol", 1e-4, "relative reconstruction tolerance (default 1e-4)")},
+    "steer": {
+        "grid": (None, 512, "integration steps (default 512)"),
+        "horizon": ("t1", 1.0, "steering horizon (default: the file's t1, else 1.0)"),
+    },
+    "certify": {},
+    "validate": {},
+}
+_FLAG_TYPES = {"tol": float, "grid": int, "horizon": float}
+
+# a command's data fields and seed, plus the file fields of its settings
 _ALLOWED_FIELDS = {
-    "l1gain": {"command", "A", "B", "gamma", "seed", "tol"},
-    "kyp": {"command", "A", "B", "M", "seed", "tol", "horizon", "trials"},
-    "decompose": {"command", "A", "B", "grid", "samples", "seed", "tol"},
-    "steer": {"command", "A", "B", "X0", "X1", "t1", "seed", "tol"},
-    "certify": {"command", "kind", "L", "m", "U", "V", "C", "seed", "tol"},
+    command: fields | {field for field, _, _ in _SETTINGS[command].values() if field}
+    for command, fields in {
+        "l1gain": {"command", "A", "B", "gamma", "seed"},
+        "kyp": {"command", "A", "B", "M", "seed", "trials"},
+        "decompose": {"command", "A", "B", "grid", "samples", "seed"},
+        "steer": {"command", "A", "B", "X0", "X1", "seed"},
+        "certify": {"command", "kind", "L", "m", "U", "V", "C", "seed"},
+    }.items()
 }
 
 
@@ -304,7 +328,8 @@ def validate_problem(doc) -> list:
                     out.append(f"{bad}: not a field of psd problems")
 
     _check_scalar(doc, "seed", out, integer=True)
-    _check_scalar(doc, "tol", out, positive=True)
+    if "tol" in _ALLOWED_FIELDS[command]:
+        _check_scalar(doc, "tol", out, positive=True)
     return out
 
 
@@ -315,10 +340,9 @@ def _mat(doc, field):
     return np.array(doc[field], dtype=float)
 
 
-def _run_l1gain(doc, opts):
+def _run_l1gain(doc, tol):
     sys_ = PositiveSystem(A=_mat(doc, "A"), B=_mat(doc, "B"))
     gamma = float(doc["gamma"])
-    tol = opts["tol"] if opts["tol"] is not None else 1e-8
     gain = exact_l1_gain(sys_)
     bisected = l1_gain_bisection(sys_)
     cert = l1_certificate(sys_, gamma, tol=tol)
@@ -338,13 +362,15 @@ def _run_l1gain(doc, opts):
     return "feasible", payload
 
 
-def _run_kyp(doc, opts):
+def _run_kyp(doc, seed, tol, grid, horizon):
     inst = KypInstance(A=_mat(doc, "A"), B=_mat(doc, "B"), M=_mat(doc, "M"))
-    tol = opts["tol"] if opts["tol"] is not None else FORM_TOL
-    grid = default_grid(inst.A, points=opts["grid"] if opts["grid"] is not None else 200)
-    trials = int(doc.get("trials", 5))
     report = cross_validate(
-        inst, grid=grid, trials=trials, seed=opts["seed"], horizon=opts["horizon"], tol=tol
+        inst,
+        grid=default_grid(inst.A, points=grid),
+        trials=int(doc.get("trials", 5)),
+        seed=seed,
+        horizon=horizon,
+        tol=tol,
     )
     freq = report.frequency
     point = report.pointwise
@@ -388,7 +414,7 @@ def _run_kyp(doc, opts):
     return "undecided", payload
 
 
-def _run_decompose(doc, opts):
+def _run_decompose(doc, tol):
     A = _mat(doc, "A")
     B = _mat(doc, "B")
     n, m = A.shape[0], B.shape[1]
@@ -401,7 +427,6 @@ def _run_decompose(doc, opts):
         dec = decompose(traj, A, B)
     except Refutation as exc:
         return "fails", {exc.name: exc.value}
-    tol = opts["tol"] if opts["tol"] is not None else 1e-4
     recon_ok = dec.reconstruction_error <= tol * max(dec.max_q_norm, 1e-30)
     finite = [r for r in dec.ode_residuals if np.isfinite(r)]
     ode_ok = all(r <= 1e-3 for r in finite)
@@ -420,24 +445,22 @@ def _run_decompose(doc, opts):
     return ("holds" if recon_ok and ode_ok else "undecided"), payload
 
 
-def _run_steer(doc, opts):
+def _run_steer(doc, grid, horizon):
     A = _mat(doc, "A")
     B = _mat(doc, "B")
-    t1 = opts["horizon"] if opts["horizon"] is not None else float(doc.get("t1", 1.0))
-    steps = opts["grid"] if opts["grid"] is not None else 512
-    report = verify_k_controllability(A, B, trials=0)
+    report = verify_k_controllability(A, B)
     if not report.controllable:
         return "fails", {
             "controllable": False,
             "rank": report.rank,
             "obstruction": report.obstruction,
         }
-    plan = psd_steer(A, B, _mat(doc, "X0"), _mat(doc, "X1"), t1=t1, steps=steps)
+    plan = psd_steer(A, B, _mat(doc, "X0"), _mat(doc, "X1"), t1=horizon, steps=grid)
     payload = {
         "controllable": True,
         "rank": report.rank,
-        "t1": t1,
-        "steps": steps,
+        "t1": horizon,
+        "steps": grid,
         "endpoint_errors": list(plan.endpoint_errors),
         "component_endpoint_errors": plan.component_endpoint_errors,
         "gramian_cond": plan.gramian.cond,
@@ -446,7 +469,7 @@ def _run_steer(doc, opts):
     return "holds", payload
 
 
-def _run_certify(doc, opts):
+def _run_certify(doc):
     if doc["kind"] == "orthant":
         prob = OrthantProblem(Lmap=_mat(doc, "L"), m=np.array(doc["m"], dtype=float))
         cert = orthant_certificate(prob)
@@ -549,25 +572,29 @@ def _parser():
         description="Synthesize and verify linear-conic certificates for LTI systems.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in COMMANDS + ("validate",):
+    for name, settings in _SETTINGS.items():
         p = sub.add_parser(name, help=f"run the {name} command on a problem file")
         p.add_argument("--input", required=True, help="problem file path")
         p.add_argument("--output", help="result file path (default: stdout)")
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument("--tol", type=float, help="decision tolerance override")
-        p.add_argument("--grid", type=int, help="grid size override (frequency points or steps)")
-        p.add_argument("--horizon", type=float, help="horizon override (t1 or IQC horizon)")
+        for setting, (_, _, help_) in settings.items():
+            p.add_argument(f"--{setting}", type=_FLAG_TYPES[setting], help=help_)
     return parser
+
+
+def _resolve_settings(command, args, doc):
+    """Each setting the command reads: its flag, else its file field, else its default."""
+    values = {}
+    for name, (field, default, _) in _SETTINGS[command].items():
+        value = getattr(args, name)
+        if value is None and field in doc:
+            value = _FLAG_TYPES[name](doc[field])
+        values[name] = default if value is None else value
+    return values
 
 
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
-    opts = {
-        "seed": args.seed,
-        "tol": args.tol,
-        "grid": args.grid,
-        "horizon": args.horizon,
-    }
     try:
         doc, raw = load_problem(args.input)
     except ValueError as exc:
@@ -603,15 +630,13 @@ def run(argv=None) -> int:
         return 3
 
     seed = int(doc.get("seed", args.seed)) if args.seed == 0 else args.seed
-    opts["seed"] = seed
-    if opts["tol"] is None and "tol" in doc:
-        opts["tol"] = float(doc["tol"])
-    if opts["horizon"] is None and "horizon" in doc:
-        opts["horizon"] = float(doc["horizon"])
+    settings = _resolve_settings(command, args, doc)
+    if command == "kyp":  # the IQC sampler is the one reader of the seed
+        settings["seed"] = seed
     log.info("running %s on %s (seed %d)", command, args.input, seed)
-    log.debug("options: %r", opts)
+    log.debug("settings: %r", settings)
     try:
-        status, payload = _RUNNERS[command](doc, opts)
+        status, payload = _RUNNERS[command](doc, **settings)
         diagnostics = []
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         log.info("command failed: %s", exc)

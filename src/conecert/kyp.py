@@ -64,14 +64,13 @@ class KypInstance:
     B: np.ndarray
     M: np.ndarray
     controllable: bool = dataclasses.field(init=False)
-    rank: int = dataclasses.field(init=False)
 
     def __post_init__(self):
         self.A = as_square("A", self.A)
         n = self.A.shape[0]
         self.B = as_matrix("B", self.B, rows=n)
         self.M = as_symmetric("M", self.M, dim=n + self.B.shape[1])
-        self.controllable, self.rank = controllability_rank(self.A, self.B)
+        self.controllable, _ = controllability_rank(self.A, self.B)
 
     @property
     def n(self):

@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .validation import as_square, as_symmetric, require_finite, symmetrize
+from .validation import as_square, require_finite
 
 __all__ = [
     "SV_CUTOFF",
     "TimeGrid",
     "TrajectoryGrid",
-    "sqrtm_psd",
     "pinv",
     "matrix_rank",
     "expm",
@@ -90,20 +89,6 @@ class TrajectoryGrid:
                 f"got {self.values.shape[0]}"
             )
         require_finite("trajectory values", self.values)
-
-
-def sqrtm_psd(S):
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in [-tol, 0), tol = 1e-8 (1 + ||S||_F), become zero; lower ones raise.
-    """
-    S = as_symmetric("S", S)
-    tol = 1e-8 * (1.0 + np.linalg.norm(S))
-    w, V = np.linalg.eigh(S)
-    if w.size and w[0] < -tol:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
-    w = np.clip(w, 0.0, None)
-    return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
 def pinv(M):

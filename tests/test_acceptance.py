@@ -187,9 +187,7 @@ def test_criterion_6_k_controllability_steering():
             assert max(plan.endpoint_errors) <= tol
             steered += 1
     assert steered == 200
-    report = verify_k_controllability(
-        np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0], [0.0]]), trials=0
-    )
+    report = verify_k_controllability(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0], [0.0]]))
     assert not report.controllable
     assert report.obstruction is not None
     print(f"criterion 6 PASS: {steered}/200 steering runs plus obstruction witness")

@@ -1,5 +1,6 @@
 """Batch front end: exit codes, schema validation, determinism, logging."""
 
+import argparse
 import json
 import logging
 import os
@@ -707,6 +708,92 @@ def test_seed_precedence(tmp_path):
     assert doc["seed"] == 7  # file seed wins when the flag is left at its default
     _, doc = run_cli(["l1gain", "--input", str(path), "--seed", "3"], tmp_path)
     assert doc["seed"] == 3  # explicit flag overrides the file
+
+
+# the option flags each subcommand registers beyond --input, --output, --seed
+SETTING_FLAGS = {
+    "l1gain": {"--tol"},
+    "kyp": {"--tol", "--grid", "--horizon"},
+    "decompose": {"--tol"},
+    "steer": {"--grid", "--horizon"},
+    "certify": set(),
+    "validate": set(),
+}
+# a resonant pair whose frequency form peaks between grid points
+RESONANT_KYP = {
+    "command": "kyp",
+    "A": [[0.0, 1.0], [-1.0, -0.5]],
+    "B": [[0.0], [1.0]],
+    "M": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+}
+# (command, problem, flag, value): the flag moves a result field away from
+# its value at the default; gamma sits 5e-9 under the gain of 0.5, inside
+# the default tol of 1e-8
+SETTING_PROBES = [
+    ("l1gain", _edit(L1, gamma=0.5 - 5e-9), "--tol", "1e-10"),
+    ("kyp", RESONANT_KYP, "--tol", "10"),
+    ("kyp", RESONANT_KYP, "--grid", "20"),
+    ("kyp", RESONANT_KYP, "--horizon", "200"),
+    ("decompose", None, "--tol", "1e-30"),
+    ("steer", STEER, "--grid", "64"),
+    ("steer", STEER, "--horizon", "2.0"),
+]
+
+
+def _subparser_flags(name):
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[name]._actions
+    return {flag for action in actions for flag in action.option_strings} - {"-h", "--help"}
+
+
+def test_each_command_accepts_only_the_settings_it_reads(tmp_path):
+    for name, settings in SETTING_FLAGS.items():
+        assert _subparser_flags(name) == {"--input", "--output", "--seed"} | settings, name
+        for flag in {"--tol", "--grid", "--horizon"} - settings:
+            with pytest.raises(SystemExit) as exc:
+                cli.run([name, "--input", str(SAMPLES / "l1gain_2x2.json"), flag, "1"])
+            assert exc.value.code == 2, (name, flag)
+
+    # every setting is read: a non-default value changes the result
+    for command, doc, flag, value in SETTING_PROBES:
+        path = (SAMPLES / "decompose_synthesized.json" if doc is None
+                else write_problem(tmp_path, doc))
+        _, base = run_cli([command, "--input", str(path)], tmp_path)
+        _, moved = run_cli([command, "--input", str(path), flag, value], tmp_path)
+        assert moved != base, (command, flag)
+    _, out = run_cli(["decompose", "--input", str(SAMPLES / "decompose_synthesized.json"),
+                      "--tol", "1e-30"], tmp_path)
+    assert out["status"] == "undecided"
+    _, out = run_cli(["steer", "--input", str(write_problem(tmp_path, STEER)),
+                      "--grid", "64", "--horizon", "2.0"], tmp_path)
+    assert (out["result"]["steps"], out["result"]["t1"]) == (64, 2.0)
+
+    # a file field the command never reads is a schema violation
+    for doc in (_edit(STEER, tol=1e-3), _edit(ORTHANT, tol=1e-3)):
+        command = doc["command"]
+        code, out = run_cli([command, "--input", str(write_problem(tmp_path, doc))], tmp_path)
+        assert code == 3
+        assert out["diagnostics"] == [f"tol: unknown field for command '{command}'"]
+
+
+def test_settings_resolve_flag_then_file_field_then_default(tmp_path):
+    flagged = write_problem(tmp_path, _edit(STEER, t1=3.0), "flagged.json")
+    _, out = run_cli(["steer", "--input", str(flagged), "--horizon", "2.0"], tmp_path)
+    assert out["result"]["t1"] == 2.0
+    _, out = run_cli(["steer", "--input", str(flagged)], tmp_path)
+    assert out["result"]["t1"] == 3.0
+    _, out = run_cli(["steer", "--input", str(write_problem(tmp_path, STEER))], tmp_path)
+    assert (out["result"]["t1"], out["result"]["steps"]) == (1.0, 512)
+    # the file's tol is read where tol is a setting
+    near = _edit(L1, gamma=0.5 - 5e-9)
+    code, _ = run_cli(["l1gain", "--input", str(write_problem(tmp_path, near))], tmp_path)
+    assert code == 0
+    strict = write_problem(tmp_path, _edit(near, tol=1e-10), "strict.json")
+    code, _ = run_cli(["l1gain", "--input", str(strict)], tmp_path)
+    assert code == 1
+    code, _ = run_cli(["l1gain", "--input", str(strict), "--tol", "1e-8"], tmp_path)
+    assert code == 0
 
 
 def test_byte_determinism(tmp_path):

@@ -76,7 +76,7 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         KypInstance(A=np.eye(2), B=np.ones((2, 1)), M=np.eye(2))  # M must be 3x3
     inst = passivity_instance()
-    assert inst.controllable and inst.rank == 1
+    assert inst.controllable
     assert inst.n == 1 and inst.m == 1
 
 

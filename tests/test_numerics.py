@@ -14,7 +14,7 @@ from conecert import (
     ode_solve,
     pinv,
 )
-from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear, sqrtm_psd
+from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
 from conecert.steering import _expm_table
 
 
@@ -38,42 +38,6 @@ def test_trajectory_grid_sample_count():
     with pytest.raises(ValueError):
         TrajectoryGrid(g, np.zeros(3))
     TrajectoryGrid(g, np.zeros(4))
-
-
-def test_sqrtm_psd_scalar():
-    np.testing.assert_allclose(sqrtm_psd([[4.0]]), [[2.0]])
-
-
-def test_sqrtm_psd_identity():
-    np.testing.assert_allclose(sqrtm_psd(np.eye(3)), np.eye(3))
-
-
-def test_sqrtm_psd_squares_back():
-    S = np.array([[2.0, 1.0], [1.0, 2.0]])
-    R = sqrtm_psd(S)
-    assert np.linalg.norm(R @ R - S) <= 1e-10
-
-
-def test_sqrtm_psd_rejects_indefinite():
-    with pytest.raises(ValueError):
-        sqrtm_psd([[1.0, 0.0], [0.0, -1.0]])
-
-
-def test_sqrtm_psd_clamps_tiny_negative():
-    R = sqrtm_psd([[-1e-12]])
-    assert R[0, 0] == 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 10_000))
-def test_sqrtm_psd_roundtrip_random(dim, seed):
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((dim, dim))
-    S = G @ G.T
-    R = sqrtm_psd(S)
-    assert np.linalg.norm(R - R.T) <= 1e-12 * (1.0 + np.linalg.norm(R))
-    assert np.linalg.norm(R @ R - S) <= 1e-8 * (1.0 + np.linalg.norm(S))
-    assert np.min(np.linalg.eigvalsh(R)) >= -1e-10
 
 
 def test_pinv_rank_deficient_diagonal():

@@ -201,19 +201,15 @@ def test_psd_steer_rejects_uncontrollable():
 def test_verify_k_controllability_pass():
     rng = np.random.default_rng(59)
     A, B = helpers.controllable_pair(rng, 2, 1)
-    report = verify_k_controllability(A, B, trials=4, seed=3)
+    report = verify_k_controllability(A, B)
     assert report.controllable and report.rank == 2
     assert report.obstruction is None
-    assert report.passed
-    assert len(report.endpoint_errors) == 4
-    assert max(report.endpoint_errors) <= report.tolerance
 
 
 def test_verify_k_controllability_obstruction():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    report = verify_k_controllability(A, np.zeros((2, 1)), trials=2, seed=0)
+    report = verify_k_controllability(A, np.zeros((2, 1)))
     assert not report.controllable and report.rank == 0
-    assert not report.passed
     w = report.obstruction
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
     # obstruction annihilates the reachable subspace

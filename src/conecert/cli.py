@@ -27,7 +27,9 @@ from .certificates import (
     orthant_kernel_minimum,
     orthant_surjectivity,
 )
-from .kyp import FORM_TOL, IQC_MAX_TRIALS, KypInstance, cross_validate, default_grid, psd_lmi
+from .kyp import (
+    FORM_TOL, IQC_MAX_TRIALS, IQC_TRIALS, KypInstance, cross_validate, default_grid, psd_lmi
+)
 from .numerics import TimeGrid
 from .possys import (
     PositiveSystem,
@@ -367,7 +369,7 @@ def _run_kyp(doc, seed, tol, grid, horizon):
     report = cross_validate(
         inst,
         grid=default_grid(inst.A, points=grid),
-        trials=int(doc.get("trials", 5)),
+        trials=int(doc.get("trials", IQC_TRIALS)),
         seed=seed,
         horizon=horizon,
         tol=tol,

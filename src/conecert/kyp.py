@@ -48,7 +48,8 @@ SECTION_PASSES = 10
 # take: 2**17 steps is a 1024 s horizon
 IQC_STEPS_PER_UNIT = 128
 IQC_MAX_STEPS = 2**17
-# the most input trials one sampler run may draw; each trial is simulated
+# input trials of one sampler run by default and at most; each is simulated
+IQC_TRIALS = 5
 IQC_MAX_TRIALS = 100
 # trials share one recurrence while a batch's stage values of x and u stay
 # under this count (32 MB each), which bounds the sampler's memory near the
@@ -406,28 +407,15 @@ def frequency_condition(
 
 
 @dataclasses.dataclass
-class PointwiseWitness:
-    """Frequency and complex input direction where the quadratic form is positive."""
-
-    omega: float
-    value: float
-    u_real: np.ndarray
-    u_imag: np.ndarray
-    x_real: np.ndarray
-    x_imag: np.ndarray
-
-
-@dataclasses.dataclass
 class PointwiseReport:
     holds: bool
     worst_omega: float
     worst_value: float
-    witness: PointwiseWitness | None
     canonical_values: np.ndarray
 
 
 def _pointwise_forms(inst, omegas):
-    """(top eigenvalue, canonical values, a, b, Hermitian form) at each omega.
+    """(top eigenvalue, canonical values) of the Hermitian form at each omega.
 
     Each canonical input column j is solved for separately, over the whole
     stack of frequencies: a_j + i*b_j is the solution (x_j, e_j) of
@@ -448,8 +436,7 @@ def _pointwise_forms(inst, omegas):
     aT, bT = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
     F = a @ M @ aT + b @ M @ bT
     G = a @ M @ bT - b @ M @ aT
-    forms = _hermitian(F, G)
-    return _top_eigenvalues(forms), np.diagonal(F, axis1=1, axis2=2), a, b, forms
+    return _top_eigenvalues(_hermitian(F, G)), np.diagonal(F, axis1=1, axis2=2)
 
 
 def _peak_brackets(A, omegas, values):
@@ -498,16 +485,16 @@ def pointwise_condition(
     When the grid and the limit hold, every local maximum of the grid
     values is refined by a multi-section search over its bracketing
     interval, 10 stacked passes of 15 points, so a peak narrower than the
-    grid spacing still refutes; no Hamiltonian is used.
+    grid spacing still refutes; no Hamiltonian is used.  Each frequency set
+    is solved once; worst_omega is inf where the limit is worst.
     """
     if grid is None:
         grid = default_grid(inst.A)
     n, m = inst.n, inst.m
     omegas = grid.omegas
-    chunks = [_pointwise_forms(inst, w)[:2] for w in _chunks(omegas, n)]
+    chunks = [_pointwise_forms(inst, w) for w in _chunks(omegas, n)]
     values, canon = (np.concatenate(c) for c in zip(*chunks))
-    lam, vec = np.linalg.eigh(inst.M[n:, n:])
-    limit_value = float(np.max(lam, initial=-np.inf))
+    limit_value = float(np.max(np.linalg.eigh(inst.M[n:, n:])[0], initial=-np.inf))
     if max(np.max(values, initial=-np.inf), limit_value) <= tol:
         # only a peak between grid points can still refute
         peak_omegas, peak_values = _multisection_maxima(
@@ -515,43 +502,16 @@ def pointwise_condition(
             *_peak_brackets(inst.A, omegas, values),
         )
         omegas, values = np.append(omegas, peak_omegas), np.append(values, peak_values)
-    worst_omega, worst_value, worst_kind = np.inf, -np.inf, "none"
+    worst_omega, worst_value = np.inf, -np.inf
     if m and values.size:  # an input-free (m = 0) form is empty
         k = int(np.argmax(values))
-        worst_omega, worst_value, worst_kind = float(omegas[k]), float(values[k]), "grid"
+        worst_omega, worst_value = float(omegas[k]), float(values[k])
     if limit_value > worst_value:
-        worst_omega, worst_value, worst_kind = np.inf, limit_value, "limit"
-    holds = worst_value <= tol
-    witness = None
-    if not holds and worst_kind == "limit":
-        witness = PointwiseWitness(
-            omega=np.inf,
-            value=worst_value,
-            u_real=vec[:, -1],
-            u_imag=np.zeros(m),
-            x_real=np.zeros(n),
-            x_imag=np.zeros(n),
-        )
-    elif not holds and worst_kind == "grid":
-        _, _, a, b, forms = _pointwise_forms(inst, np.array([worst_omega]))
-        w = np.linalg.eigh(forms[0])[1][:, -1]
-        cr, ci = w.real, w.imag
-        # z = sum_j (cr_j + i ci_j) (a_j + i b_j)
-        zr = cr @ a[0] - ci @ b[0]
-        zi = cr @ b[0] + ci @ a[0]
-        witness = PointwiseWitness(
-            omega=worst_omega,
-            value=worst_value,
-            u_real=zr[n:],
-            u_imag=zi[n:],
-            x_real=zr[:n],
-            x_imag=zi[:n],
-        )
+        worst_omega, worst_value = np.inf, limit_value
     return PointwiseReport(
-        holds=holds,
+        holds=worst_value <= tol,
         worst_omega=worst_omega,
         worst_value=worst_value,
-        witness=witness,
         canonical_values=canon,
     )
 
@@ -646,7 +606,9 @@ def _iqc_not_applicable():
     )
 
 
-def iqc_trajectory_condition(inst: KypInstance, trials=20, horizon=None, seed=0) -> IqcReport:
+def iqc_trajectory_condition(
+    inst: KypInstance, trials=IQC_TRIALS, horizon=None, seed=0
+) -> IqcReport:
     """Sample decaying trajectories and test the integral quadratic constraint.
 
     Inputs are smooth, supported on the first third of the horizon; the
@@ -703,7 +665,7 @@ class CrossValidation:
 
 
 def cross_validate(
-    inst: KypInstance, grid=None, trials=10, seed=0, horizon=None, tol=FORM_TOL
+    inst: KypInstance, grid=None, trials=IQC_TRIALS, seed=0, horizon=None, tol=FORM_TOL
 ) -> CrossValidation:
     """Run every applicable checker and flag disagreements beyond tolerance.
 

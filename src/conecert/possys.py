@@ -81,12 +81,13 @@ class PositiveSystem:
 
 @dataclass
 class GainCertificate:
-    """p > 0 and gamma > 0 with p'A + 1' <= 0 and p'B <= gamma 1'."""
+    """p > 0 and gamma > 0 with p'A + 1' <= 0 and p'B <= (gamma + tol) 1'."""
 
     p: np.ndarray
     gamma: float
     slack_state: np.ndarray  # -(p'A + 1')
     slack_input: np.ndarray  # gamma 1' - p'B
+    tol: float = 1e-8
 
     def __post_init__(self):
         self.p = as_vector("p", self.p)
@@ -94,9 +95,10 @@ class GainCertificate:
             raise ValueError("certificate p must be entrywise positive")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        for name, s in (("slack_state", self.slack_state), ("slack_input", self.slack_input)):
-            if np.min(s) < -1e-8:
-                raise ValueError(f"{name} below -1e-8")
+        if np.min(self.slack_state) < -1e-8:
+            raise ValueError("slack_state below -1e-8")
+        if np.min(self.slack_input) < -self.tol:
+            raise ValueError(f"slack_input below {-self.tol!r}")
 
 
 @dataclass
@@ -184,17 +186,18 @@ def l1_certificate(sys: PositiveSystem, gamma: float, tol: float = 1e-8) -> Gain
 
     Decision rule: feasible iff gamma >= exact_l1_gain - tol.  The LP
     route over the orthant problem is run as well; the two routes
-    disagreeing away from the boundary is a defect and raises.  The
-    returned p is the closed-form minimal certificate, not an arbitrary LP
-    vertex, so outputs are deterministic.
+    disagreeing farther than tol or 1e-6 (1 + gain) from the gain is a
+    defect and raises.  The returned p is the closed-form minimal
+    certificate, not an arbitrary LP vertex, so outputs are deterministic.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     p = minimal_certificate_vector(sys)
     gain = float(np.max(sys.B.T @ p))
     lp_feasible = _gain_lp_feasible(sys, gamma)
-    feasible = gamma >= gain - tol
-    if lp_feasible != feasible and abs(gamma - gain) > 1e-6 * (1.0 + gain):
+    # the same difference as the certificate's smallest input slack
+    feasible = gamma - gain >= -tol
+    if lp_feasible != feasible and abs(gamma - gain) > max(tol, 1e-6 * (1.0 + gain)):
         raise RuntimeError(
             f"LP and closed-form gain decisions disagree at gamma={gamma!r} "
             f"(closed-form gain {gain!r})"
@@ -203,7 +206,8 @@ def l1_certificate(sys: PositiveSystem, gamma: float, tol: float = 1e-8) -> Gain
         return None
     slack_state = -(sys.A.T @ p + np.ones(sys.n))
     slack_input = gamma * np.ones(sys.m) - sys.B.T @ p
-    return GainCertificate(p=p, gamma=float(gamma), slack_state=slack_state, slack_input=slack_input)
+    return GainCertificate(p=p, gamma=float(gamma), slack_state=slack_state,
+                           slack_input=slack_input, tol=max(tol, 1e-8))
 
 
 def gain_supply_rate(sys: PositiveSystem, gamma: float) -> SupplyRate:

@@ -188,28 +188,17 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     k = max(f0.shape[0], f1.shape[0])
     grid = TimeGrid(0.0, float(t1), steps)
 
-    if k == 0:
-        values = np.zeros((steps + 1, n + m, n + m))
-        traj = MatrixTrajectory(grid, values, n, m, dynamics_residual=0.0)
-        return SteeringPlan(
-            trajectory=traj,
-            inputs=np.zeros((0, steps + 1, m)),
-            endpoint_errors=(0.0, 0.0),
-            component_endpoint_errors=[],
-            gramian=_gramian_from_table(table, B, t1, steps),
-        )
-
     starts = np.zeros((k, n))
     targets = np.zeros((k, n))
     starts[: f0.shape[0]] = f0
     targets[: f1.shape[0]] = f1
 
-    gram = _steering_gramian(table, B, t1, steps)
-    # each component's input at the RK4 stage times, shape (2*steps+1, m, k)
-    u_stages = np.stack(
-        [_steering_values(B, x0, x1, table, gram.W)[1] for x0, x1 in zip(starts, targets)],
-        axis=-1,
-    )
+    # zero endpoints (k = 0) steer nothing, so the condition limit does not apply
+    gram = (_steering_gramian if k else _gramian_from_table)(table, B, t1, steps)
+    # each component's input at the RK4 stage times
+    u_stages = np.zeros((2 * steps + 1, m, k))
+    for j in range(k):
+        u_stages[:, :, j] = _steering_values(B, starts[j], targets[j], table, gram.W)[1]
     x_path, traj = synthesize_from_stages(A, B, starts.T, u_stages, grid)
     tol = 1e-5 * (1.0 + float(np.linalg.norm(X1)))
     e0 = float(np.linalg.norm(traj.q_nn[0] - X0))

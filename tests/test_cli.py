@@ -510,6 +510,19 @@ def test_l1gain_near_gain_bisection(tmp_path):
     assert abs(doc["result"]["gain_bisected"] - gain) <= 1e-6 * (1.0 + gain)
 
 
+@pytest.mark.parametrize(
+    "gamma, tol, code, status",
+    [(0.4999999, 1e-6, 0, "feasible"), (0.4995, 1e-3, 0, "feasible"),
+     (0.498, 1e-3, 1, "infeasible")],
+)
+def test_l1gain_decides_at_a_tol_above_1e_8(tmp_path, gamma, tol, code, status):
+    # feasible iff gamma >= gain - tol (gain 0.5): the certificate's input
+    # slack and the LP cross-check both accept a gamma up to tol below it
+    path = write_problem(tmp_path, _edit(L1, gamma=gamma, tol=tol))
+    got, doc = run_cli(["l1gain", "--input", str(path)], tmp_path)
+    assert (got, doc["status"]) == (code, status)
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"command": "l1gain",', encoding="utf-8")

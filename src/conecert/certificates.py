@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SV_CUTOFF
+from .numerics import SV_CUTOFF, matrix_rank
 from .simplex import solve_lp
 from .validation import as_matrix, as_symmetric, as_vector, symmetrize
 
@@ -225,20 +225,18 @@ def orthant_kernel_minimum(prob: OrthantProblem):
 def orthant_surjectivity(Lmap) -> bool:
     """True iff L maps the orthant onto the whole target space.
 
-    L(K) is a convex cone, so it equals R^x iff every +-e_i is reachable:
-    2*x_dim small feasibility LPs.
+    L(K) = R^x iff L has full row rank (by SV_CUTOFF) and Lz = 0 for some
+    z > 0.  By Stiemke's transposition theorem (1915) such z is missing
+    exactly when some y has L'y >= 0 and L'y != 0, and then L(K) lies in
+    the half-space y'v >= 0.  One feasibility LP decides it: Lw = -L1 with
+    w = z - 1 >= 0, after each row of L is scaled to largest entry 1, which
+    keeps the kernel and keeps L1 finite.
     """
     L = as_matrix("Lmap", Lmap)
-    x, z = L.shape
-    c = np.zeros(z)
-    for i in range(x):
-        e = np.zeros(x)
-        for sign in (1.0, -1.0):
-            e[i] = sign
-            if solve_lp(c, L, e).status != "optimal":
-                return False
-        e[i] = 0.0
-    return True
+    if matrix_rank(L) < L.shape[0]:
+        return False
+    L = L / np.abs(L).max(axis=1, keepdims=True)
+    return solve_lp(np.zeros(L.shape[1]), L, -L.sum(axis=1)).status == "optimal"
 
 
 # ---------------------------------------------------------------------------

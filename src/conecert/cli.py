@@ -652,3 +652,7 @@ def run(argv=None) -> int:
 def main():
     _configure_logging()
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

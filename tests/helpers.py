@@ -17,6 +17,7 @@ from conecert import (
     expm,
     synthesize_Q,
 )
+from conecert.simplex import solve_lp
 
 
 def surjective_map(rng, x_dim, z_dim):
@@ -27,6 +28,23 @@ def surjective_map(rng, x_dim, z_dim):
     L[:, :x_dim] = np.eye(x_dim)
     L[:, x_dim : 2 * x_dim] = -np.eye(x_dim)
     return L[:, rng.permutation(z_dim)]
+
+
+def surjective_by_reachability(L):
+    """Whether L maps the orthant onto R^x_dim, by reaching every +-e_i.
+
+    L(orthant) is a convex cone, so it is the whole space iff each of the
+    2 * x_dim signed basis vectors is the image of some z >= 0: one
+    feasibility LP each.  The independent reference for orthant_surjectivity.
+    """
+    x_dim, z_dim = L.shape
+    for i in range(x_dim):
+        for sign in (1.0, -1.0):
+            e = np.zeros(x_dim)
+            e[i] = sign
+            if solve_lp(np.zeros(z_dim), L, e).status != "optimal":
+                return False
+    return True
 
 
 def feasible_orthant(rng, x_dim, z_dim):

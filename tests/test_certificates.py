@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from conecert import certificates, simplex
 from conecert import (
     ConeId,
     OrthantProblem,
@@ -99,6 +100,44 @@ def test_surjectivity_examples():
     assert not orthant_surjectivity(np.array([[1.0, 2.0]]))
     # identity maps the orthant onto the orthant only: -e_i is unreachable
     assert not orthant_surjectivity(np.eye(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x_dim=st.integers(1, 4),
+    z_dim=st.integers(1, 8),
+    entries=st.sampled_from(["signs", "gaussian"]),
+    duplicate=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_surjectivity_matches_reachability(x_dim, z_dim, entries, duplicate, seed):
+    # entries in {-1, 0, 1} make rank loss and kernel vectors on the
+    # orthant's boundary common; a duplicated row forces rank loss
+    rng = np.random.default_rng(seed)
+    if entries == "signs":
+        L = rng.integers(-1, 2, (x_dim, z_dim)).astype(float)
+    else:
+        L = rng.standard_normal((x_dim, z_dim))
+    if duplicate and x_dim > 1:
+        L[-1] = L[0]
+    assert orthant_surjectivity(L) == helpers.surjective_by_reachability(L)
+
+
+def test_surjectivity_solves_at_most_one_lp(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return simplex.solve_lp(*args)
+
+    monkeypatch.setattr(certificates, "solve_lp", counted)
+    # full row rank, and z = (1, 2, 2) > 0 lies in the kernel
+    assert orthant_surjectivity(np.array([[2.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
+    assert len(calls) == 1
+    calls.clear()
+    # rank 1 of 2: decided by the rank alone
+    assert not orthant_surjectivity(np.array([[1.0, -1.0], [2.0, -2.0]]))
+    assert calls == []
 
 
 def test_duality_on_planted_instances():

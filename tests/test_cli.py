@@ -510,6 +510,22 @@ def test_l1gain_near_gain_bisection(tmp_path):
     assert abs(doc["result"]["gain_bisected"] - gain) <= 1e-6 * (1.0 + gain)
 
 
+def test_l1gain_phase1_accuracy_loss_is_named(tmp_path):
+    # a valid positive system at a scale where the phase-1 tableau loses its
+    # accuracy: the error names the column instead of reading as a defect
+    path = write_problem(
+        tmp_path,
+        {"command": "l1gain", "A": [[-1e300, 1e300], [0.0, -1.0]],
+         "B": [[1e300], [1.0]], "gamma": 1.0},
+    )
+    code, doc = run_cli(["l1gain", "--input", str(path)], tmp_path)
+    assert code == 3
+    assert doc["diagnostics"] == [
+        "phase 1 ended 'unbounded': column 1 has reduced cost -1.000e+00 but no entry "
+        "above 1e-09, so the tableau lost its accuracy at this scale"
+    ]
+
+
 @pytest.mark.parametrize(
     "gamma, tol, code, status",
     [(0.4999999, 1e-6, 0, "feasible"), (0.4995, 1e-3, 0, "feasible"),
@@ -980,6 +996,31 @@ def test_console_script(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["status"] == "infeasible"
+
+
+def test_module_entry_point(tmp_path):
+    # python -m conecert.cli runs the CLI and writes what run() writes
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )}
+    path = write_problem(
+        tmp_path, {"command": "certify", "kind": "orthant", "L": [[1.0, -1.0]], "m": [1.0, 1.0]}
+    )
+    direct, by_module = tmp_path / "run.json", tmp_path / "module.json"
+    assert cli.run(["certify", "--input", str(path), "--output", str(direct)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert.cli", "certify", "--input", str(path),
+         "--output", str(by_module)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert by_module.read_bytes() == direct.read_bytes()
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert.cli", "certify", "--input",
+         str(SAMPLES / "l1gain_2x2.json"), "--output", str(by_module)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 3, proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("cone-cert") is None, reason="cone-cert is not installed")

@@ -106,3 +106,58 @@ def test_matches_scipy_on_infeasible_ensemble():
         res = solve_lp(c, A, b)
         ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert (res.status == "infeasible") == (ref.status == 2)
+
+
+def zero_cost_ensemble(seed, count):
+    """Zero-cost LPs (c, A, b): planted-feasible, with negative b, with
+    redundant rows, or with a generic overdetermined right-hand side."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        rows = int(rng.integers(1, 5))
+        n = int(rng.integers(rows, 9))
+        A = rng.standard_normal((rows, n))
+        b = A @ (np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6))
+        if k % 4 == 1:  # a repeated row and a sum of rows
+            A = np.concatenate([A, A[:1], A.sum(axis=0, keepdims=True)])
+            b = np.concatenate([b, b[:1], [b.sum()]])
+        elif k % 4 == 2:  # rows scaled by -1 so that some b < 0
+            flip = np.where(rng.random(rows) < 0.5, -1.0, 1.0)
+            A, b = A * flip[:, None], b * flip
+        elif k % 4 == 3:  # overdetermined: feasible only by accident
+            A = rng.standard_normal((n + 1, n))
+            b = rng.standard_normal(n + 1)
+        yield np.zeros(A.shape[1]), A, b
+
+
+def test_zero_cost_lps_end_at_phase_1_and_match_scipy():
+    statuses = set()
+    for c, A, b in zero_cost_ensemble(12, 200):
+        res = solve_lp(c, A, b)
+        ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        statuses.add(res.status)
+        assert {"optimal": 0, "infeasible": 2}[res.status] == ref.status
+        if res.status == "optimal":
+            assert res.objective == 0.0
+            assert np.min(res.x) >= -1e-9
+            assert np.max(np.abs(A @ res.x - b)) <= 1e-9
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_zero_cost_lp_builds_no_phase_2_tableau(monkeypatch):
+    # phase 2 with zero costs makes no pivot, so it is not run at all
+    phases = []
+    original = simplex._bland_iterate
+
+    def counted(T, basis, ncols, max_iter):
+        phases.append(ncols)
+        return original(T, basis, ncols, max_iter)
+
+    monkeypatch.setattr(simplex, "_bland_iterate", counted)
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, -1.0]])
+    res = solve_lp(np.zeros(3), A, [1.0, 1.0, -0.5])
+    assert res.status == "optimal"
+    assert np.max(np.abs(A @ res.x - [1.0, 1.0, -0.5])) <= 1e-12
+    assert phases == [6]
+    phases.clear()
+    assert solve_lp([1.0, 0.0, 0.0], A, [1.0, 1.0, -0.5]).status == "optimal"
+    assert phases == [6, 3]

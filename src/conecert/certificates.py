@@ -169,7 +169,7 @@ class LmiResult:
     max_violation: float
     witness: np.ndarray | None
     iterations: int
-    # "rank_one_witness" | "riccati" | "frequency_witness" | "interior_point"
+    # "rank_one_witness" | "frequency_witness" | "riccati" | "interior_point"
     decided_by: str
 
     @classmethod

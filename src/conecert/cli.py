@@ -218,6 +218,12 @@ _SETTINGS = {
     "validate": {},
 }
 _FLAG_TYPES = {"tol": float, "grid": int, "horizon": float}
+# the most --grid points a run may take, rejected before any array is built:
+# kyp's frequencies (the sweeps hold several grid-sized copies) and steer's
+# integration steps (tables and trajectories of steps x n x n)
+KYP_MAX_GRID = 100_000
+STEER_MAX_GRID = 2**16
+_GRID_BUDGETS = {"kyp": KYP_MAX_GRID, "steer": STEER_MAX_GRID}
 
 # a command's data fields and seed, plus the file fields of its settings
 _ALLOWED_FIELDS = {
@@ -624,6 +630,11 @@ def run(argv=None) -> int:
             f"command: file declares {command!r} but the {args.subcommand!r} "
             "subcommand was invoked",
         )
+    if not violations:
+        settings = _resolve_settings(command, args, doc)
+        budget = _GRID_BUDGETS.get(command)
+        if budget is not None and settings["grid"] > budget:
+            violations = [f"--grid: must be at most {budget}, got {settings['grid']}"]
     if violations:
         text = emit_result(
             _result_doc(command, digest, args.seed, "error", None, violations)
@@ -632,7 +643,6 @@ def run(argv=None) -> int:
         return 3
 
     seed = int(doc.get("seed", args.seed)) if args.seed == 0 else args.seed
-    settings = _resolve_settings(command, args, doc)
     if command == "kyp":  # the IQC sampler is the one reader of the seed
         settings["seed"] = seed
     log.info("running %s on %s (seed %d)", command, args.input, seed)

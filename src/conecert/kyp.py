@@ -1,7 +1,7 @@
 """Non-strict KYP conditions as four independent checkers.
 
-The linear-matrix-inequality route decides the conic problem by a Riccati
-certificate, rank-one and rank-2 kernel witnesses, or the interior-point
+The linear-matrix-inequality route decides the conic problem by rank-one
+and rank-2 kernel witnesses, a Riccati certificate, or the interior-point
 method of psd_certificate; the frequency-domain, pointwise, and integral
 routes check the same property by separate computations so the harness can
 cross-validate them against each other.  The same route chain decides the
@@ -329,22 +329,26 @@ def _frequency_witness(inst, prob, T) -> KernelWitness | None:
 def _decide(prob: PsdProblem, inst, T) -> LmiResult:
     """Decide U'PV + V'PU <= C by the one route chain; each route proves itself on prob.
 
-    In order: a rank-one kernel witness; the Riccati certificate (eigenvalue
-    post-check); a rank-2 frequency witness (psd_kernel_witness); the
-    interior-point method of psd_certificate.  The Riccati and
-    frequency routes run on inst, prob in KYP form, whose coordinates T
-    maps to prob's (T None: the same); they are skipped when inst is None.
+    In order: a rank-one kernel witness; a rank-2 frequency witness
+    (psd_kernel_witness); the Riccati certificate (eigenvalue post-check);
+    the interior-point method of psd_certificate.  The witnesses go first
+    because they are cheap and need only numpy, while the Riccati solve is
+    the one route that loads scipy.  The order cannot move a verdict: by
+    weak duality a witness that passes psd_kernel_witness excludes every P
+    that passes the post-check.  The frequency and Riccati routes run on
+    inst, prob in KYP form, whose coordinates T maps to prob's (T None: the
+    same); they are skipped when inst is None.
     """
     witness = rank_one_witness(prob)
     if witness is not None:
         return LmiResult.refuted(witness, "rank_one_witness")
     if inst is not None:
-        cert = _riccati_certificate(inst, prob)
-        if cert is not None:
-            return LmiResult.certified(cert, "riccati")
         witness = _frequency_witness(inst, prob, T)
         if witness is not None:
             return LmiResult.refuted(witness, "frequency_witness")
+        cert = _riccati_certificate(inst, prob)
+        if cert is not None:
+            return LmiResult.certified(cert, "riccati")
     return psd_certificate(prob)
 
 

@@ -15,8 +15,10 @@ from conecert import (
     TimeGrid,
     controllability_rank,
     expm,
+    kyp,
     synthesize_Q,
 )
+from conecert.certificates import LmiResult, psd_certificate, rank_one_witness
 from conecert.simplex import solve_lp
 
 
@@ -162,6 +164,26 @@ def infeasible_kyp(rng, n, m):
     tau = (0.1 - val) / quad
     M = base.M + tau * W
     return KypInstance(A=A, B=B, M=0.5 * (M + M.T)), omega0
+
+
+def decide_certificate_first(prob, inst, T):
+    """kyp._decide's routes with the Riccati certificate before the frequency witness.
+
+    The same private routes, each with its own check, in the order they ran
+    before the witnesses were moved ahead of the Riccati solve: the
+    independent reference for the claim that the order moves no verdict.
+    """
+    witness = rank_one_witness(prob)
+    if witness is not None:
+        return LmiResult.refuted(witness, "rank_one_witness")
+    if inst is not None:
+        cert = kyp._riccati_certificate(inst, prob)
+        if cert is not None:
+            return LmiResult.certified(cert, "riccati")
+        witness = kyp._frequency_witness(inst, prob, T)
+        if witness is not None:
+            return LmiResult.refuted(witness, "frequency_witness")
+    return psd_certificate(prob)
 
 
 def smooth_signal(rng, channels, amp=0.6, max_freq=0.5):

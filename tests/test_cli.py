@@ -728,6 +728,30 @@ def test_kyp_trials_over_budget(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "doc, budget",
+    [
+        (json.loads((SAMPLES / "kyp_scalar_passivity.json").read_text(encoding="utf-8")),
+         cli.KYP_MAX_GRID),
+        (STEER, cli.STEER_MAX_GRID),
+    ],
+)
+def test_grid_over_budget_is_rejected_before_running(doc, budget, tmp_path, monkeypatch):
+    command = doc["command"]
+    path = write_problem(tmp_path, doc)
+    _, within = run_cli([command, "--input", str(path), "--grid", "1000"], tmp_path)
+    assert within["status"] == ("holds" if command == "steer" else "feasible")
+
+    def not_run(doc, **settings):
+        raise AssertionError("a grid over budget reached the runner")
+
+    monkeypatch.setitem(cli._RUNNERS, command, not_run)
+    code, out = run_cli([command, "--input", str(path), "--grid", str(budget + 1)], tmp_path)
+    assert code == 3
+    assert (out["status"], out["result"]) == ("error", None)
+    assert out["diagnostics"] == [f"--grid: must be at most {budget}, got {budget + 1}"]
+
+
 def test_seed_precedence(tmp_path):
     path = write_problem(
         tmp_path,
@@ -905,21 +929,30 @@ def test_scipy_loaded_only_by_the_routes_that_use_it(tmp_path):
              C=np.eye(3).tolist()),
         name="psd_interior.json",
     )
+    # the resonance pair in PSD form, V = (I 0) of full row rank: refuted by
+    # the frequency witness, which runs before the Riccati route
+    psd_frequency = write_problem(
+        tmp_path,
+        dict(PSD, U=[[0.0, 1.0, 0.0], [-53.29, -0.00146, 1.0]],
+             V=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], C=np.diag([-1.0, 0.0, 2500.0]).tolist()),
+        name="psd_frequency.json",
+    )
     no_scipy = [
         ["l1gain", "--input", str(SAMPLES / "l1gain_2x2.json")],
         ["certify", "--input", str(orthant)],
         ["certify", "--input", str(psd_rank_one)],
         ["certify", "--input", str(psd_interior)],
+        ["certify", "--input", str(psd_frequency)],
         ["decompose", "--input", str(SAMPLES / "decompose_synthesized.json")],
     ] + [["validate", "--input", str(path)] for path in sorted(SAMPLES.glob("*.json"))]
     runs = [argv + ["--output", str(tmp_path / f"{k}.json")] for k, argv in enumerate(no_scipy)]
     at_import, after, _ = run_fresh(runs, tmp_path)
     assert at_import is False
     assert [loaded for _, loaded in after] == [False] * len(runs)
-    assert [code for code, _ in after] == [0, 1, 1, 0, 0] + [0] * (len(runs) - 5)
-    assert json.loads((tmp_path / "3.json").read_text())["result"]["decided_by"] == (
-        "interior_point"
-    )
+    assert [code for code, _ in after] == [0, 1, 1, 0, 1, 0] + [0] * (len(runs) - 6)
+    decided_by = [json.loads((tmp_path / f"{k}.json").read_text())["result"]["decided_by"]
+                  for k in (3, 4)]
+    assert decided_by == ["interior_point", "frequency_witness"]
 
     # certify --kind psd loads scipy when it reaches the Riccati route
     psd = write_problem(tmp_path, PSD, name="psd.json")

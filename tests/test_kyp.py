@@ -65,6 +65,18 @@ def touching_instance():
     )
 
 
+def interior_only_instance():
+    # planted violation of +0.1 at omega0 = 2.94 only: the form reads -4.04
+    # at omega = 0 and its limit is -1.51, so no rank-one witness refutes it
+    return helpers.infeasible_kyp(np.random.default_rng(13), 2, 1)[0]
+
+
+def kyp_problem(inst):
+    """inst as the PSD problem kyp_lmi decides: U = (A B), V = (I 0), C = -M."""
+    V = np.hstack([np.eye(inst.n), np.zeros((inst.n, inst.m))])
+    return PsdProblem(U=np.hstack([inst.A, inst.B]), V=V, C=-inst.M)
+
+
 def assert_psd_witness(prob, Q):
     """Q is PSD, in the kernel of UQV' + VQU' and has tr(CQ) < 0."""
     assert np.linalg.eigvalsh(0.5 * (Q + Q.T))[0] >= -1e-9 * np.trace(Q)
@@ -75,8 +87,7 @@ def assert_psd_witness(prob, Q):
 
 def assert_kernel_witness(inst, Q):
     """Q is PSD, in the kernel of UQV' + VQU' and has tr(-MQ) < 0."""
-    V = np.hstack([np.eye(inst.n), np.zeros((inst.n, inst.m))])
-    assert_psd_witness(PsdProblem(U=np.hstack([inst.A, inst.B]), V=V, C=-inst.M), Q)
+    assert_psd_witness(kyp_problem(inst), Q)
 
 
 def test_instance_validation():
@@ -208,6 +219,70 @@ def test_riccati_solver_error_falls_through(monkeypatch):
     res = kyp_lmi(passivity_instance())
     assert res.status == "feasible" and res.decided_by == "interior_point"
     assert res.iterations > 0
+
+
+@pytest.mark.parametrize(
+    "make, route, solves",
+    [
+        (resonance_instance, "frequency_witness", 0),
+        (interior_only_instance, "frequency_witness", 0),
+        (passivity_instance, "riccati", 1),
+    ],
+)
+def test_witnesses_run_before_the_riccati_solve(make, route, solves, monkeypatch):
+    calls = []
+    original = scipy.linalg.solve_continuous_are
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
+    assert kyp_lmi(make()).decided_by == route
+    assert len(calls) == solves
+
+
+def assert_order_moves_no_verdict(res, prob, inst, T):
+    """res, from the chain, equals the certificate-first reference bit for bit,
+    and the Riccati certificate and the frequency witness never both pass."""
+    def bits(r):
+        arrays = (None if a is None else a.tobytes() for a in (r.P, r.witness))
+        return (r.status, r.decided_by, r.iterations, r.max_violation, *arrays)
+
+    assert bits(res) == bits(helpers.decide_certificate_first(prob, inst, T))
+    if inst is not None:
+        cert = kyp._riccati_certificate(inst, prob)
+        assert cert is None or kyp._frequency_witness(inst, prob, T) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    feasible=st.booleans(),
+    scale=st.none() | st.integers(-8, 10),
+)
+def test_route_order_moves_no_kyp_verdict(seed, n, m, feasible, scale):
+    # planted-feasible and planted-infeasible instances, at unit scale and
+    # with M scaled by 10**scale
+    planted = helpers.feasible_kyp if feasible else helpers.infeasible_kyp
+    inst = planted(np.random.default_rng(seed), n, m)[0]
+    if scale is not None:
+        inst = KypInstance(A=inst.A, B=inst.B, M=inst.M * 10.0**scale)
+    assert_order_moves_no_verdict(kyp_lmi(inst), kyp_problem(inst), inst, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 3), cols=st.integers(1, 4))
+def test_route_order_moves_no_psd_verdict(seed, rows, cols):
+    # entries in {-1, 0, 1}: V often lacks full row rank or leaves B empty,
+    # and weakly infeasible problems occur
+    rng = np.random.default_rng(seed)
+    U, V = rng.integers(-1, 2, (2, rows, cols)).astype(float)
+    G = rng.integers(-1, 2, (cols, cols)).astype(float)
+    prob = PsdProblem(U=U, V=V, C=0.5 * (G + G.T))
+    assert_order_moves_no_verdict(psd_lmi(prob), prob, *kyp._kyp_form(prob))
 
 
 @settings(max_examples=40, deadline=None)

@@ -372,6 +372,7 @@ def _run_l1gain(doc, tol):
 
 def _run_kyp(doc, seed, tol, grid, horizon):
     inst = KypInstance(A=_mat(doc, "A"), B=_mat(doc, "B"), M=_mat(doc, "M"))
+    controllable = inst.controllable  # a Kalman matrix that overflows fails here, first
     report = cross_validate(
         inst,
         grid=default_grid(inst.A, points=grid),
@@ -384,7 +385,7 @@ def _run_kyp(doc, seed, tol, grid, horizon):
     point = report.pointwise
     lmi = report.lmi
     payload = {
-        "controllable": inst.controllable,
+        "controllable": controllable,
         "lmi": {
             "status": lmi.status,
             "decided_by": lmi.decided_by,

@@ -9,6 +9,7 @@ general PSD-cone problem U'PV + V'PU <= C (psd_lmi) through its KYP form.
 """
 
 import dataclasses
+import functools
 import logging
 
 import numpy as np
@@ -36,6 +37,9 @@ AXIS_TOL = 1e-8
 # eigenvalue at the solution equals it, and 1e-8 already moves the scalar
 # passivity certificate P = 1 by 1.4e-4
 RICCATI_REG = 1e-10
+# without inputs the Riccati route solves the n^2 x n^2 Kronecker form of the
+# Lyapunov equation (2 MB at n = 16); larger instances go to psd_certificate
+LYAPUNOV_MAX_N = 16
 # a stacked frequency sweep solves at most this many entries of 2n x 2n
 # systems at once (512 KB); with a chunk's other per-frequency arrays that
 # keeps a chunk to a few MB however large the grid
@@ -64,14 +68,16 @@ class KypInstance:
     A: np.ndarray
     B: np.ndarray
     M: np.ndarray
-    controllable: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
         self.A = as_square("A", self.A)
         n = self.A.shape[0]
         self.B = as_matrix("B", self.B, rows=n)
         self.M = as_symmetric("M", self.M, dim=n + self.B.shape[1])
-        self.controllable, _ = controllability_rank(self.A, self.B)
+
+    @functools.cached_property
+    def controllable(self):
+        return controllability_rank(self.A, self.B)[0]
 
     @property
     def n(self):
@@ -125,21 +131,25 @@ def _singular(S):
     return not s.size or bool(s[-1] <= SV_CUTOFF * (1.0 + s[0]))
 
 
+def _hamiltonian(inst, M22):
+    """[[Ah, -B M22^-1 B'], [-(M11 - M12 M22^-1 M21), -Ah']], Ah = A - B M22^-1 M21."""
+    n, M = inst.n, inst.M
+    K = np.linalg.solve(M22, np.hstack([M[n:, :n], inst.B.T]))
+    Ah = inst.A - inst.B @ K[:, :n]
+    return np.block([[Ah, -inst.B @ K[:, n:]], [-(M[:n, :n] - M[:n, n:] @ K[:, :n]), -Ah.T]])
+
+
 def hamiltonian_crossings(inst: KypInstance) -> np.ndarray:
     """Ascending frequencies where an eigenvalue of the Popov form can change sign.
 
     With M22 nonsingular the form is singular at omega exactly when
-    i*omega is an eigenvalue of [[Ah, -B M22^-1 B'], [-(M11 - M12 M22^-1
-    M21), -Ah']], Ah = A - B M22^-1 M21 (Boyd, Balakrishnan and Kabamba
-    1989).  Empty when M22 is singular.
+    i*omega is an eigenvalue of the Hamiltonian of _hamiltonian (Boyd,
+    Balakrishnan and Kabamba 1989).  Empty when M22 is singular.
     """
-    n, M = inst.n, inst.M
-    if _singular(M[n:, n:]):
+    M22 = inst.M[inst.n :, inst.n :]
+    if _singular(M22):
         return np.empty(0)
-    K = np.linalg.solve(M[n:, n:], np.hstack([M[n:, :n], inst.B.T]))
-    Ah = inst.A - inst.B @ K[:, :n]
-    H = np.block([[Ah, -inst.B @ K[:, n:]], [-(M[:n, :n] - M[:n, n:] @ K[:, :n]), -Ah.T]])
-    eig = np.linalg.eigvals(H)
+    eig = np.linalg.eigvals(_hamiltonian(inst, M22))
     # generous: a spurious crossing only adds a point that is evaluated
     on_axis = np.abs(eig.real) <= 1e-6 * (1.0 + np.abs(eig))
     return np.unique(np.abs(eig[on_axis].imag))
@@ -265,34 +275,47 @@ def _kyp_form(prob: PsdProblem):
     return KypInstance(A=UT[:, :n], B=UT[:, n:], M=-symmetrize(T.T @ prob.C @ T)), T
 
 
-def _riccati_certificate(inst, prob) -> Certificate | None:
-    """P = -X from the stabilizing Riccati solution, kept only if the LMI holds at P.
+def _riccati_solution(inst) -> np.ndarray | None:
+    """Symmetric P where the KYP LMI's Schur complement vanishes, or None.
 
-    X solves A'X + XA - (XB - M12) R^-1 (B'X - M21) - M11 = 0 with
-    R = -M22: the LMI's Schur complement at equality (Willems 1971).  A
-    singular M22 is regularized by RICCATI_REG.  Without inputs the LMI is
-    M11 + A'P + PA <= 0, and X solves the Lyapunov equation A'X + XA = M11,
-    skipped as singular when eigenvalues of A have |l_i + l_j| <= SV_CUTOFF ||A||.
+    With inputs, P is the stabilizing solution of A'P + PA + M11 - (PB +
+    M12) M22^-1 (B'P + M21) = 0 (Willems 1971), a singular M22 replaced by
+    M22 - RICCATI_REG I: the n eigenvectors [V1; V2] of _hamiltonian with
+    Re lambda < 0 span its graph, so P = Re(V2 V1^-1) (Laub 1979).  None
+    when there are not n of them or V1 is singular.  Without inputs, P
+    solves A'P + PA + M11 = 0 in Kronecker form, (I (x) A' + A' (x) I)
+    vec P = -vec M11, for n <= LYAPUNOV_MAX_N; None when that system's
+    singular values show it singular (eigenvalues of A with l_i + l_j = 0).
     """
     n, M = inst.n, inst.M
-    R = -M[n:, n:]
-    if _singular(R):
-        R = R + RICCATI_REG * np.eye(inst.m)
-    import scipy.linalg  # loaded on first use: only this route needs scipy
-
     try:
-        if inst.m:
-            X = scipy.linalg.solve_continuous_are(inst.A, inst.B, -M[:n, :n], R, s=-M[:n, n:])
-        else:
-            lam = np.linalg.eigvals(inst.A)
-            if np.any(np.abs(lam[:, None] + lam) <= SV_CUTOFF * np.linalg.norm(inst.A)):
+        if not inst.m:
+            if n > LYAPUNOV_MAX_N:
                 return None
-            X = scipy.linalg.solve_continuous_lyapunov(inst.A.T, M[:n, :n])
-    except (np.linalg.LinAlgError, ValueError):
+            L = np.kron(np.eye(n), inst.A.T) + np.kron(inst.A.T, np.eye(n))
+            s = np.linalg.svd(L, compute_uv=False)
+            if not s[-1] > SV_CUTOFF * s[0]:
+                return None
+            P = np.linalg.solve(L, -M.ravel()).reshape(n, n)
+        else:
+            M22 = M[n:, n:]
+            if _singular(M22):
+                M22 = M22 - RICCATI_REG * np.eye(inst.m)
+            lam, V = np.linalg.eig(_hamiltonian(inst, M22))
+            V = V[:, lam.real < 0]
+            if V.shape[1] != n:
+                return None
+            P = np.linalg.solve(V[:n].T, V[n:].T).T.real
+    except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(X)):
+    return symmetrize(P) if np.all(np.isfinite(P)) else None
+
+
+def _riccati_certificate(inst, prob) -> Certificate | None:
+    """The certificate P of _riccati_solution, kept only if the LMI holds at P."""
+    P = _riccati_solution(inst)
+    if P is None:
         return None
-    P = symmetrize(-X)
     slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
     if not slack[0] >= -LMI_TOL:
         return None
@@ -332,12 +355,11 @@ def _decide(prob: PsdProblem, inst, T) -> LmiResult:
     In order: a rank-one kernel witness; a rank-2 frequency witness
     (psd_kernel_witness); the Riccati certificate (eigenvalue post-check);
     the interior-point method of psd_certificate.  The witnesses go first
-    because they are cheap and need only numpy, while the Riccati solve is
-    the one route that loads scipy.  The order cannot move a verdict: by
-    weak duality a witness that passes psd_kernel_witness excludes every P
-    that passes the post-check.  The frequency and Riccati routes run on
-    inst, prob in KYP form, whose coordinates T maps to prob's (T None: the
-    same); they are skipped when inst is None.
+    so that a refutable instance pays no Riccati solve.  The order cannot
+    move a verdict: by weak duality a witness that passes psd_kernel_witness
+    excludes every P that passes the post-check.  The frequency and Riccati
+    routes run on inst, prob in KYP form, whose coordinates T maps to
+    prob's (T None: the same); they are skipped when inst is None.
     """
     witness = rank_one_witness(prob)
     if witness is not None:

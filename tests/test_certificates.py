@@ -244,13 +244,15 @@ def test_psd_feasible_by_construction_ensemble():
 
 def test_psd_breakdown_keeps_the_last_passing_iterate():
     # a degenerate integer instance: the Schur matrix turns singular before
-    # the gap converges, after an iterate whose P already passes the post-check
+    # the gap converges, after an iterate whose P already passes the post-check;
+    # psd_lmi certifies it by the Riccati route, before the interior point runs
     prob = PsdProblem(
         U=[[1, 0, -1, 0], [-1, 1, 0, 1], [-1, -1, 1, -1]],
         V=[[1, 0, 0, -1], [-1, 0, 0, 0], [0, -1, -1, 1]],
         C=[[-1, 0, 0.5, 0], [0, 1, -0.5, 1], [0.5, -0.5, -1, 0.5], [0, 1, 0.5, 1]],
     )
-    out = psd_lmi(prob)
+    assert psd_lmi(prob).status == "feasible"
+    out = psd_certificate(prob)
     assert (out.status, out.decided_by) == ("feasible", "interior_point")
     assert 1 <= out.iterations < IPM_MAX_ITERATIONS
     slack = psd_slack(prob, out.P)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from conecert import cli, kyp, possys
+from conecert import PsdProblem, cli, kyp, possys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_problems"
@@ -916,9 +916,9 @@ def run_fresh(runs, tmp_path):
     return report[0], report[1:], proc.stderr
 
 
-def test_scipy_loaded_only_by_the_routes_that_use_it(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     orthant = write_problem(tmp_path, ORTHANT, name="orthant.json")
-    # refuted by the rank-one witness, before the Riccati route
+    # refuted by the rank-one witness
     psd_rank_one = write_problem(
         tmp_path, dict(PSD, C=[[0.0, 1.0], [1.0, -1.0]]), name="psd_rank_one.json"
     )
@@ -930,42 +930,64 @@ def test_scipy_loaded_only_by_the_routes_that_use_it(tmp_path):
         name="psd_interior.json",
     )
     # the resonance pair in PSD form, V = (I 0) of full row rank: refuted by
-    # the frequency witness, which runs before the Riccati route
+    # the frequency witness
     psd_frequency = write_problem(
         tmp_path,
         dict(PSD, U=[[0.0, 1.0, 0.0], [-53.29, -0.00146, 1.0]],
              V=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], C=np.diag([-1.0, 0.0, 2500.0]).tolist()),
         name="psd_frequency.json",
     )
-    no_scipy = [
+    psd_riccati = write_problem(tmp_path, PSD, name="psd_riccati.json")
+    steer = write_problem(tmp_path, STEER, name="steer.json")
+    kyp_argv = ["kyp", "--input", str(SAMPLES / "kyp_scalar_passivity.json")]
+    argvs = [
         ["l1gain", "--input", str(SAMPLES / "l1gain_2x2.json")],
+        kyp_argv,
+        ["decompose", "--input", str(SAMPLES / "decompose_synthesized.json")],
+        ["steer", "--input", str(steer)],
         ["certify", "--input", str(orthant)],
         ["certify", "--input", str(psd_rank_one)],
         ["certify", "--input", str(psd_interior)],
         ["certify", "--input", str(psd_frequency)],
-        ["decompose", "--input", str(SAMPLES / "decompose_synthesized.json")],
+        ["certify", "--input", str(psd_riccati)],
     ] + [["validate", "--input", str(path)] for path in sorted(SAMPLES.glob("*.json"))]
-    runs = [argv + ["--output", str(tmp_path / f"{k}.json")] for k, argv in enumerate(no_scipy)]
+    runs = [argv + ["--output", str(tmp_path / f"{k}.json")] for k, argv in enumerate(argvs)]
     at_import, after, _ = run_fresh(runs, tmp_path)
     assert at_import is False
     assert [loaded for _, loaded in after] == [False] * len(runs)
-    assert [code for code, _ in after] == [0, 1, 1, 0, 1, 0] + [0] * (len(runs) - 6)
-    decided_by = [json.loads((tmp_path / f"{k}.json").read_text())["result"]["decided_by"]
-                  for k in (3, 4)]
-    assert decided_by == ["interior_point", "frequency_witness"]
+    assert [code for code, _ in after] == [0, 0, 0, 0, 1, 1, 0, 1, 0] + [0] * (len(runs) - 9)
+    results = [json.loads((tmp_path / f"{k}.json").read_text())["result"] for k in range(9)]
+    assert results[1]["lmi"]["decided_by"] == "riccati"
+    assert [r["decided_by"] for r in results[5:]] == [
+        "rank_one_witness", "interior_point", "frequency_witness", "riccati"
+    ]
+    # the fresh kyp result is the in-process one
+    assert cli.run(kyp_argv + ["--output", str(tmp_path / "here.json")]) == 0
+    assert (tmp_path / "1.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
-    # certify --kind psd loads scipy when it reaches the Riccati route
-    psd = write_problem(tmp_path, PSD, name="psd.json")
-    _, after, _ = run_fresh([["certify", "--input", str(psd), "--output",
-                              str(tmp_path / "psd_out.json")]], tmp_path)
-    assert after == [[0, True]]
 
-    # the Riccati route loads scipy, and its result is the in-process one
-    kyp_argv = ["kyp", "--input", str(SAMPLES / "kyp_scalar_passivity.json"), "--output"]
-    at_import, after, _ = run_fresh([kyp_argv + [str(tmp_path / "fresh.json")]], tmp_path)
-    assert at_import is False and after == [[0, True]]
-    assert cli.run(kyp_argv + [str(tmp_path / "here.json")]) == 0
-    assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
+@pytest.mark.filterwarnings("error")
+def test_defective_lyapunov_pair_is_certified_without_warnings(tmp_path):
+    # square V, so no inputs: the KYP form's A has the defective eigenvalue
+    # -1 (computed as -1 +- 1.5e-8i) and 1, whose sum makes the Lyapunov
+    # equation singular; the Riccati route skips it, and the interior-point
+    # method certifies a P that passes the post-check
+    doc = dict(
+        PSD,
+        U=[[-1.0, -1.0, -1.0], [0.0, 0.0, 1.0], [1.0, -1.0, 0.0]],
+        V=[[1.0, 0.0, 1.0], [0.0, 1.0, -1.0], [1.0, -1.0, 0.0]],
+        C=[[-1.0, -0.5, 1.0], [-0.5, 0.0, 1.0], [1.0, 1.0, -1.0]],
+    )
+    prob = PsdProblem(U=doc["U"], V=doc["V"], C=doc["C"])
+    res = kyp.psd_lmi(prob)
+    assert res.status == "feasible"
+    assert np.linalg.eigvalsh(prob.C - prob.adjoint_image(res.P))[0] >= -kyp.LMI_TOL
+    path = write_problem(tmp_path, doc)
+    _, [[code, _]], err = run_fresh(
+        [["certify", "--input", str(path), "--output", str(tmp_path / "out.json")]], tmp_path
+    )
+    assert code == 0 and err == ""
+    assert json.loads((tmp_path / "out.json").read_text())["status"] == "feasible"
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -149,11 +149,21 @@ def test_lmi_without_inputs_is_a_lyapunov_inequality():
     assert res.P[0, 0] >= 0.25 - kyp.LMI_TOL
 
 
+def test_lyapunov_route_is_bounded_in_n():
+    # A = -I, M = I: A'P + PA + M = 0 at P = I/2, solved up to LYAPUNOV_MAX_N
+    for n in (kyp.LYAPUNOV_MAX_N, kyp.LYAPUNOV_MAX_N + 1):
+        P = kyp._riccati_solution(KypInstance(A=-np.eye(n), B=np.zeros((n, 0)), M=np.eye(n)))
+        if n <= kyp.LYAPUNOV_MAX_N:
+            np.testing.assert_allclose(P, 0.5 * np.eye(n), atol=1e-14)
+        else:
+            assert P is None
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("A", [np.zeros((1, 1)), np.array([[0.0, 1.0], [-1.0, 0.0]])])
 def test_lmi_without_inputs_skips_a_singular_lyapunov_equation(A):
-    # eigenvalues with lambda_i + lambda_j = 0 make A'X + XA = M11 singular:
-    # scipy's solver warns and, for A = 0, returns P ~ 1e292
+    # eigenvalues with lambda_i + lambda_j = 0 make A'P + PA = -M11 singular:
+    # its Kronecker form's singular values show it, and the route is skipped
     inst = KypInstance(A=A, B=np.zeros((A.shape[0], 0)), M=-np.eye(A.shape[0]))
     res = kyp_lmi(inst)
     assert res.status == "feasible" and res.decided_by != "riccati"
@@ -197,13 +207,13 @@ def test_interior_point_refutes_without_kyp_form_or_rank_one_witness():
 
 def test_riccati_failing_post_check_falls_back_to_interior_point(monkeypatch):
     calls = []
-    original = scipy.linalg.solve_continuous_are
+    original = kyp._riccati_solution
 
-    def off_by_one(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs) + 1.0  # P = 0 instead of 1: slack fails
+    def off_by_one(inst):
+        calls.append(inst)
+        return original(inst) - 1.0  # P = 0 instead of 1: slack fails
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", off_by_one)
+    monkeypatch.setattr(kyp, "_riccati_solution", off_by_one)
     res = kyp_lmi(passivity_instance())
     assert len(calls) == 1
     assert res.status == "feasible" and res.decided_by == "interior_point"
@@ -212,13 +222,40 @@ def test_riccati_failing_post_check_falls_back_to_interior_point(monkeypatch):
 
 
 def test_riccati_solver_error_falls_through(monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Failed to find a finite solution.")
-
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", fail)
+    monkeypatch.setattr(kyp, "_riccati_solution", lambda inst: None)
     res = kyp_lmi(passivity_instance())
     assert res.status == "feasible" and res.decided_by == "interior_point"
     assert res.iterations > 0
+
+
+@pytest.mark.parametrize(
+    "A, B, M",
+    [
+        # Hamiltonian [[0, 1], [0, 0]]: no eigenvalue with Re < 0
+        ([[0.0]], [[1.0]], [[0.0, 0.0], [0.0, -1.0]]),
+        # Hamiltonian [[1, 0], [-1, -1]]: its stable eigenvector (0, 1) has V1 = 0
+        ([[1.0]], [[0.0]], [[1.0, 0.0], [0.0, -1.0]]),
+    ],
+)
+def test_riccati_solution_needs_n_stable_eigenvectors_and_nonsingular_v1(A, B, M):
+    assert kyp._riccati_solution(KypInstance(A=A, B=B, M=M)) is None
+
+
+def test_riccati_solution_matches_scipy():
+    # unit-scale planted-feasible instances, n <= 5 and m <= 3: the
+    # Hamiltonian's stable eigenvectors give scipy's stabilizing solution,
+    # P = -X, and every P passes the post-check
+    rng = np.random.default_rng(21)
+    for _ in range(150):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        inst = helpers.feasible_kyp(rng, n, m)[0]
+        M = inst.M
+        X = scipy.linalg.solve_continuous_are(
+            inst.A, inst.B, -M[:n, :n], -M[n:, n:], s=-M[:n, n:]
+        )
+        P = kyp._riccati_solution(inst)
+        assert np.linalg.norm(P + X) <= 1e-8 * np.linalg.norm(X)
+        assert kyp._riccati_certificate(inst, kyp_problem(inst)) is not None
 
 
 @pytest.mark.parametrize(
@@ -231,13 +268,13 @@ def test_riccati_solver_error_falls_through(monkeypatch):
 )
 def test_witnesses_run_before_the_riccati_solve(make, route, solves, monkeypatch):
     calls = []
-    original = scipy.linalg.solve_continuous_are
+    original = kyp._riccati_solution
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
 
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_are", counted)
+    monkeypatch.setattr(kyp, "_riccati_solution", counted)
     assert kyp_lmi(make()).decided_by == route
     assert len(calls) == solves
 

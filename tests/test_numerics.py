@@ -89,13 +89,22 @@ def test_expm_nilpotent():
 
 
 def test_expm_matches_scipy():
+    # n <= 8 and 1-norms up to 250, so up to 6 squarings; with the zero
+    # matrix, a nilpotent matrix and a rotation generator, both of which
+    # need squaring (1-norm over theta_13 = 5.37)
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        d = int(rng.integers(1, 7))
+    cases = [
+        np.zeros((3, 3)),
+        20.0 * np.triu(rng.standard_normal((5, 5)), 1),
+        np.array([[0.0, 40.0], [-40.0, 0.0]]),
+    ]
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
         M = rng.standard_normal((d, d))
-        M *= min(1.0, 10.0 / np.linalg.norm(M, 2))
+        cases.append(M * (rng.uniform(0.0, 250.0) / np.linalg.norm(M, 1)))
+    for M in cases:
         ref = scipy.linalg.expm(M)
-        assert np.linalg.norm(expm(M) - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+        assert np.linalg.norm(expm(M) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_ode_solve_exponential_decay():

@@ -10,8 +10,12 @@ three sample problems, and `validate` on every problem file are built once
 in a temporary directory.  Each tree then runs all of them through
 benchmark/worker.Runner.execute in one fresh interpreter of its own.  Every
 task whose fingerprint differs (the output bytes and exit code of a CLI
-task, the result or exception of a library task) is printed, and the exit
-code is 1 if any does.  Nothing is written in either checkout.
+task, the result or exception of a library task) is printed with how it
+differs: the fields other than floats that changed (status, exit code,
+strings, integers, booleans, shapes), or "floats only", and the largest
+absolute and relative difference among its floats with where each occurs.
+The exit code is 1 if any task differs.  Nothing is written in either
+checkout.
 """
 
 import argparse
@@ -20,6 +24,8 @@ import pickle
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 sys.dont_write_bytecode = True
 BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmark")
@@ -34,9 +40,9 @@ tasks_path, workdir, prints_path = sys.argv[1:]
 with open(tasks_path, "rb") as fh:
     tasks = pickle.load(fh)
 runner = Runner(workdir)
-prints = {t["id"]: runner.execute(t["task"], t["id"])[2] for t in tasks}
+runs = {t["id"]: runner.execute(t["task"], t["id"])[1:] for t in tasks}
 with open(prints_path, "wb") as fh:
-    pickle.dump(prints, fh)
+    pickle.dump(runs, fh)
 """
 
 
@@ -63,7 +69,7 @@ def build_tasks(seeds, workdir):
 
 
 def run_tree(src, tmp):
-    """Fingerprint of every task, run by src's conecert in a fresh interpreter.
+    """(output, fingerprint) of every task, run by src's conecert in a fresh interpreter.
 
     Both trees write their outputs under the same path, so an error message
     that names an output file reads the same for both.
@@ -75,6 +81,75 @@ def run_tree(src, tmp):
                     os.path.join(tmp, "run"), prints_path], env=env, check=True)
     with open(prints_path, "rb") as fh:
         return pickle.load(fh)
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every leaf of a result; an array is one leaf."""
+    if isinstance(obj, dict):
+        for key in sorted(obj, key=str):
+            yield from _leaves(obj[key], f"{path}.{key}")
+    elif isinstance(obj, (list, tuple)):
+        yield path + "#len", len(obj)
+        for k, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{k}]")
+    else:
+        yield path, obj
+
+
+def _float_pair(x, y):
+    """x and y as float arrays when both are floats or float arrays, else None.
+
+    A float field that is integral is written without a decimal point, so an
+    int beside a float counts as a float; two ints do not.
+    """
+    def floats(v):
+        if isinstance(v, np.ndarray):
+            return v.astype(float).ravel() if v.dtype.kind == "f" else None
+        if isinstance(v, (float, int, np.floating)) and not isinstance(v, bool):
+            return np.array([v], dtype=float)
+        return None
+
+    if isinstance(x, int) and isinstance(y, int):
+        return None
+    fx, fy = floats(x), floats(y)
+    if fx is None or fy is None or fx.shape != fy.shape:
+        return None
+    return fx, fy
+
+
+def _equal(x, y):
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.shape(x) == np.shape(y) and bool(np.array_equal(x, y))
+    return type(x) is type(y) and x == y
+
+
+def describe(a, b):
+    """How output b differs from output a: the non-float leaves that changed
+    (or "floats only"), and the largest absolute and relative float difference."""
+    left, right = dict(_leaves(a)), dict(_leaves(b))
+    changed = sorted(left.keys() ^ right.keys())
+    worst = {"abs": (0.0, None), "rel": (0.0, None)}
+    for key in sorted(left.keys() & right.keys()):
+        pair = _float_pair(left[key], right[key])
+        if pair is None:
+            if not _equal(left[key], right[key]):
+                changed.append(key)
+            continue
+        fx, fy = pair
+        same = (fx == fy) | (np.isnan(fx) & np.isnan(fy))
+        if not np.isfinite(np.concatenate([fx[~same], fy[~same]])).all():
+            changed.append(key)  # a non-finite value appeared or went away
+            continue
+        diff = np.where(same, 0.0, np.abs(fx - fy))
+        rel = np.divide(diff, np.maximum(np.abs(fx), np.abs(fy)),
+                        out=np.zeros_like(diff), where=~same)
+        for name, vals in (("abs", diff), ("rel", rel)):
+            top = float(np.max(vals, initial=0.0))
+            if top > worst[name][0]:
+                worst[name] = (top, key)
+    head = "CHANGED " + " ".join(changed) if changed else "floats only"
+    return (f"{head}; max abs diff {worst['abs'][0]:.3g} at {worst['abs'][1]}, "
+            f"max rel diff {worst['rel'][0]:.3g} at {worst['rel'][1]}")
 
 
 def source_dir(path):
@@ -99,9 +174,9 @@ def main():
             pickle.dump(tasks, fh)
         prints = [run_tree(src, tmp) for src in srcs]
 
-    differ = [t["id"] for t in tasks if prints[0][t["id"]] != prints[1][t["id"]]]
+    differ = [t["id"] for t in tasks if prints[0][t["id"]][1] != prints[1][t["id"]][1]]
     for pid in differ:
-        print(f"DIFFERS {pid}\n  A: {prints[0][pid]}\n  B: {prints[1][pid]}")
+        print(f"DIFFERS {pid}: {describe(prints[0][pid][0], prints[1][pid][0])}")
     print(f"{len(tasks)} tasks, {len(differ)} differ "
           f"(A = {srcs[0]}, B = {srcs[1]}, seeds {' '.join(map(str, args.seeds))})")
     return 1 if differ else 0

@@ -136,6 +136,25 @@ def _finite_numbers(values):
         return False
 
 
+def _sample_array(samples, width):
+    """The samples as one float array of shape (rows, width), or None.
+
+    None unless every sample is a list of width ints or floats (not bools)
+    that are finite as doubles; the values are converted once, and their
+    finiteness is checked on the array.
+    """
+    if not all(isinstance(row, list) and len(row) == width for row in samples):
+        return None
+    flat = list(itertools.chain.from_iterable(samples))
+    if not _NUMBER_TYPES.issuperset(map(type, flat)):
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # an int too large for a double
+        return None
+    return values.reshape(len(samples), width) if np.isfinite(values).all() else None
+
+
 def _check_matrix(doc, field, out, rows=None, cols=None, square=False):
     """Validate a nested-array matrix field; append violations to out."""
     if field not in doc:
@@ -238,8 +257,12 @@ _ALLOWED_FIELDS = {
 }
 
 
-def validate_problem(doc) -> list:
-    """Schema report: list of violation strings, empty when well formed."""
+def validate_problem(doc, arrays=None) -> list:
+    """Schema report: list of violation strings, empty when well formed.
+
+    ``arrays``, when given, receives the checked decompose samples as the
+    float array the check built, so that a run converts each value once.
+    """
     out = []
     command = doc.get("command")
     if command not in COMMANDS:
@@ -293,15 +316,17 @@ def validate_problem(doc) -> list:
         elif A is not None and B is not None:
             dim = A.shape[0] + B.shape[1]
             want = dim * dim
-            rows_ok = all(isinstance(row, list) and len(row) == want for row in samples)
-            # one pass over every value; the row loop only names the first bad row
-            if not (rows_ok and _finite_numbers(list(itertools.chain.from_iterable(samples)))):
+            values = _sample_array(samples, want)
+            if values is None:
+                # the row loop only names the first bad row
                 k = next(k for k, row in enumerate(samples) if not (
                     isinstance(row, list) and len(row) == want and _finite_numbers(row)))
                 out.append(
                     f"samples[{k}]: must be a flat array of {want} finite numbers "
                     f"(row-major {dim}x{dim})"
                 )
+            elif arrays is not None:
+                arrays["samples"] = values
             if steps is not None and len(samples) != steps + 1:
                 out.append(
                     f"samples: expected grid.steps + 1 = {steps + 1} rows, got {len(samples)}"
@@ -430,7 +455,7 @@ def _run_decompose(doc, tol):
     g = doc["grid"]
     grid = TimeGrid(float(g["t0"]), float(g["t1"]), int(g["steps"]))
     dim = n + m
-    values = np.array(doc["samples"], dtype=float).reshape(-1, dim, dim)
+    values = np.asarray(doc["samples"], dtype=float).reshape(-1, dim, dim)
     traj = MatrixTrajectory(grid=grid, values=values, n=n, m=m)
     try:
         dec = decompose(traj, A, B)
@@ -614,7 +639,8 @@ def run(argv=None) -> int:
         return 3
 
     digest = _digest(raw)
-    violations = validate_problem(doc)
+    arrays = {}
+    violations = validate_problem(doc, arrays)
     command = doc.get("command") if doc.get("command") in COMMANDS else "unknown"
 
     if args.subcommand == "validate":
@@ -649,7 +675,10 @@ def run(argv=None) -> int:
     log.info("running %s on %s (seed %d)", command, args.input, seed)
     log.debug("settings: %r", settings)
     try:
-        status, payload = _RUNNERS[command](doc, **settings)
+        # a non-finite intermediate is named in diagnostics by the checks
+        # that catch it, so numpy's own warnings would only repeat it
+        with np.errstate(all="ignore"):
+            status, payload = _RUNNERS[command](dict(doc, **arrays), **settings)
         diagnostics = []
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         log.info("command failed: %s", exc)

@@ -556,13 +556,16 @@ class IqcSample:
 def _iqc_samples(inst: KypInstance, u_stages, grid: TimeGrid) -> list:
     """IQC samples of a batch of inputs given at the RK4 stage times.
 
-    u_stages has shape (2*steps+1, m, trials): the inputs at t0 + j*h/2.
-    Every trial starts from x(0) = 0; one recurrence runs them all, and
-    each must have decayed at the horizon.
+    u_stages has shape (m, 2*steps+1, trials), component-major: the inputs
+    at t0 + j*h/2.  Every trial starts from x(0) = 0; one recurrence runs
+    them all, and each must have decayed at the horizon.
     """
-    x0 = np.zeros((inst.n, u_stages.shape[2]))
-    path = rk4_linear(inst.A, inst.B @ u_stages, x0, grid).values
-    tails = np.linalg.norm(path[-1], axis=0)
+    n, m = inst.n, inst.m
+    _, count, trials = u_stages.shape
+    Bu = (inst.B @ u_stages.reshape(m, count * trials)).reshape(n, count, trials)
+    # the states, component-major (n, steps+1, trials)
+    x = rk4_linear(inst.A, Bu, np.zeros((n, trials)), grid).values.transpose(1, 0, 2)
+    tails = np.linalg.norm(x[:, -1], axis=0)
     unsettled = tails > 1e-6
     if np.any(unsettled):
         tail = float(tails[np.argmax(unsettled)])
@@ -570,11 +573,11 @@ def _iqc_samples(inst: KypInstance, u_stages, grid: TimeGrid) -> list:
             f"state norm {tail:.3e} at the horizon exceeds 1e-6; "
             "lengthen the horizon so the trajectory has decayed"
         )
-    u_samples = u_stages[::2]
-    Z = np.concatenate([path, u_samples], axis=1)
-    w = np.einsum("kit,ij,kjt->kt", Z, inst.M, Z)
+    u = u_stages[:, ::2]
+    Z = np.concatenate([x, u]).reshape(n + m, -1)
+    w = (Z * (inst.M @ Z)).sum(axis=0).reshape(x.shape[1:])
     integrals = np.trapezoid(w, dx=grid.h, axis=0)
-    energies = np.trapezoid(np.einsum("kit,kit->kt", u_samples, u_samples), dx=grid.h, axis=0)
+    energies = np.trapezoid((u * u).sum(axis=0), dx=grid.h, axis=0)
     return [
         IqcSample(integral=float(i), energy=float(e), tail_norm=float(t))
         for i, e, t in zip(integrals, energies, tails)
@@ -595,8 +598,9 @@ def iqc_integral(inst: KypInstance, u, horizon, steps=4096) -> IqcSample:
 def _ramped_input(rng, m, active):
     """Smooth random input supported on (0, active), vectorized over time.
 
-    The returned u maps times of any shape to values of shape t.shape + (m,);
-    the sinusoids are evaluated only at the times in (0, active).
+    The returned u maps times of any shape to values of shape t.shape + (m,),
+    a view of values held component by component with time last; the
+    sinusoids are evaluated only at the times in (0, active).
     """
     freqs = rng.uniform(0.2, 2.0, size=3)
     amps = rng.normal(size=(m, 3))
@@ -604,12 +608,19 @@ def _ramped_input(rng, m, active):
 
     def u(t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape + (m,))
+        out = np.zeros((m,) + t.shape)
         on = (0.0 < t) & (t < active)
-        s = t[on][:, None]
-        waves = np.sum(amps * np.sin(freqs * s[..., None] + phases), axis=-1)
-        out[on] = np.sin(np.pi * s / active) ** 2 * waves
-        return out
+        s = t[on]
+        env = np.sin(np.pi * s / active) ** 2
+        for j in range(m):
+            # summed left to right, as np.sum over a length-3 axis sums, so
+            # the values are those of the (time, m, 3) formula bit for bit
+            w0, w1, w2 = (amps[j, i] * np.sin(freqs[i] * s + phases[j, i]) for i in range(3))
+            w0 += w1
+            w0 += w2
+            w0 *= env
+            out[j, on] = w0
+        return np.moveaxis(out, 0, -1)
 
     return u
 
@@ -665,7 +676,7 @@ def iqc_trajectory_condition(
     batch = max(1, IQC_BATCH_VALUES // (times.size * (inst.n + inst.m)))
     samples = []
     for lo in range(0, trials, batch):
-        u_stages = np.stack([u(times) for u in inputs[lo : lo + batch]], axis=-1)
+        u_stages = np.stack([u(times).T for u in inputs[lo : lo + batch]], axis=-1)
         samples += _iqc_samples(inst, u_stages, grid)
     worst_integral = max((s.integral for s in samples), default=-np.inf)
     worst_margin = max(

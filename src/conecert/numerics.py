@@ -10,10 +10,14 @@ Conventions
   x_{k+1} = T_k x_k + c_k, builds all T_k and c_k at once from F and g at
   the stage times, and solves the recurrence by recursive doubling in
   ceil(log2(steps + 1)) stacked products; no loop runs per step unless the
-  state leaves the floating-point range; ``stage_inputs`` samples an input
-  at the stage times.  ``ode_solve`` is the generic integrator for any field
-  f(t, x), the reference the kernel is tested against, and the one estimate
-  of the accumulated error (by step halving).
+  state leaves the floating-point range.  States and forcing are held
+  component-major, shape (n, samples, batch), so the long axis (time x
+  batch) is innermost: with a constant F each product is one
+  (n, n) @ (n, samples * batch) matrix product.  ``stage_inputs`` samples
+  an input at the stage times, in the same layout.  ``ode_solve`` is the
+  generic integrator for any field f(t, x), the reference the kernel is
+  tested against, and the one estimate of the accumulated error (by step
+  halving); it shares no code with the kernel.
 * No complex arithmetic here; frequency-domain code builds complex values
   from real solves in the kyp module.
 """
@@ -188,8 +192,11 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
     times t_k, t_k + h/2 and t_k + h.  These are built for all steps at once
     by stacked products, and the recurrence is solved by recursive doubling
     in ceil(log2(steps + 1)) stacked products, with no per-step loop (see
-    ``_doubling``).  The result is that of ode_solve up to the order of
-    floating-point operations.
+    ``_doubling``).  States are held component-major, shape
+    (n, steps+1, k), so with a constant F each product is one
+    (n, n) @ (n, (steps+1) k) matrix product over the long axis.  The
+    result is that of ode_solve up to the order of floating-point
+    operations.
 
     A product over many steps can overflow where the stepped state stays
     finite (inf * 0 = nan), so a result that is not well inside the
@@ -198,9 +205,11 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
     sample.
 
     ``F`` is an (n, n) matrix, or its values at the 2*steps+1 half-grid
-    times t0 + j*h/2 with shape (2*steps+1, n, n).  ``g`` is None or its
-    values at the same times, shape (2*steps+1,) + x0.shape.  ``x0`` has
-    shape (n,) or (n, k); the k columns of a batch share F.
+    times t0 + j*h/2 with shape (2*steps+1, n, n).  ``x0`` has shape (n,)
+    or (n, k); the k columns of a batch share F.  ``g`` is None or its
+    values at the same times, component-major: shape (n, 2*steps+1), or
+    (n, 2*steps+1, k) for a batch.  The returned values have shape
+    (steps+1,) + x0.shape, a view of the component-major states.
     """
     x0 = np.asarray(x0, dtype=float)
     require_finite("x0", x0)
@@ -224,46 +233,44 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
     x = x0 if x0.ndim == 2 else x0[:, None]
     if g is not None:
         g = np.asarray(g, dtype=float)
-        if g.shape != (2 * N + 1,) + x0.shape:
-            raise ValueError(
-                f"g must have shape {(2 * N + 1,) + x0.shape}, got {g.shape}"
-            )
+        want = (n, 2 * N + 1) + x0.shape[1:]
+        if g.shape != want:
+            raise ValueError(f"g must have shape {want}, got {g.shape}")
         g = g if g.ndim == 3 else g[:, :, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _doubling(T, _step_rows(x, g, Fm, F1, h, N), g is None)
-        if not (out.max(initial=0.0) < _SCAN_LIMIT and out.min(initial=0.0) > -_SCAN_LIMIT):
+        s = _doubling(T, _step_states(x, g, Fm, F1, h, N), g is None)
+        if not (s.max(initial=0.0) < _SCAN_LIMIT and s.min(initial=0.0) > -_SCAN_LIMIT):
             # a diverging state is reported once below, not tested every step
-            out = _step_rows(x, g, Fm, F1, h, N)
+            s = _step_states(x, g, Fm, F1, h, N)
             for k, Tk in enumerate(T if T.ndim == 3 else itertools.repeat(T, N)):
-                out[k + 1] += out[k] @ Tk.T
-            finite = np.isfinite(out).all(axis=(1, 2))
+                s[:, k + 1] += Tk @ s[:, k]
+            finite = np.isfinite(s).all(axis=(0, 2))
             if not finite.all():
                 k = int(np.argmin(finite))
                 raise ValueError(
                     f"non-finite state encountered at t = {grid.t0 + k * h:.6g}"
                 )
-    return TrajectoryGrid(grid, out.transpose(0, 2, 1).reshape((N + 1,) + x0.shape))
+    return TrajectoryGrid(grid, s.transpose(1, 0, 2).reshape((N + 1,) + x0.shape))
 
 
-def _step_rows(x, g, Fm, F1, h, N):
-    """States as rows: s[0] = x0' and s[k+1] = c_k', shape (steps+1, k, n).
+def _step_states(x, g, Fm, F1, h, N):
+    """Component-major states: s[:, 0] = x0 and s[:, k+1] = c_k, shape (n, steps+1, k).
 
     c_k is the forcing term of the RK4 step, zero when g is None.  It is
     built in place, so that no more than three arrays of its size are held.
     """
-    s = np.zeros((N + 1, x.shape[1], x.shape[0]))
-    s[0] = x.T
+    s = np.zeros((x.shape[0], N + 1, x.shape[1]))
+    s[:, 0] = x
     if g is not None:
-        # forcing parts of the stage slopes k_i = K_i x + d_i, as rows
-        rows = g.transpose(0, 2, 1)
-        g0, gm, g1 = rows[0:-1:2], rows[1::2], rows[2::2]
-        d2 = _right_product(g0, Fm)
+        # forcing parts of the stage slopes k_i = K_i x + d_i
+        g0, gm, g1 = g[:, 0:-1:2], g[:, 1::2], g[:, 2::2]
+        d2 = _stage_product(Fm, g0)
         d2 *= 0.5 * h
         d2 += gm
-        d3 = _right_product(d2, Fm)
+        d3 = _stage_product(Fm, d2)
         d3 *= 0.5 * h
         d3 += gm
-        d4 = _right_product(d3, F1)
+        d4 = _stage_product(F1, d3)
         d4 *= h
         d4 += g1
         # c = (h/6)(g0 + 2 d2 + 2 d3 + d4), summed in that order
@@ -272,15 +279,20 @@ def _step_rows(x, g, Fm, F1, h, N):
         d3 *= 2.0
         d2 += d3
         d2 += d4
-        np.multiply(d2, h / 6.0, out=s[1:])
+        np.multiply(d2, h / 6.0, out=s[:, 1:])
     return s
 
 
-def _right_product(rows, F):
-    """rows[j] @ F_j' for stacked rows; one 2-D product when F is one matrix."""
+def _stage_product(F, x):
+    """F_j @ x[:, j] for component-major x of shape (n, L, k).
+
+    One (n, n) @ (n, L k) product when F is one matrix; a stacked product
+    over the L matrices of F otherwise.
+    """
     if F.ndim == 3:
-        return rows @ F.transpose(0, 2, 1)
-    return (rows.reshape(-1, F.shape[0]) @ F.T).reshape(rows.shape)
+        return np.matmul(F, x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    n, L, k = x.shape
+    return (F @ x.reshape(n, L * k)).reshape(n, L, k)
 
 
 # a doubling result beyond this magnitude is recomputed step by step, so that
@@ -289,28 +301,28 @@ _SCAN_LIMIT = 1e300
 
 
 def _doubling(T, s, homogeneous):
-    """Solve s[k+1] <- T_k s[k] + s[k+1] for all k by recursive doubling.
+    """Solve s[:, k+1] <- T_k s[:, k] + s[:, k+1] for all k by recursive doubling.
 
-    Rows of s are states transposed, so each step is a right product with
-    T_k'.  At level d (1, 2, 4, ...), row j already sums the last d steps
-    into it; adding the d-step map applied to row j - d doubles that window,
-    so after ceil(log2(len(s))) levels every row reaches s[0] (Kogge and
-    Stone 1973).  A constant T needs only its power T^d per level, applied
-    to all rows as one 2-D product; a time-varying T needs the d-step
-    products P_j = T_{j-1} ... T_{j-d}, doubled alongside.  When
-    ``homogeneous`` (s[1:] = 0), rows past 2d are still zero at level d and
-    are skipped; the products P_j are doubled at every row all the same.
+    s holds states component-major, shape (n, count, k).  At level d (1, 2,
+    4, ...), state j already sums the last d steps into it; adding the
+    d-step map applied to state j - d doubles that window, so after
+    ceil(log2(count)) levels every state reaches s[:, 0] (Kogge and Stone
+    1973).  A constant T needs only its power T^d per level, applied to all
+    states as one (n, n) @ (n, count k) product; a time-varying T needs the
+    d-step products P_j = T_{j-1} ... T_{j-d}, doubled alongside.  When
+    ``homogeneous`` (s[:, 1:] = 0), states past 2d are still zero at level d
+    and are skipped; the products P_j are doubled at every state all the
+    same.
     """
-    count = len(s)
+    count = s.shape[1]
     P = T if T.ndim == 2 else np.concatenate([np.zeros((1,) + T.shape[1:]), T])
     d = 1
     while d < count:
         hi = min(2 * d, count) if homogeneous else count
+        s[:, d:hi] += _stage_product(P if P.ndim == 2 else P[d:hi], s[:, : hi - d])
         if P.ndim == 2:
-            s[d:hi] += _right_product(s[: hi - d], P)
             P = P @ P
         else:
-            s[d:hi] += _right_product(s[: hi - d], P[d:hi])
             P[2 * d :] = P[2 * d :] @ P[d:-d]
         d *= 2
     return s
@@ -343,9 +355,10 @@ def interpolate_samples(grid: TimeGrid, values, times):
 
 
 def stage_inputs(u, grid: TimeGrid, m):
-    """An input's values at the RK4 stage times t0 + j*h/2, shape (2*steps+1, m).
+    """An input's values at the RK4 stage times t0 + j*h/2, shape (m, 2*steps+1).
 
-    A callable u is called once per stage time; a TrajectoryGrid of samples
+    The values are component-major, as ``rk4_linear`` takes its forcing.  A
+    callable u is called once per stage time; a TrajectoryGrid of samples
     is linearly interpolated on its own grid (see ``interpolate_samples``).
     """
     times = TimeGrid(grid.t0, grid.t1, 2 * grid.steps).times()
@@ -353,8 +366,8 @@ def stage_inputs(u, grid: TimeGrid, m):
         vals = u.values.reshape(u.values.shape[0], -1)
         if vals.shape[1] != m:
             raise ValueError("input samples do not match the input dimension")
-        return interpolate_samples(u.grid, vals, times)
-    return np.stack([np.asarray(u(t), dtype=float).reshape(m) for t in times])
+        return interpolate_samples(u.grid, vals, times).T
+    return np.stack([np.asarray(u(t), dtype=float).reshape(m) for t in times], axis=1)
 
 
 def central_diff4(values, h):

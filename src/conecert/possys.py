@@ -246,7 +246,7 @@ def simulate(sys: PositiveSystem, u, x0, grid: TimeGrid) -> TrajectoryGrid:
     u is a callable t -> R^m or a TrajectoryGrid of samples (see ``stage_inputs``).
     """
     x0 = as_vector("x0", x0, length=sys.n)
-    return rk4_linear(sys.A, stage_inputs(u, grid, sys.m) @ sys.B.T, x0, grid)
+    return rk4_linear(sys.A, sys.B @ stage_inputs(u, grid, sys.m), x0, grid)
 
 
 def _nonnegative_input(u_samples: TrajectoryGrid) -> np.ndarray:

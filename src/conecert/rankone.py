@@ -25,7 +25,6 @@ from .numerics import (
     TimeGrid,
     TrajectoryGrid,
     central_diff4,
-    interpolate_samples,
     pinv,
     rk4_linear,
     stage_inputs,
@@ -134,11 +133,9 @@ def dynamics_residual(traj: MatrixTrajectory, A, B) -> float:
     """
     A = as_square("A", A, dim=traj.n)
     B = as_matrix("B", B, rows=traj.n, cols=traj.m)
-    W = np.einsum("ij,kjl->kil", A, traj.q_nn) + np.einsum(
-        "ij,klj->kil", B, traj.q_nm
-    )
+    W = np.hstack([A, B]) @ traj.values[:, :, : traj.n]
     rhs = W + W.transpose(0, 2, 1)
-    dq = central_diff4(traj.q_nn, traj.grid.h)
+    dq = central_diff4(np.ascontiguousarray(traj.q_nn), traj.grid.h)
     defect = np.linalg.norm(dq - rhs[2:-2], axis=(1, 2))
     return float(np.max(defect) / (1.0 + traj.max_norm()))
 
@@ -295,11 +292,13 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
 
     Qnn, Qnm, Qmm = traj.q_nn, traj.q_nm, traj.q_mm
     lam, vecs, live = _q_nn_spectrum(Qnn)
-    vecs_t = vecs.transpose(0, 2, 1)
+    # stacked products run fastest with each operand's rows contiguous
+    vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))
     inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=live)
     R = vecs @ (inv[:, :, None] * (vecs_t @ Qnm))  # Q_nn^+ Q_nm, (N+1, n, m)
     roots = (vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]) @ vecs_t
-    S = Qmm - R.transpose(0, 2, 1) @ Qnn @ R
+    R_t = np.ascontiguousarray(R.transpose(0, 2, 1))
+    S = Qmm - R_t @ Qnn @ R
     S = 0.5 * (S + S.transpose(0, 2, 1))
     norms = np.linalg.norm(traj.values, axis=(1, 2))
     if m > 0:
@@ -316,9 +315,13 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
 
     ranks = live.sum(axis=1)
     seg = _segments_of(ranks)
-    # X' = (A + B R(t)')X with R linearly interpolated between samples
-    half = TimeGrid(traj.grid.t0, traj.grid.t1, 2 * N).times()
-    F = A + B @ interpolate_samples(traj.grid, R, half).transpose(0, 2, 1)
+    # X' = (A + B R(t)')X with R linearly interpolated between samples: R on
+    # the half grid is R at the samples and their midpoints
+    R_half_t = np.empty((2 * N + 1, m, n))
+    R_half_t[::2] = R_t
+    np.add(R_t[:-1], R_t[1:], out=R_half_t[1::2])
+    R_half_t[1::2] *= 0.5
+    F = A + B @ R_half_t
 
     X = np.empty((N + 1, n, n))
     stitch_residuals = []
@@ -338,44 +341,42 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
             X[lo : hi + 1] = Xseg
         prev_boundary_X = Xseg[-1]
 
-    # components: columns of X with u = R'x, then spectral factors of S
-    xs = np.zeros((n + m, N + 1, n))
-    us = np.zeros((n + m, N + 1, m))
-    xs[:n] = X.transpose(2, 0, 1)
+    # components are the columns of Z_k = [X_k, 0; R_k'X_k, factors of S_k]:
+    # the integrated columns with u = R'x, then spectral factors of S with x = 0
+    Z = np.zeros((N + 1, n + m, n + m))
+    Z[:, :n, :n] = X
     if m > 0:
-        us[:n] = (R.transpose(0, 2, 1) @ X).transpose(2, 0, 1)
+        Z[:, n:, :n] = R_t @ X
         lam = np.clip(s_eigs[:, ::-1], 0.0, None)  # descending
         vec = s_vecs[:, :, ::-1]
         # fix each eigenvector's sign by its largest-magnitude entry
         pick = np.argmax(np.abs(vec), axis=1)
         signs = np.sign(np.take_along_axis(vec, pick[:, None, :], axis=1)[:, 0, :])
         signs[signs == 0.0] = 1.0
-        factors = vec * signs[:, None, :] * np.sqrt(lam)[:, None, :]
-        us[n:] = factors.transpose(2, 0, 1)
+        Z[:, n:, n:] = vec * signs[:, None, :] * np.sqrt(lam)[:, None, :]
+    xs = Z[:, :n]
 
-    zero_x = np.max(np.abs(xs), axis=(1, 2)) <= 1e-10 * max(float(np.max(np.abs(X))), 1.0)
-
-    Z = np.concatenate([xs, us], axis=2)
-    recon = np.einsum("ckd,cke->kde", Z, Z)
+    zero_x = np.max(np.abs(xs), axis=(0, 1)) <= 1e-10 * max(float(np.max(np.abs(X))), 1.0)
+    recon = Z @ np.ascontiguousarray(Z.transpose(0, 2, 1))
     recon_err = float(np.max(np.linalg.norm(recon - traj.values, axis=(1, 2))))
 
     keep = np.ones(N + 1, dtype=bool)
     for b in seg.boundaries:
         keep[max(0, b - _BOUNDARY_SKIRT) : b + _BOUNDARY_SKIRT + 1] = False
-    dx = central_diff4(xs.transpose(1, 0, 2), traj.grid.h)  # (N-3, n+m, n)
-    rhs = (xs @ A.T + us @ B.T).transpose(1, 0, 2)[2:-2]
-    ode_res = np.max(np.linalg.norm(dx - rhs, axis=2)[keep[2:-2]], axis=0, initial=0.0)
+    dx = central_diff4(xs, traj.grid.h)  # (N-3, n, n+m)
+    rhs = (np.hstack([A, B]) @ Z)[2:-2]
+    ode_res = np.max(np.linalg.norm(dx - rhs, axis=1)[keep[2:-2]], axis=0, initial=0.0)
     ode_res[zero_x] = np.nan
 
     return RankOneDecomposition(
         grid=traj.grid,
         n=n,
         m=m,
-        xs=xs,
-        us=us,
+        xs=xs.transpose(2, 0, 1),
+        us=Z[:, n:].transpose(2, 0, 1),
         zero_x=zero_x,
         reconstruction_error=recon_err,
-        max_q_norm=traj.max_norm(),
+        max_q_norm=float(np.max(norms)),
         ode_residuals=ode_res,
         stitch_residuals=stitch_residuals,
         segmentation=seg,
@@ -404,7 +405,7 @@ def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
 
     k = len(x_inits)
     x0 = np.empty((n, k))
-    u_stages = np.empty((2 * grid.steps + 1, m, k))
+    u_stages = np.empty((m, 2 * grid.steps + 1, k))
     for j, (x_init, u) in enumerate(zip(x_inits, u_signals)):
         x0[:, j] = np.asarray(x_init, dtype=float).reshape(n)
         if not callable(u):
@@ -422,15 +423,17 @@ def synthesize_Q(A, B, x_inits, u_signals, grid: TimeGrid) -> MatrixTrajectory:
 def synthesize_from_stages(A, B, x0, u_stages, grid: TimeGrid):
     """synthesize_Q on checked arrays, returning the component states too.
 
-    Column j of x0 (n, k) starts component j, and u_stages (2*steps+1, m, k)
-    holds the inputs at the RK4 stage times.  Returns the states, shape
-    (steps+1, n, k), and the trajectory.
+    Column j of x0 (n, k) starts component j, and u_stages (m, 2*steps+1, k)
+    holds the inputs at the RK4 stage times, component-major.  Returns the
+    states, component-major with shape (n, steps+1, k), and the trajectory.
     """
     n, m = B.shape
-    x_path = rk4_linear(A, B @ u_stages, x0, grid).values
-    Z = np.concatenate([x_path, u_stages[::2]], axis=1)  # (N+1, n+m, k)
-    values = np.einsum("tik,tjk->tij", Z, Z)
+    _, count, k = u_stages.shape
+    Bu = (B @ u_stages.reshape(m, count * k)).reshape(n, count, k)
+    x = rk4_linear(A, Bu, x0, grid).values.transpose(1, 0, 2)
+    Z = np.concatenate([x, u_stages[:, ::2]])  # (n+m, N+1, k)
+    values = Z.transpose(1, 0, 2) @ np.ascontiguousarray(Z.transpose(1, 2, 0))
 
     traj = MatrixTrajectory(grid=grid, values=values, n=n, m=m)
     traj.dynamics_residual = dynamics_residual(traj, A, B)
-    return x_path, traj
+    return x, traj

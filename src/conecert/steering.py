@@ -12,7 +12,7 @@ import numpy as np
 
 from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, _doubling, expm, matrix_rank, rk4_linear
 from .rankone import MatrixTrajectory, synthesize_from_stages
-from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
+from .validation import as_matrix, as_square, as_symmetric, as_vector, require_finite, symmetrize
 
 GRAMIAN_COND_LIMIT = 1e12
 
@@ -30,16 +30,21 @@ def controllability_matrix(A, B):
 
 def controllability_rank(A, B):
     """Rank of the Kalman matrix; controllable iff the rank is full."""
-    C = controllability_matrix(A, B)
+    C = require_finite("controllability matrix [B, AB, ...]", controllability_matrix(A, B))
     rank = matrix_rank(C)
     return rank == C.shape[0], rank
 
 
 def _expm_table(A, step, count):
-    """exp(A * j * step) for j = 0..count: the powers of exp(A * step) by doubling."""
-    table = np.zeros((count + 1,) + A.shape)
-    table[0] = np.eye(A.shape[0])
-    return _doubling(expm(A * step).T, table, True)
+    """exp(A * j * step) for j = 0..count: the powers of exp(A * step) by doubling.
+
+    The table is component-major, shape (n, count+1, n): [:, j] is the
+    j-th power.
+    """
+    n = A.shape[0]
+    table = np.zeros((n, count + 1, n))
+    table[:, 0] = np.eye(n)
+    return _doubling(expm(A * step), table, True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,9 +58,9 @@ class Gramian:
 
 
 def _gramian_from_table(table, B, t1, steps):
-    # per-cell Simpson on the half grid: table[2k], table[2k+1], table[2k+2]
-    G = table @ B
-    F = G @ G.transpose(0, 2, 1)
+    # per-cell Simpson on the half grid: table[:, 2k], table[:, 2k+1], table[:, 2k+2]
+    G = table.transpose(1, 0, 2) @ B
+    F = G @ np.ascontiguousarray(G.transpose(0, 2, 1))
     h = t1 / steps
     cells = (h / 6.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2])
     n = B.shape[0]
@@ -110,11 +115,15 @@ class SteeringInput:
 
 
 def _steering_values(B, x0, x1, table, W):
-    """eta = W^-1 (x1 - exp(A t1) x0) and u = B' exp(A'(t1 - tau)) eta on the half grid."""
-    eta = np.linalg.solve(W, x1 - table[-1] @ x0)
-    # u on the half grid: exp(A(t1 - tau_j)) = table[2*steps - j]
-    vs = np.einsum("tij,i->tj", table[::-1], eta)
-    return eta, vs @ B
+    """eta = W^-1 (x1 - exp(A t1) x0) and u = B' exp(A'(t1 - tau)) eta on the half grid.
+
+    u is component-major, shape (m, 2*steps+1).
+    """
+    n, count, _ = table.shape
+    eta = np.linalg.solve(W, x1 - table[:, -1] @ x0)
+    # v_j = exp(A tau_j)' eta, and u at tau_j is B' v_{2*steps-j}
+    v = (eta @ table.reshape(n, count * n)).reshape(count, n)
+    return eta, B.T @ v[::-1].T
 
 
 def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
@@ -132,10 +141,10 @@ def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
     gram = _steering_gramian(table, B, t1, steps)
     eta, u_vals = _steering_values(B, x0, x1, table, gram.W)
     grid = TimeGrid(0.0, float(t1), steps)
-    path = rk4_linear(A, u_vals @ B.T, x0, grid)
+    path = rk4_linear(A, B @ u_vals, x0, grid)
     return SteeringInput(
         grid=grid,
-        values=u_vals,
+        values=u_vals.T,
         eta=eta,
         endpoint_error=float(np.linalg.norm(path.values[-1] - x1)),
         gramian=gram,
@@ -195,11 +204,11 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
 
     # zero endpoints (k = 0) steer nothing, so the condition limit does not apply
     gram = (_steering_gramian if k else _gramian_from_table)(table, B, t1, steps)
-    # each component's input at the RK4 stage times
-    u_stages = np.zeros((2 * steps + 1, m, k))
+    # each component's input at the RK4 stage times, (m, 2*steps+1, k)
+    u_stages = np.zeros((m, 2 * steps + 1, k))
     for j in range(k):
         u_stages[:, :, j] = _steering_values(B, starts[j], targets[j], table, gram.W)[1]
-    x_path, traj = synthesize_from_stages(A, B, starts.T, u_stages, grid)
+    x, traj = synthesize_from_stages(A, B, starts.T, u_stages, grid)
     tol = 1e-5 * (1.0 + float(np.linalg.norm(X1)))
     e0 = float(np.linalg.norm(traj.q_nn[0] - X0))
     e1 = float(np.linalg.norm(traj.q_nn[-1] - X1))
@@ -210,9 +219,9 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
         )
     return SteeringPlan(
         trajectory=traj,
-        inputs=u_stages[::2].transpose(2, 0, 1),
+        inputs=u_stages[:, ::2].transpose(2, 1, 0),
         endpoint_errors=(e0, e1),
-        component_endpoint_errors=np.linalg.norm(x_path[-1] - targets.T, axis=0).tolist(),
+        component_endpoint_errors=np.linalg.norm(x[:, -1] - targets.T, axis=0).tolist(),
         gramian=gram,
     )
 

@@ -1078,6 +1078,39 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 3, proc.stderr
 
 
+# every entry is finite, but the Kalman matrix [B, AB] overflows
+OVERFLOWING_KALMAN = {
+    "command": "kyp",
+    "A": [[-1e300, 1e300], [0, -1]],
+    "B": [[1e300], [1]],
+    "M": [[1e300, 0, 0], [0, 1, 0], [0, 0, -1e300]],
+}
+
+
+def test_kyp_diagnostic_names_the_overflowing_controllability_matrix(tmp_path):
+    path = write_problem(tmp_path, OVERFLOWING_KALMAN)
+    code, doc = run_cli(["kyp", "--input", str(path)], tmp_path)
+    assert code == 3 and doc["status"] == "error"
+    (message,) = doc["diagnostics"]
+    assert "controllability matrix" in message
+    assert "M contains" not in message
+
+
+def test_cli_stderr_carries_no_numpy_warnings(tmp_path):
+    # the overflow is reported in the result's diagnostics, not by numpy
+    env = {**os.environ, "CONE_CERT_LOG": "", "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )}
+    path = write_problem(tmp_path, OVERFLOWING_KALMAN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "conecert.cli", "kyp", "--input", str(path),
+         "--output", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+
+
 @pytest.mark.skipif(shutil.which("cone-cert") is None, reason="cone-cert is not installed")
 def test_console_script_installed(tmp_path):
     exe = shutil.which("cone-cert")

@@ -13,6 +13,7 @@ from conecert import (
     FrequencyGrid,
     KypInstance,
     PsdProblem,
+    TimeGrid,
     cross_validate,
     default_grid,
     frequency_condition,
@@ -25,6 +26,7 @@ from conecert import (
 )
 from conecert.certificates import rank_one_witness
 from conecert.kyp import imaginary_axis_frequencies
+from conecert.numerics import rk4_linear
 
 
 def passivity_instance():
@@ -649,6 +651,30 @@ def test_iqc_trajectory_condition_batch_matches_single_trials(batch, monkeypatch
         for field in ("integral", "energy", "tail_norm"):
             a, b = getattr(sample, field), getattr(single, field)
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_iqc_samples_match_the_einsum_integrand():
+    # (x, u)'M(x, u) and |u|^2 along each trial, as einsum over (time, i, trial)
+    inst = KypInstance(
+        A=np.array([[-0.8, 0.5], [-0.3, -1.1]]),
+        B=np.array([[1.0, 0.0], [0.4, 1.0]]),
+        M=np.diag([1.0, -0.5, -2.0, 0.3]) + 0.1,
+    )
+    grid = TimeGrid(0.0, 30.0, 4096)
+    times = TimeGrid(0.0, 30.0, 2 * 4096).times()
+    rng = np.random.default_rng(10)
+    u_stages = np.stack([kyp._ramped_input(rng, 2, 10.0)(times).T for _ in range(3)], axis=-1)
+    samples = kyp._iqc_samples(inst, u_stages, grid)
+    g = np.einsum("ij,jtk->itk", inst.B, u_stages)
+    path = rk4_linear(inst.A, g, np.zeros((2, 3)), grid).values  # (time, i, trial)
+    u = u_stages[:, ::2].transpose(1, 0, 2)
+    Z = np.concatenate([path, u], axis=1)
+    integrals = np.trapezoid(np.einsum("tik,ij,tjk->tk", Z, inst.M, Z), dx=grid.h, axis=0)
+    energies = np.trapezoid(np.einsum("tik,tik->tk", u, u), dx=grid.h, axis=0)
+    assert len(samples) == 3
+    for sample, integral, energy in zip(samples, integrals, energies):
+        assert abs(sample.integral - integral) <= 1e-12 * abs(integral)
+        assert abs(sample.energy - energy) <= 1e-12 * abs(energy)
 
 
 def test_ramped_input_matches_the_masked_formula_bit_for_bit():

@@ -174,7 +174,7 @@ def test_rk4_linear_matches_ode_solve_callable_input():
     grid = TimeGrid(0.5, 4.0, 700)
     x0 = rng.standard_normal(4)
     ref = ode_solve(lambda t, x: A @ x + B @ u(t), x0, grid, error_estimate=False)
-    g = np.stack([B @ u(t) for t in _stage_times(grid)])
+    g = np.stack([B @ u(t) for t in _stage_times(grid)], axis=1)
     out = rk4_linear(A, g, x0, grid)
     assert out.values.shape == (701, 4)
     assert _rel_dev(out.values, ref.values) <= 1e-12
@@ -191,7 +191,7 @@ def test_rk4_linear_matches_ode_solve_batched_state():
     grid = TimeGrid(0.0, 3.0, 512)
     X0 = rng.standard_normal((3, 5))
     ref = ode_solve(lambda t, X: A @ X + G(t), X0, grid, error_estimate=False)
-    out = rk4_linear(A, np.stack([G(t) for t in _stage_times(grid)]), X0, grid)
+    out = rk4_linear(A, np.stack([G(t) for t in _stage_times(grid)], axis=1), X0, grid)
     assert out.values.shape == (513, 3, 5)
     assert _rel_dev(out.values, ref.values) <= 1e-12
 
@@ -247,7 +247,7 @@ def test_rk4_linear_doubling_edges(steps, forced):
     grid = TimeGrid(0.0, 0.01 * steps + 0.05, steps)
     X0 = rng.standard_normal((3, 4))
     ref = ode_solve(lambda t, X: A @ X + G(t), X0, grid, error_estimate=False)
-    g = np.stack([G(t) for t in _stage_times(grid)]) if forced else None
+    g = np.stack([G(t) for t in _stage_times(grid)], axis=1) if forced else None
     out = rk4_linear(A, g, X0, grid)
     assert out.values.shape == (steps + 1, 3, 4)
     assert _rel_dev(out.values, ref.values) <= 1e-12
@@ -270,7 +270,7 @@ def test_rk4_linear_time_varying_field_with_input(steps):
     times = _stage_times(grid)
     X0 = rng.standard_normal((2, 3))
     ref = ode_solve(lambda t, X: F(t) @ X + G(t), X0, grid, error_estimate=False)
-    out = rk4_linear(np.stack([F(t) for t in times]), np.stack([G(t) for t in times]),
+    out = rk4_linear(np.stack([F(t) for t in times]), np.stack([G(t) for t in times], axis=1),
                      X0, grid)
     assert _rel_dev(out.values, ref.values) <= 1e-12
 
@@ -282,7 +282,7 @@ def test_rk4_linear_long_constant_field_run():
     grid = TimeGrid(0.0, 64.0, 2**15)
     x0 = rng.standard_normal(2)
     ref = ode_solve(lambda t, x: A @ x + np.sin(t) * b, x0, grid, error_estimate=False)
-    g = np.sin(_stage_times(grid))[:, None] * b
+    g = b[:, None] * np.sin(_stage_times(grid))
     out = rk4_linear(A, g, x0, grid)
     assert _rel_dev(out.values, ref.values) <= 1e-12
 
@@ -302,7 +302,7 @@ def test_rk4_linear_overflowing_products_keep_a_finite_path():
 
 def test_rk4_linear_empty_batch():
     grid = TimeGrid(0.0, 1.0, 8)
-    out = rk4_linear(-np.eye(2), np.zeros((17, 2, 0)), np.zeros((2, 0)), grid)
+    out = rk4_linear(-np.eye(2), np.zeros((2, 17, 0)), np.zeros((2, 0)), grid)
     assert out.values.shape == (9, 2, 0)
 
 
@@ -314,16 +314,56 @@ def test_rk4_linear_rejects_mismatched_stage_values():
         rk4_linear(np.zeros((9, 2, 2)), None, np.ones(2), grid)
 
 
+# step counts around every doubling level the grids below reach
+_DOUBLING_STEPS = [1, 2, 3, 4, 5] + [2**j + d for j in range(3, 11) for d in (-1, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    width=st.sampled_from([None, 0, 1, 5]),
+    steps=st.sampled_from(_DOUBLING_STEPS),
+    forced=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rk4_linear_constant_field_matches_the_time_varying_branch(n, width, steps, forced, seed):
+    # the constant-F recurrence (one product per level over every state) and
+    # the stacked one (F given at every stage time) are the same method
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) - 1.5 * np.eye(n)
+    grid = TimeGrid(0.0, 0.01 * steps + 0.05, steps)
+    x0 = rng.standard_normal((n,) if width is None else (n, width))
+    g = rng.standard_normal((n, 2 * steps + 1) + x0.shape[1:]) if forced else None
+    const = rk4_linear(A, g, x0, grid).values
+    varying = rk4_linear(np.broadcast_to(A, (2 * steps + 1, n, n)), g, x0, grid).values
+    assert const.shape == varying.shape == (steps + 1,) + x0.shape
+    scale = np.max(np.abs(varying), initial=0.0)
+    assert np.max(np.abs(const - varying), initial=0.0) <= 1e-12 * scale
+
+
+def test_expm_table_matches_repeated_products_of_the_step_exponential():
+    rng = np.random.default_rng(28)
+    for n, count in [(1, 9), (2, 64), (3, 1025)]:
+        A = rng.standard_normal((n, n)) - np.eye(n)
+        step = 2.0 / count
+        E = expm(A * step)
+        table = _expm_table(A, step, count)
+        power = np.eye(n)
+        for j in range(count + 1):
+            assert np.linalg.norm(table[:, j] - power) <= 1e-12 * np.linalg.norm(power)
+            power = E @ power
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 1025])
 def test_expm_table_matches_expm(count):
     rng = np.random.default_rng(27)
     A = rng.standard_normal((3, 3)) - np.eye(3)
     step = 1.0 / max(count, 1)
     table = _expm_table(A, step, count)
-    assert table.shape == (count + 1, 3, 3)
+    assert table.shape == (3, count + 1, 3)
     for j in range(count + 1):
         ref = expm(A * j * step)
-        assert np.linalg.norm(table[j] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(table[:, j] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_cumtrapz_endpoint_matches_trapz():

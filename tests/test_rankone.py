@@ -318,6 +318,22 @@ def test_dynamics_residual_flags_wrong_system():
     assert dynamics_residual(traj, A + 0.5 * np.eye(2), B) > 1e-3
 
 
+def test_dynamics_residual_matches_its_einsum_formula():
+    # (A B) Q (I; 0) + transpose, written out index by index
+    rng = np.random.default_rng(46)
+    for n, m in [(1, 1), (2, 1), (3, 2), (2, 0)]:
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        G = rng.standard_normal((65, n + m, n + m))
+        traj = MatrixTrajectory(grid=TimeGrid(0.0, 1.0, 64), values=G @ G.transpose(0, 2, 1),
+                                n=n, m=m)
+        W = np.einsum("ij,kjl->kil", A, traj.q_nn) + np.einsum("ij,klj->kil", B, traj.q_nm)
+        rhs = W + W.transpose(0, 2, 1)
+        dq = (traj.q_nn[:-4] - 8.0 * traj.q_nn[1:-3] + 8.0 * traj.q_nn[3:-1]
+              - traj.q_nn[4:]) / (12.0 * traj.grid.h)
+        ref = np.max(np.linalg.norm(dq - rhs[2:-2], axis=(1, 2))) / (1.0 + traj.max_norm())
+        assert abs(dynamics_residual(traj, A, B) - ref) <= 1e-12 * ref
+
+
 def test_sample_script_reproduces_the_committed_decompose_sample():
     # the committed file predates the current RK4 kernel: equal to roundoff
     spec = importlib.util.spec_from_file_location(

@@ -6,8 +6,9 @@ Usage:
 
 SRC_A and SRC_B are conecert checkouts or their src directories.  The tasks
 of every benchmark workload at each seed (benchmark/inputs.generate), the
-three sample problems, and `validate` on every problem file are built once
-in a temporary directory.  Each tree then runs all of them through
+three sample problems, `validate` on every problem file, and runs with
+setting flags (each sample, and one steer file per seed) are built once in
+a temporary directory.  Each tree then runs all of them through
 benchmark/worker.Runner.execute in one fresh interpreter of its own.  Every
 task whose fingerprint differs (the output bytes and exit code of a CLI
 task, the result or exception of a library task) is printed with how it
@@ -46,8 +47,19 @@ with open(prints_path, "wb") as fh:
 """
 
 
+# setting flags for runs of the samples and of each seed's steer-21 file,
+# since the benchmark's own CLI tasks pass none
+SAMPLE_FLAGS = {
+    "kyp": ["--tol", "1e-7", "--grid", "64", "--horizon", "40", "--seed", "3"],
+    "l1gain": ["--tol", "1e-6"],
+    "decompose": ["--tol", "1e-3"],
+}
+STEER_FLAGS = ["--grid", "256", "--horizon", "2"]
+
+
 def build_tasks(seeds, workdir):
-    """(id, task) for every workload and seed, the samples, and validate on each file."""
+    """(id, task) for every workload and seed, the samples, validate on each
+    file, and the flagged runs."""
     root = os.path.dirname(BENCHMARK)
     tasks = []
     for workload in sorted(inputs.WORKLOADS):
@@ -65,6 +77,11 @@ def build_tasks(seeds, workdir):
             path = t["task"]["argv"][t["task"]["argv"].index("--input") + 1]
             tasks.append({"id": f"validate.{t['id']}",
                           "task": {"argv": ["validate", "--input", path]}})
+    argvs = {t["id"]: t["task"]["argv"] for t in tasks if "argv" in t["task"]}
+    flagged = [(f"sample.{command}", flags) for command, flags in SAMPLE_FLAGS.items()]
+    flagged += [(f"trajectories.{seed}.steer-21", STEER_FLAGS) for seed in seeds]
+    for pid, flags in flagged:
+        tasks.append({"id": f"flagged.{pid}", "task": {"argv": argvs[pid] + flags}})
     return tasks
 
 

@@ -8,6 +8,7 @@ byte for byte.
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -16,6 +17,7 @@ import logging
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -41,8 +43,6 @@ from .rankone import MatrixTrajectory, Refutation, decompose
 from .steering import psd_steer, verify_k_controllability
 
 log = logging.getLogger("conecert.cli")
-
-COMMANDS = ("l1gain", "kyp", "decompose", "steer", "certify")
 
 _EXIT_BY_STATUS = {
     "feasible": 0,
@@ -136,246 +136,161 @@ def _finite_numbers(values):
         return False
 
 
-def _sample_array(samples, width):
-    """The samples as one float array of shape (rows, width), or None.
+# A field's check is called as check(doc, field, out, got).  It appends the
+# field's violations to out and returns the field's converted value (None
+# after a violation); got holds the values of the fields checked before it.
 
-    None unless every sample is a list of width ints or floats (not bools)
-    that are finite as doubles; the values are converted once, and their
-    finiteness is checked on the array.
-    """
-    if not all(isinstance(row, list) and len(row) == width for row in samples):
-        return None
-    flat = list(itertools.chain.from_iterable(samples))
-    if not _NUMBER_TYPES.issuperset(map(type, flat)):
-        return None
-    try:
-        values = np.array(flat, dtype=float)
-    except OverflowError:  # an int too large for a double
-        return None
-    return values.reshape(len(samples), width) if np.isfinite(values).all() else None
-
-
-def _check_matrix(doc, field, out, rows=None, cols=None, square=False):
-    """Validate a nested-array matrix field; append violations to out."""
-    if field not in doc:
-        out.append(f"{field}: required matrix missing")
-        return None
-    val = doc[field]
-    if not isinstance(val, list) or not val or not all(isinstance(r, list) for r in val):
-        out.append(f"{field}: must be a non-empty array of rows")
-        return None
-    width = len(val[0])
-    if width == 0 or any(len(r) != width for r in val):
-        out.append(f"{field}: rows must be non-empty and equal length")
-        return None
-    if not all(_finite_numbers(r) for r in val):
-        out.append(f"{field}: entries must be finite numbers")
-        return None
-    M = np.array(val, dtype=float)
-    if square and M.shape[0] != M.shape[1]:
-        out.append(f"{field}: must be square, got {M.shape[0]}x{M.shape[1]}")
-        return None
-    if rows is not None and M.shape[0] != rows:
-        out.append(f"{field}: expected {rows} rows, got {M.shape[0]}")
-        return None
-    if cols is not None and M.shape[1] != cols:
-        out.append(f"{field}: expected {cols} columns, got {M.shape[1]}")
-        return None
-    return M
-
-
-def _check_vector(doc, field, out, length=None):
-    if field not in doc:
-        out.append(f"{field}: required vector missing")
-        return None
-    val = doc[field]
-    if not isinstance(val, list) or not val or not _finite_numbers(val):
-        out.append(f"{field}: must be a non-empty array of finite numbers")
-        return None
-    v = np.array(val, dtype=float)
-    if length is not None and v.size != length:
-        out.append(f"{field}: expected length {length}, got {v.size}")
-        return None
-    return v
-
-
-def _check_scalar(doc, field, out, required=False, positive=False, integer=False):
-    if field not in doc:
-        if required:
-            out.append(f"{field}: required scalar missing")
-        return None
-    val = doc[field]
-    if integer:
-        if not isinstance(val, int) or isinstance(val, bool):
-            out.append(f"{field}: must be an integer")
+def _size(*dims):
+    """Rule for a dimension: the summed sizes of (field, axis) pairs of fields
+    checked before, or None when one of them failed its check."""
+    def size(got):
+        if any(got.get(field) is None for field, _ in dims):
             return None
-    elif not _finite_numbers([val]):
-        out.append(f"{field}: must be a finite number")
+        return sum(got[field].shape[axis] for field, axis in dims)
+    return size
+
+
+def _matrix(square=False, rows=None, cols=None):
+    """Check of a nested-array matrix field; rows and cols are _size rules."""
+    def check(doc, field, out, got):
+        if field not in doc:
+            out.append(f"{field}: required matrix missing")
+            return None
+        val = doc[field]
+        if not isinstance(val, list) or not val or not all(isinstance(r, list) for r in val):
+            out.append(f"{field}: must be a non-empty array of rows")
+            return None
+        width = len(val[0])
+        if width == 0 or any(len(r) != width for r in val):
+            out.append(f"{field}: rows must be non-empty and equal length")
+            return None
+        if not all(_finite_numbers(r) for r in val):
+            out.append(f"{field}: entries must be finite numbers")
+            return None
+        M = np.array(val, dtype=float)
+        if square and M.shape[0] != M.shape[1]:
+            out.append(f"{field}: must be square, got {M.shape[0]}x{M.shape[1]}")
+            return None
+        for axis, rule, what in ((0, rows, "rows"), (1, cols, "columns")):
+            want = rule and rule(got)
+            if want is not None and M.shape[axis] != want:
+                out.append(f"{field}: expected {want} {what}, got {M.shape[axis]}")
+                return None
+        return M
+    return check
+
+
+def _vector(length):
+    """Check of a flat-array vector field; length is a _size rule."""
+    def check(doc, field, out, got):
+        if field not in doc:
+            out.append(f"{field}: required vector missing")
+            return None
+        val = doc[field]
+        if not isinstance(val, list) or not val or not _finite_numbers(val):
+            out.append(f"{field}: must be a non-empty array of finite numbers")
+            return None
+        v = np.array(val, dtype=float)
+        want = length(got)
+        if want is not None and v.size != want:
+            out.append(f"{field}: expected length {want}, got {v.size}")
+            return None
+        return v
+    return check
+
+
+@dataclasses.dataclass(frozen=True)
+class Number:
+    """Check of a number field: a finite float, or an int when integer; an
+    absent field gives default, and a violation when required."""
+
+    integer: bool = False
+    positive: bool = False
+    maximum: int = None
+    required: bool = False
+    default: object = None
+
+    def __call__(self, doc, field, out, got):
+        if field not in doc:
+            if self.required:
+                out.append(f"{field}: required scalar missing")
+            return self.default
+        val = doc[field]
+        if self.integer:
+            if not isinstance(val, int) or isinstance(val, bool):
+                out.append(f"{field}: must be an integer")
+                return None
+        elif not _finite_numbers([val]):
+            out.append(f"{field}: must be a finite number")
+            return None
+        if self.positive and not val > 0:
+            out.append(f"{field}: must be positive, got {val}")
+            return None
+        if self.maximum is not None and val > self.maximum:
+            out.append(f"{field}: must be at most {self.maximum}, got {val}")
+            return None
+        return val if self.integer else float(val)
+
+
+_TIME_GRID = {"t0": Number(required=True), "t1": Number(required=True),
+              "steps": Number(integer=True, positive=True, required=True)}
+_N = _size(("A", 0))
+_N_M = _size(("A", 0), ("B", 1))
+
+
+def _time_grid(doc, field, out, got):
+    """Check of decompose's grid object; its value is TimeGrid's keywords."""
+    grid = doc.get(field)
+    if not isinstance(grid, dict):
+        out.append(f"{field}: required object with t0, t1, steps")
         return None
-    if positive and not val > 0:
-        out.append(f"{field}: must be positive, got {val}")
+    sub_out = []
+    parts = {key: check(grid, key, sub_out, got) for key, check in _TIME_GRID.items()}
+    out.extend(f"{field}.{v}" for v in sub_out)
+    out.extend(f"{field}.{key}: unknown field" for key in grid if key not in _TIME_GRID)
+    if parts["t0"] is not None and parts["t1"] is not None and not parts["t1"] > parts["t0"]:
+        out.append(f"{field}.t1: must exceed {field}.t0, got [{grid['t0']}, {grid['t1']}]")
+    if parts["steps"] is not None and parts["steps"] < 4:
+        out.append(f"{field}.steps: need at least 4 steps, got {parts['steps']}")
+    return parts
+
+
+def _samples(doc, field, out, got):
+    """Check of decompose's samples: grid.steps + 1 flat rows of (n + m)^2
+    numbers, finite as doubles, converted once into one float array."""
+    samples = doc.get(field)
+    if not isinstance(samples, list) or not samples:
+        out.append(f"{field}: required non-empty array of flat per-sample rows")
         return None
-    return val
-
-
-# The settings each command reads, as setting -> (file field, default, flag
-# help).  A value comes from the flag, else the file field, else the default;
-# --seed, on every subcommand, is resolved apart from these.
-_SETTINGS = {
-    "l1gain": {"tol": ("tol", 1e-8, "gain decision tolerance (default 1e-8)")},
-    "kyp": {
-        "tol": ("tol", FORM_TOL, f"frequency sweep threshold (default {FORM_TOL:g})"),
-        "grid": (None, 200, "frequency grid points (default 200)"),
-        "horizon": ("horizon", None, "IQC sampler horizon (default max(30, 24/decay rate))"),
-    },
-    "decompose": {"tol": ("tol", 1e-4, "relative reconstruction tolerance (default 1e-4)")},
-    "steer": {
-        "grid": (None, 512, "integration steps (default 512)"),
-        "horizon": ("t1", 1.0, "steering horizon (default: the file's t1, else 1.0)"),
-    },
-    "certify": {},
-    "validate": {},
-}
-_FLAG_TYPES = {"tol": float, "grid": int, "horizon": float}
-# the most --grid points a run may take, rejected before any array is built:
-# kyp's frequencies (the sweeps hold several grid-sized copies) and steer's
-# integration steps (tables and trajectories of steps x n x n)
-KYP_MAX_GRID = 100_000
-STEER_MAX_GRID = 2**16
-_GRID_BUDGETS = {"kyp": KYP_MAX_GRID, "steer": STEER_MAX_GRID}
-
-# a command's data fields and seed, plus the file fields of its settings
-_ALLOWED_FIELDS = {
-    command: fields | {field for field, _, _ in _SETTINGS[command].values() if field}
-    for command, fields in {
-        "l1gain": {"command", "A", "B", "gamma", "seed"},
-        "kyp": {"command", "A", "B", "M", "seed", "trials"},
-        "decompose": {"command", "A", "B", "grid", "samples", "seed"},
-        "steer": {"command", "A", "B", "X0", "X1", "seed"},
-        "certify": {"command", "kind", "L", "m", "U", "V", "C", "seed"},
-    }.items()
-}
-
-
-def validate_problem(doc, arrays=None) -> list:
-    """Schema report: list of violation strings, empty when well formed.
-
-    ``arrays``, when given, receives the checked decompose samples as the
-    float array the check built, so that a run converts each value once.
-    """
-    out = []
-    command = doc.get("command")
-    if command not in COMMANDS:
-        out.append(
-            f"command: must be one of {', '.join(COMMANDS)}, got {command!r}"
-        )
-        return out
-    for key in doc:
-        if key not in _ALLOWED_FIELDS[command]:
-            out.append(f"{key}: unknown field for command '{command}'")
-
-    if command == "l1gain":
-        A = _check_matrix(doc, "A", out, square=True)
-        _check_matrix(doc, "B", out, rows=None if A is None else A.shape[0])
-        _check_scalar(doc, "gamma", out, required=True, positive=True)
-    elif command == "kyp":
-        A = _check_matrix(doc, "A", out, square=True)
-        B = _check_matrix(doc, "B", out, rows=None if A is None else A.shape[0])
-        if A is not None and B is not None:
-            _check_matrix(doc, "M", out, square=True, rows=A.shape[0] + B.shape[1])
-        else:
-            _check_matrix(doc, "M", out, square=True)
-        _check_scalar(doc, "horizon", out, positive=True)
-        trials = _check_scalar(doc, "trials", out, positive=True, integer=True)
-        if trials is not None and trials > IQC_MAX_TRIALS:
-            out.append(f"trials: must be at most {IQC_MAX_TRIALS}, got {trials}")
-    elif command == "decompose":
-        A = _check_matrix(doc, "A", out, square=True)
-        B = _check_matrix(doc, "B", out, rows=None if A is None else A.shape[0])
-        grid = doc.get("grid")
-        steps = None
-        if not isinstance(grid, dict):
-            out.append("grid: required object with t0, t1, steps")
-        else:
-            sub = dict(grid)
-            sub_out = []
-            t0 = _check_scalar(sub, "t0", sub_out, required=True)
-            t1 = _check_scalar(sub, "t1", sub_out, required=True)
-            steps = _check_scalar(sub, "steps", sub_out, required=True, integer=True, positive=True)
-            out.extend(f"grid.{v}" for v in sub_out)
-            for key in sub:
-                if key not in {"t0", "t1", "steps"}:
-                    out.append(f"grid.{key}: unknown field")
-            if t0 is not None and t1 is not None and not t1 > t0:
-                out.append(f"grid.t1: must exceed grid.t0, got [{t0}, {t1}]")
-            if steps is not None and steps < 4:
-                out.append(f"grid.steps: need at least 4 steps, got {steps}")
-        samples = doc.get("samples")
-        if not isinstance(samples, list) or not samples:
-            out.append("samples: required non-empty array of flat per-sample rows")
-        elif A is not None and B is not None:
-            dim = A.shape[0] + B.shape[1]
-            want = dim * dim
-            values = _sample_array(samples, want)
-            if values is None:
-                # the row loop only names the first bad row
-                k = next(k for k, row in enumerate(samples) if not (
-                    isinstance(row, list) and len(row) == want and _finite_numbers(row)))
-                out.append(
-                    f"samples[{k}]: must be a flat array of {want} finite numbers "
-                    f"(row-major {dim}x{dim})"
-                )
-            elif arrays is not None:
-                arrays["samples"] = values
-            if steps is not None and len(samples) != steps + 1:
-                out.append(
-                    f"samples: expected grid.steps + 1 = {steps + 1} rows, got {len(samples)}"
-                )
-    elif command == "steer":
-        A = _check_matrix(doc, "A", out, square=True)
-        n = None if A is None else A.shape[0]
-        _check_matrix(doc, "B", out, rows=n)
-        _check_matrix(doc, "X0", out, square=True, rows=n)
-        _check_matrix(doc, "X1", out, square=True, rows=n)
-        _check_scalar(doc, "t1", out, positive=True)
-    elif command == "certify":
-        kind = doc.get("kind")
-        if kind not in ("orthant", "psd"):
-            out.append(f"kind: must be 'orthant' or 'psd', got {kind!r}")
-        elif kind == "orthant":
-            L = _check_matrix(doc, "L", out)
-            _check_vector(doc, "m", out, length=None if L is None else L.shape[1])
-            for bad in ("U", "V", "C"):
-                if bad in doc:
-                    out.append(f"{bad}: not a field of orthant problems")
-        else:
-            U = _check_matrix(doc, "U", out)
-            if U is not None:
-                _check_matrix(doc, "V", out, rows=U.shape[0], cols=U.shape[1])
-                _check_matrix(doc, "C", out, square=True, rows=U.shape[1])
-            else:
-                _check_matrix(doc, "V", out)
-                _check_matrix(doc, "C", out, square=True)
-            for bad in ("L", "m"):
-                if bad in doc:
-                    out.append(f"{bad}: not a field of psd problems")
-
-    _check_scalar(doc, "seed", out, integer=True)
-    if "tol" in _ALLOWED_FIELDS[command]:
-        _check_scalar(doc, "tol", out, positive=True)
-    return out
+    dim = _N_M(got)
+    if dim is None:
+        return None
+    want, values = dim * dim, None
+    if all(isinstance(row, list) and len(row) == want for row in samples):
+        flat = list(itertools.chain.from_iterable(samples))
+        if _NUMBER_TYPES.issuperset(map(type, flat)):
+            try:
+                values = np.array(flat, dtype=float).reshape(len(samples), want)
+            except OverflowError:  # an int too large for a double
+                pass
+    if values is None or not np.isfinite(values).all():
+        values = None
+        # the row loop only names the first bad row
+        k = next(k for k, row in enumerate(samples) if not (
+            isinstance(row, list) and len(row) == want and _finite_numbers(row)))
+        out.append(f"{field}[{k}]: must be a flat array of {want} finite numbers "
+                   f"(row-major {dim}x{dim})")
+    steps = (got["grid"] or {}).get("steps")
+    if steps is not None and len(samples) != steps + 1:
+        out.append(f"{field}: expected grid.steps + 1 = {steps + 1} rows, got {len(samples)}")
+    return values
 
 
 # ---------------------------------------------------------------------------
-# command runners (schema-valid input assumed)
+# command runners: checked arrays and scalars in, (status, payload) out
 
-def _mat(doc, field):
-    return np.array(doc[field], dtype=float)
-
-
-def _run_l1gain(doc, tol):
-    sys_ = PositiveSystem(A=_mat(doc, "A"), B=_mat(doc, "B"))
-    gamma = float(doc["gamma"])
+def _run_l1gain(A, B, gamma, tol):
+    sys_ = PositiveSystem(A=A, B=B)
     gain = exact_l1_gain(sys_)
     bisected = l1_gain_bisection(sys_)
     cert = l1_certificate(sys_, gamma, tol=tol)
@@ -395,13 +310,13 @@ def _run_l1gain(doc, tol):
     return "feasible", payload
 
 
-def _run_kyp(doc, seed, tol, grid, horizon):
-    inst = KypInstance(A=_mat(doc, "A"), B=_mat(doc, "B"), M=_mat(doc, "M"))
+def _run_kyp(A, B, M, horizon, trials, seed, tol, grid):
+    inst = KypInstance(A=A, B=B, M=M)
     controllable = inst.controllable  # a Kalman matrix that overflows fails here, first
     report = cross_validate(
         inst,
         grid=default_grid(inst.A, points=grid),
-        trials=int(doc.get("trials", IQC_TRIALS)),
+        trials=trials,
         seed=seed,
         horizon=horizon,
         tol=tol,
@@ -448,15 +363,10 @@ def _run_kyp(doc, seed, tol, grid, horizon):
     return "undecided", payload
 
 
-def _run_decompose(doc, tol):
-    A = _mat(doc, "A")
-    B = _mat(doc, "B")
+def _run_decompose(A, B, grid, samples, tol):
     n, m = A.shape[0], B.shape[1]
-    g = doc["grid"]
-    grid = TimeGrid(float(g["t0"]), float(g["t1"]), int(g["steps"]))
-    dim = n + m
-    values = np.asarray(doc["samples"], dtype=float).reshape(-1, dim, dim)
-    traj = MatrixTrajectory(grid=grid, values=values, n=n, m=m)
+    values = samples.reshape(-1, n + m, n + m)
+    traj = MatrixTrajectory(grid=TimeGrid(**grid), values=values, n=n, m=m)
     try:
         dec = decompose(traj, A, B)
     except Refutation as exc:
@@ -479,9 +389,7 @@ def _run_decompose(doc, tol):
     return ("holds" if recon_ok and ode_ok else "undecided"), payload
 
 
-def _run_steer(doc, grid, horizon):
-    A = _mat(doc, "A")
-    B = _mat(doc, "B")
+def _run_steer(A, B, X0, X1, horizon, grid):
     report = verify_k_controllability(A, B)
     if not report.controllable:
         return "fails", {
@@ -489,7 +397,7 @@ def _run_steer(doc, grid, horizon):
             "rank": report.rank,
             "obstruction": report.obstruction,
         }
-    plan = psd_steer(A, B, _mat(doc, "X0"), _mat(doc, "X1"), t1=horizon, steps=grid)
+    plan = psd_steer(A, B, X0, X1, t1=horizon, steps=grid)
     payload = {
         "controllable": True,
         "rank": report.rank,
@@ -503,9 +411,9 @@ def _run_steer(doc, grid, horizon):
     return "holds", payload
 
 
-def _run_certify(doc):
-    if doc["kind"] == "orthant":
-        prob = OrthantProblem(Lmap=_mat(doc, "L"), m=np.array(doc["m"], dtype=float))
+def _run_certify(kind, **fields):
+    if kind == "orthant":
+        prob = OrthantProblem(Lmap=fields["L"], m=fields["m"])
         cert = orthant_certificate(prob)
         minimum, witness = orthant_kernel_minimum(prob)
         surjective = orthant_surjectivity(prob.Lmap)
@@ -528,7 +436,7 @@ def _run_certify(doc):
         if refuted:
             return "infeasible", payload
         return "undecided", payload
-    prob = PsdProblem(U=_mat(doc, "U"), V=_mat(doc, "V"), C=_mat(doc, "C"))
+    prob = PsdProblem(**fields)
     res = psd_lmi(prob)
     payload = {
         "kind": "psd",
@@ -545,24 +453,142 @@ def _run_certify(doc):
     return res.status, payload
 
 
-_RUNNERS = {
-    "l1gain": _run_l1gain,
-    "kyp": _run_kyp,
-    "decompose": _run_decompose,
-    "steer": _run_steer,
-    "certify": _run_certify,
+# ---------------------------------------------------------------------------
+# the command table
+
+class Field(typing.NamedTuple):
+    """A file field and its check.  With flag set it is a setting: its value
+    is the --flag, which passes the same check, else the file field (none
+    when name is None), else the check's default; the runner gets it as flag."""
+
+    name: str
+    check: object
+    flag: str = None
+    help: str = None
+
+
+@dataclasses.dataclass
+class Command:
+    """A command: its fields and settings, in the order their checks report,
+    the runner that takes their values as keywords, whether it takes the
+    seed, and, for certify, the fields of each value of the kind field."""
+
+    fields: tuple
+    run: object
+    seeded: bool = False
+    kinds: dict = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        names = {f.name for f in self.fields + sum(self.kinds.values(), ()) if f.name}
+        self.allowed = names | {"command"} | ({"kind"} if self.kinds else set())
+        self.settings = [f for f in self.fields if f.flag]
+
+
+# the most --grid points a run may take, rejected before any array is built:
+# kyp's frequencies (the sweeps hold several grid-sized copies) and steer's
+# integration steps (tables and trajectories of steps x n x n)
+KYP_MAX_GRID = 100_000
+STEER_MAX_GRID = 2**16
+
+_A = Field("A", _matrix(square=True))
+_B = Field("B", _matrix(rows=_N))
+_SEED = Field("seed", Number(integer=True, default=0))
+_U_ROWS, _U_COLS = _size(("U", 0)), _size(("U", 1))
+
+_COMMANDS = {
+    "l1gain": Command(
+        (_A, _B, Field("gamma", Number(positive=True, required=True)), _SEED,
+         Field("tol", Number(positive=True, default=1e-8), "tol",
+               "gain decision tolerance (default 1e-8)")),
+        _run_l1gain,
+    ),
+    "kyp": Command(
+        (_A, _B, Field("M", _matrix(square=True, rows=_N_M)),
+         Field("horizon", Number(positive=True), "horizon",
+               "IQC sampler horizon (default max(30, 24/decay rate))"),
+         Field("trials", Number(integer=True, positive=True, maximum=IQC_MAX_TRIALS,
+                                default=IQC_TRIALS)),
+         _SEED,
+         Field("tol", Number(positive=True, default=FORM_TOL), "tol",
+               f"frequency sweep threshold (default {FORM_TOL:g})"),
+         Field(None, Number(integer=True, positive=True, maximum=KYP_MAX_GRID, default=200),
+               "grid", "frequency grid points (default 200)")),
+        _run_kyp,
+        seeded=True,
+    ),
+    "decompose": Command(
+        (_A, _B, Field("grid", _time_grid), Field("samples", _samples), _SEED,
+         Field("tol", Number(positive=True, default=1e-4), "tol",
+               "relative reconstruction tolerance (default 1e-4)")),
+        _run_decompose,
+    ),
+    "steer": Command(
+        (_A, _B, Field("X0", _matrix(square=True, rows=_N)),
+         Field("X1", _matrix(square=True, rows=_N)),
+         Field("t1", Number(positive=True, default=1.0), "horizon",
+               "steering horizon (default: the file's t1, else 1.0)"),
+         _SEED,
+         Field(None, Number(integer=True, positive=True, maximum=STEER_MAX_GRID, default=512),
+               "grid", "integration steps (default 512)")),
+        _run_steer,
+    ),
+    "certify": Command(
+        (_SEED,),
+        _run_certify,
+        kinds={
+            "orthant": (Field("L", _matrix()), Field("m", _vector(_size(("L", 1))))),
+            "psd": (Field("U", _matrix()), Field("V", _matrix(rows=_U_ROWS, cols=_U_COLS)),
+                    Field("C", _matrix(square=True, rows=_U_COLS))),
+        },
+    ),
 }
+COMMANDS = tuple(_COMMANDS)
+
+
+def _check_fields(doc, fields, out, got):
+    for field in fields:
+        got[field.flag or field.name] = field.check(doc, field.name, out, got)
+
+
+def validate_problem(doc):
+    """Schema report: (violations, values); no violations when well formed.
+
+    values holds what a run starts from, keyed as the runner's keywords:
+    each field's checked and converted value, and each setting's file
+    field or default.
+    """
+    out = []
+    command = doc.get("command")
+    if command not in COMMANDS:
+        out.append(f"command: must be one of {', '.join(COMMANDS)}, got {command!r}")
+        return out, None
+    spec = _COMMANDS[command]
+    out.extend(
+        f"{key}: unknown field for command '{command}'" for key in doc if key not in spec.allowed
+    )
+    got = {}
+    if spec.kinds:
+        kind = doc.get("kind")
+        if kind not in tuple(spec.kinds):  # a tuple: kind may be any JSON value
+            out.append(f"kind: must be {' or '.join(map(repr, spec.kinds))}, got {kind!r}")
+        else:
+            got["kind"] = kind
+            _check_fields(doc, spec.kinds[kind], out, got)
+            out.extend(
+                f"{field.name}: not a field of {kind} problems"
+                for other, fields in spec.kinds.items() if other != kind
+                for field in fields if field.name in doc
+            )
+    _check_fields(doc, spec.fields, out, got)
+    return out, got
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _digest(raw):
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
-def _result_doc(command, digest, seed, status, payload, diagnostics):
-    return {
+def _write_result(output, command, digest, seed, status, payload, diagnostics):
+    """Write the result document to output (None: stdout); returns the exit code."""
+    text = emit_result({
         "tool": "cone-cert",
         "version": __version__,
         "command": command,
@@ -571,15 +597,13 @@ def _result_doc(command, digest, seed, status, payload, diagnostics):
         "status": status,
         "result": payload,
         "diagnostics": diagnostics,
-    }
-
-
-def _write_output(text, output):
+    })
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return _EXIT_BY_STATUS[status]
 
 
 def _configure_logging():
@@ -606,25 +630,15 @@ def _parser():
         description="Synthesize and verify linear-conic certificates for LTI systems.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, settings in _SETTINGS.items():
+    for name in (*COMMANDS, "validate"):
         p = sub.add_parser(name, help=f"run the {name} command on a problem file")
         p.add_argument("--input", required=True, help="problem file path")
         p.add_argument("--output", help="result file path (default: stdout)")
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        for setting, (_, _, help_) in settings.items():
-            p.add_argument(f"--{setting}", type=_FLAG_TYPES[setting], help=help_)
+        for field in _COMMANDS[name].settings if name in _COMMANDS else ():
+            p.add_argument(f"--{field.flag}", type=int if field.check.integer else float,
+                           help=field.help)
     return parser
-
-
-def _resolve_settings(command, args, doc):
-    """Each setting the command reads: its flag, else its file field, else its default."""
-    values = {}
-    for name, (field, default, _) in _SETTINGS[command].items():
-        value = getattr(args, name)
-        if value is None and field in doc:
-            value = _FLAG_TYPES[name](doc[field])
-        values[name] = default if value is None else value
-    return values
 
 
 def run(argv=None) -> int:
@@ -632,61 +646,45 @@ def run(argv=None) -> int:
     try:
         doc, raw = load_problem(args.input)
     except ValueError as exc:
-        text = emit_result(
-            _result_doc("unknown", None, args.seed, "error", None, [str(exc)])
-        )
-        _write_output(text, args.output)
-        return 3
+        return _write_result(args.output, "unknown", None, args.seed, "error", None, [str(exc)])
 
-    digest = _digest(raw)
-    arrays = {}
-    violations = validate_problem(doc, arrays)
+    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+    violations, values = validate_problem(doc)
     command = doc.get("command") if doc.get("command") in COMMANDS else "unknown"
 
     if args.subcommand == "validate":
-        status = "holds" if not violations else "error"
-        text = emit_result(
-            _result_doc(command, digest, args.seed, status, {"violations": violations}, [])
-        )
-        _write_output(text, args.output)
-        return 0 if not violations else 3
+        return _write_result(args.output, command, digest, args.seed,
+                             "error" if violations else "holds", {"violations": violations}, [])
 
     if command != args.subcommand:
-        violations.insert(
-            0,
-            f"command: file declares {command!r} but the {args.subcommand!r} "
-            "subcommand was invoked",
-        )
-    if not violations:
-        settings = _resolve_settings(command, args, doc)
-        budget = _GRID_BUDGETS.get(command)
-        if budget is not None and settings["grid"] > budget:
-            violations = [f"--grid: must be at most {budget}, got {settings['grid']}"]
+        violations.insert(0, f"command: file declares {command!r} but the "
+                             f"{args.subcommand!r} subcommand was invoked")
+    elif not violations:
+        spec = _COMMANDS[command]
+        for field in spec.settings:  # a flag beats the file field, under the same check
+            flag, value = f"--{field.flag}", getattr(args, field.flag)
+            if value is not None:
+                values[field.flag] = field.check({flag: value}, flag, violations, values)
     if violations:
-        text = emit_result(
-            _result_doc(command, digest, args.seed, "error", None, violations)
-        )
-        _write_output(text, args.output)
-        return 3
+        return _write_result(args.output, command, digest, args.seed, "error", None, violations)
 
-    seed = int(doc.get("seed", args.seed)) if args.seed == 0 else args.seed
-    if command == "kyp":  # the IQC sampler is the one reader of the seed
-        settings["seed"] = seed
+    file_seed = values.pop("seed")
+    seed = args.seed or file_seed  # a non-zero --seed beats the file's seed
+    if spec.seeded:
+        values["seed"] = seed
     log.info("running %s on %s (seed %d)", command, args.input, seed)
-    log.debug("settings: %r", settings)
+    log.debug("settings: %r", {field.flag: values[field.flag] for field in spec.settings})
     try:
         # a non-finite intermediate is named in diagnostics by the checks
         # that catch it, so numpy's own warnings would only repeat it
         with np.errstate(all="ignore"):
-            status, payload = _RUNNERS[command](dict(doc, **arrays), **settings)
+            status, payload = spec.run(**values)
         diagnostics = []
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         log.info("command failed: %s", exc)
         status, payload, diagnostics = "error", None, [str(exc)]
     log.info("status %s (exit %d)", status, _EXIT_BY_STATUS[status])
-    text = emit_result(_result_doc(command, digest, seed, status, payload, diagnostics))
-    _write_output(text, args.output)
-    return _EXIT_BY_STATUS[status]
+    return _write_result(args.output, command, digest, seed, status, payload, diagnostics)
 
 
 def main():

@@ -662,13 +662,15 @@ def iqc_trajectory_condition(
         return _iqc_not_applicable()
     if horizon is None:
         horizon = max(30.0, 24.0 / alpha)
-    steps = max(4096, int(np.ceil(IQC_STEPS_PER_UNIT * horizon)))
+    # compared as a float: the count may be too large for an int, or infinite
+    steps = max(4096.0, np.ceil(IQC_STEPS_PER_UNIT * horizon))
     if steps > IQC_MAX_STEPS:
         log.warning(
-            "IQC sampler skipped: horizon %.6g needs %d steps, over the budget of %d",
+            "IQC sampler skipped: horizon %.6g needs %.0f steps, over the budget of %d",
             horizon, steps, IQC_MAX_STEPS,
         )
         return _iqc_not_applicable()
+    steps = int(steps)
     rng = np.random.default_rng(seed)
     inputs = [_ramped_input(rng, inst.m, horizon / 3.0) for _ in range(trials)]
     grid = TimeGrid(0.0, float(horizon), steps)

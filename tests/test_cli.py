@@ -3,6 +3,7 @@
 import argparse
 import json
 import logging
+import math
 import os
 import pathlib
 import re
@@ -460,7 +461,7 @@ VIOLATION_TABLE = [
     "doc, expected", VIOLATION_TABLE, ids=[str(i) for i in range(len(VIOLATION_TABLE))]
 )
 def test_validator_messages(doc, expected):
-    assert cli.validate_problem(doc) == expected
+    assert cli.validate_problem(doc)[0] == expected
 
 
 HUGE = 10**400  # a JSON integer literal beyond the double range
@@ -571,13 +572,16 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
-_FIELDS = sorted(set().union(*cli._ALLOWED_FIELDS.values()) - {"command"})
+_FIELDS = sorted(set().union(*(c.allowed for c in cli._COMMANDS.values())) - {"command"})
 _ANY_DOCUMENT = _JSON | st.builds(
     lambda command, fields: {"command": command, **fields},
     st.sampled_from(cli.COMMANDS) | _JSON,
     st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=5),
 )
 _ENTRY = st.floats(-1e300, 1e300) | st.integers(-3, 3)
+# positive finite values from the subnormals to the largest double
+_EXTREME = st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300, 1e308]) | st.floats(
+    5e-324, 1.7976931348623157e308)
 
 
 def _matrix(draw, rows, cols):
@@ -585,9 +589,15 @@ def _matrix(draw, rows, cols):
                          min_size=rows, max_size=rows))
 
 
+def _maybe(draw, doc, field, values):
+    if draw(st.booleans()):
+        doc[field] = draw(values)
+
+
 @st.composite
 def _well_formed_document(draw):
-    """A document of the right shapes for its command, entries up to 1e300."""
+    """A document of the right shapes for its command, entries up to 1e300;
+    its settings' file fields and trials, when drawn, lie anywhere in range."""
     command = draw(st.sampled_from(cli.COMMANDS))
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     doc = {"command": command}
@@ -608,12 +618,36 @@ def _well_formed_document(draw):
     else:
         doc.update(kind="psd", U=_matrix(draw, n, n + m), V=_matrix(draw, n, n + m),
                    C=_matrix(draw, n + m, n + m))
+    if command in ("l1gain", "kyp", "decompose"):
+        _maybe(draw, doc, "tol", _EXTREME)
+    if command == "kyp":
+        _maybe(draw, doc, "horizon", _EXTREME)
+        _maybe(draw, doc, "trials", st.sampled_from([1, 2, kyp.IQC_MAX_TRIALS]))
+    if command == "steer":
+        _maybe(draw, doc, "t1", _EXTREME)
     return doc
 
 
-def _check_cli_contract(tmp, doc, subcommands):
+@st.composite
+def _setting_flags(draw, command):
+    """Some of the command's setting flags, each at an extreme value, nan or
+    inf, or out of range; --grid stays at a few hundred or less."""
+    flags = {}
+    for flag in sorted(SETTING_FLAGS[command]):
+        if draw(st.booleans()):
+            flags[flag] = draw(st.integers(-1, 300) if flag == "--grid" else
+                               _EXTREME | st.sampled_from([0.0, -1.0, math.nan, math.inf]))
+    return flags
+
+
+def _check_cli_contract(tmp, doc, subcommands, flags=None):
     """validate and each subcommand return a known exit code and never raise;
-    exit 3 carries diagnostics, and a document validate rejects exits 3."""
+    exit 3 carries diagnostics, and a document validate rejects exits 3.
+
+    flags maps setting flags to values for the subcommands; a well-formed
+    document run with a flag out of range exits 3 naming just those flags.
+    """
+    flags = flags or {}
     path = tmp / "fuzz.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out = run_cli(["validate", "--input", str(path)], tmp)
@@ -621,11 +655,15 @@ def _check_cli_contract(tmp, doc, subcommands):
     rejected = code == 3
     if rejected:
         assert (out["result"] or {}).get("violations") or out["diagnostics"]
+    bad = {flag for flag, value in flags.items() if not 0 < value < math.inf}
     for sub in subcommands:
-        code, out = run_cli([sub, "--input", str(path)], tmp)
+        argv = [sub, "--input", str(path)] + [f"{flag}={value!r}" for flag, value in flags.items()]
+        code, out = run_cli(argv, tmp)
         assert code in (0, 1, 2, 3)
         assert code != 3 or out["diagnostics"]
-        assert code == 3 or not rejected
+        assert code == 3 or not (rejected or bad)
+        if bad and not rejected:
+            assert {d.split(":")[0] for d in out["diagnostics"]} == bad
 
 
 @pytest.fixture(scope="module")
@@ -640,9 +678,11 @@ def test_cli_fuzz_arbitrary_documents(fuzz_dir, doc):
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(doc=_well_formed_document())
-def test_cli_fuzz_well_formed_extreme_documents(fuzz_dir, doc):
+@given(doc=_well_formed_document(), data=st.data())
+def test_cli_fuzz_well_formed_extreme_documents(fuzz_dir, doc, data):
     _check_cli_contract(fuzz_dir, doc, [doc["command"]])
+    flags = data.draw(_setting_flags(doc["command"]))
+    _check_cli_contract(fuzz_dir, doc, [doc["command"]], flags)
 
 
 def test_kyp_horizon_override_reaches_sampler(tmp_path):
@@ -708,6 +748,27 @@ def test_kyp_resonance_iqc_over_step_budget(tmp_path):
     assert -np.trace(M @ Q) < -1e-6
 
 
+PASSIVITY = json.loads((SAMPLES / "kyp_scalar_passivity.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(PASSIVITY, horizon=1e308), "horizon 1e+308 needs inf steps"),
+        # the decay rate 1e-310 puts the derived horizon 24/alpha at inf
+        ({"command": "kyp", "A": [[-1e-310]], "B": [[1.0]], "M": [[0.0, 1.0], [1.0, -1.0]]},
+         "horizon inf needs inf steps"),
+    ],
+    ids=["horizon-1e308", "subnormal-decay-rate"],
+)
+def test_kyp_horizon_beyond_any_step_count_skips_the_sampler(tmp_path, caplog, doc, message):
+    with caplog.at_level(logging.WARNING, logger="conecert"):
+        code, out = run_cli(["kyp", "--input", str(write_problem(tmp_path, doc))], tmp_path)
+    assert (code, out["status"]) == (0, "feasible")
+    assert out["result"]["iqc"]["status"] == "not_applicable"
+    assert message in caplog.text
+
+
 def test_kyp_trials_over_budget(tmp_path):
     digits = "1" + "0" * 400  # a 401-digit trial count
     src = json.loads((SAMPLES / "kyp_scalar_passivity.json").read_text(encoding="utf-8"))
@@ -742,10 +803,10 @@ def test_grid_over_budget_is_rejected_before_running(doc, budget, tmp_path, monk
     _, within = run_cli([command, "--input", str(path), "--grid", "1000"], tmp_path)
     assert within["status"] == ("holds" if command == "steer" else "feasible")
 
-    def not_run(doc, **settings):
+    def not_run(**values):
         raise AssertionError("a grid over budget reached the runner")
 
-    monkeypatch.setitem(cli._RUNNERS, command, not_run)
+    monkeypatch.setattr(cli._COMMANDS[command], "run", not_run)
     code, out = run_cli([command, "--input", str(path), "--grid", str(budget + 1)], tmp_path)
     assert code == 3
     assert (out["status"], out["result"]) == ("error", None)
@@ -828,6 +889,60 @@ def test_each_command_accepts_only_the_settings_it_reads(tmp_path):
         code, out = run_cli([command, "--input", str(write_problem(tmp_path, doc))], tmp_path)
         assert code == 3
         assert out["diagnostics"] == [f"tol: unknown field for command '{command}'"]
+
+
+# (command, setting flag, its file field or None); the flag's value passes
+# the file field's check, and its diagnostic names the flag
+SETTING_FIELDS = [
+    ("l1gain", "tol", "tol"),
+    ("kyp", "tol", "tol"),
+    ("kyp", "horizon", "horizon"),
+    ("kyp", "grid", None),
+    ("decompose", "tol", "tol"),
+    ("steer", "horizon", "t1"),
+    ("steer", "grid", None),
+]
+GRID_BUDGETS = {"kyp": cli.KYP_MAX_GRID, "steer": cli.STEER_MAX_GRID}
+VALID = {"l1gain": L1, "kyp": KYP, "decompose": DECOMPOSE, "steer": STEER}
+# the file field's message body at each bad value, as the parent commit gave it
+FILE_BODIES = {
+    "0": "must be positive, got 0.0",
+    "-1": "must be positive, got -1.0",
+    "nan": "must be a finite number",
+    "inf": "must be a finite number",
+}
+
+
+PARITY_CASES = [
+    (command, flag, field, value)
+    for command, flag, field in SETTING_FIELDS
+    for value in ["0", "-1", "nan", "inf"] + (["over budget"] if flag == "grid" else [])
+]
+
+
+@pytest.mark.parametrize("command, flag, field, value", PARITY_CASES)
+def test_a_flag_passes_the_check_of_its_file_field(tmp_path, command, flag, field, value):
+    valid = write_problem(tmp_path, VALID[command], "valid.json")
+    if field is not None:
+        body = FILE_BODIES[value]
+        bad = write_problem(tmp_path, _edit(VALID[command], **{field: float(value)}), "bad.json")
+        code, out = run_cli(["validate", "--input", str(bad)], tmp_path)
+        assert (code, out["result"]["violations"]) == (3, [f"{field}: {body}"])
+        code, out = run_cli([command, "--input", str(bad)], tmp_path)
+        assert (code, out["diagnostics"]) == (3, [f"{field}: {body}"])
+    elif value in ("nan", "inf"):  # --grid takes integers: a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, "--input", str(valid), f"--grid={value}"])
+        assert exc.value.code == 2
+        return
+    elif value == "over budget":
+        budget = GRID_BUDGETS[command]
+        value, body = str(budget + 1), f"must be at most {budget}, got {budget + 1}"
+    else:
+        body = f"must be positive, got {value}"
+    code, out = run_cli([command, "--input", str(valid), f"--{flag}={value}"], tmp_path)
+    assert (code, out["status"], out["result"]) == (3, "error", None)
+    assert out["diagnostics"] == [f"--{flag}: {body}"]
 
 
 def test_settings_resolve_flag_then_file_field_then_default(tmp_path):

@@ -6,9 +6,10 @@ Usage:
 
 SRC_A and SRC_B are conecert checkouts or their src directories.  The tasks
 of every benchmark workload at each seed (benchmark/inputs.generate), the
-three sample problems, `validate` on every problem file, and runs with
-setting flags (each sample, and one steer file per seed) are built once in
-a temporary directory.  Each tree then runs all of them through
+three sample problems, four fixed `certify --kind psd` documents (see
+PSD_DOCUMENTS), `validate` on every problem file, and runs with setting
+flags (each sample, and one steer file per seed) are built once in a
+temporary directory.  Each tree then runs all of them through
 benchmark/worker.Runner.execute in one fresh interpreter of its own.  Every
 task whose fingerprint differs (the output bytes and exit code of a CLI
 task, the result or exception of a library task) is printed with how it
@@ -57,6 +58,36 @@ SAMPLE_FLAGS = {
 STEER_FLAGS = ["--grid", "256", "--horizon", "2"]
 
 
+def _disguised_kyp(seed, n, m, extra_rows=0):
+    """U'PV + V'PU <= C from a planted-feasible KYP instance (inputs.feasible_kyp)
+    under the congruence U = R(A B)S, V = R(I 0)S, C = -S'MS, R and S random."""
+    rng = np.random.default_rng(seed)
+    A, B, M, _ = inputs.feasible_kyp(rng, n, m)
+    R = rng.standard_normal((n + extra_rows, n))
+    S = rng.standard_normal((n + m, n + m))
+    C = -S.T @ M @ S
+    return {"U": R @ np.hstack([A, B]) @ S,
+            "V": R @ np.hstack([np.eye(n), np.zeros((n, m))]) @ S,
+            "C": 0.5 * (C + C.T)}
+
+
+# certify --kind psd runs through psd_lmi, the KYP form and the interior-point
+# method, which no benchmark task reaches
+PSD_DOCUMENTS = {
+    # square V: the KYP form's A is defective, and the Lyapunov equation singular
+    "defective-lyapunov": {"U": [[-1.0, -1.0, -1.0], [0.0, 0.0, 1.0], [1.0, -1.0, 0.0]],
+                           "V": [[1.0, 0.0, 1.0], [0.0, 1.0, -1.0], [1.0, -1.0, 0.0]],
+                           "C": [[-1.0, -0.5, 1.0], [-0.5, 0.0, 1.0], [1.0, 1.0, -1.0]]},
+    # weakly infeasible: neither a certificate nor a single kernel witness
+    "weakly-infeasible": {"U": [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+                          "V": [[0.0, -1.0, -1.0], [-1.0, 0.0, 0.0]],
+                          "C": [[0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]},
+    # V of rank 2 < 3 rows: there is no KYP form
+    "rank-deficient-v": _disguised_kyp(23, 2, 1, extra_rows=1),
+    "disguised-kyp": _disguised_kyp(5, 3, 2),
+}
+
+
 def build_tasks(seeds, workdir):
     """(id, task) for every workload and seed, the samples, validate on each
     file, and the flagged runs."""
@@ -72,6 +103,11 @@ def build_tasks(seeds, workdir):
     for command in sorted(inputs.SAMPLES):
         path, _ = inputs._copy_sample(root, os.path.join(workdir, "samples"), command)
         tasks.append({"id": f"sample.{command}", "task": {"argv": [command, "--input", path]}})
+    for name, arrays in PSD_DOCUMENTS.items():
+        doc = {"command": "certify", "kind": "psd"}
+        doc.update({key: np.asarray(value).tolist() for key, value in arrays.items()})
+        path = inputs._write(os.path.join(workdir, "samples"), f"psd-{name}.json", doc)
+        tasks.append({"id": f"psd.{name}", "task": {"argv": ["certify", "--input", path]}})
     for t in list(tasks):
         if "argv" in t["task"]:
             path = t["task"]["argv"][t["task"]["argv"].index("--input") + 1]

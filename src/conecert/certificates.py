@@ -21,7 +21,7 @@ import numpy as np
 
 from .numerics import SV_CUTOFF, matrix_rank
 from .simplex import solve_lp
-from .validation import as_matrix, as_symmetric, as_vector, symmetrize
+from .validation import as_matrix, as_symmetric, as_vector, frobenius, symmetrize
 
 __all__ = [
     "ORTHANT",
@@ -286,7 +286,7 @@ def psd_kernel_witness(prob: PsdProblem, Q) -> KernelWitness | None:
     image = prob.U @ Q0 @ prob.V.T
     objective = float(np.trace(prob.C @ Q0))
     cone = ConeId.psd(prob.cone_dim)
-    in_kernel = np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + np.linalg.norm(prob.U))
+    in_kernel = np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + frobenius("U", prob.U))
     if cone_contains(cone, Q0, tol=1e-9) and in_kernel and objective < -LMI_TOL:
         return KernelWitness(z0=Q0, objective=objective)
     return None
@@ -354,7 +354,7 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
             P = symmetrize(np.tensordot(coef[1:] @ w, E, 1))
             slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
             gap = np.vdot(X, prob.C - (w @ F).reshape(d, d))
-            converged = gap <= 1e-8 * (1.0 + np.linalg.norm(prob.C))
+            converged = gap <= 1e-8 * (1.0 + frobenius("C", prob.C))
             if slack[0] >= -LMI_TOL:
                 passed = LmiResult.certified(Certificate(P, slack, LMI_TOL), "interior_point", k)
                 if slack[0] >= 0 or converged:

@@ -206,6 +206,7 @@ class Number:
 
     integer: bool = False
     positive: bool = False
+    minimum: int = None
     maximum: int = None
     required: bool = False
     default: object = None
@@ -225,6 +226,9 @@ class Number:
             return None
         if self.positive and not val > 0:
             out.append(f"{field}: must be positive, got {val}")
+            return None
+        if self.minimum is not None and val < self.minimum:
+            out.append(f"{field}: must be at least {self.minimum}, got {val}")
             return None
         if self.maximum is not None and val > self.maximum:
             out.append(f"{field}: must be at most {self.maximum}, got {val}")
@@ -492,7 +496,7 @@ STEER_MAX_GRID = 2**16
 
 _A = Field("A", _matrix(square=True))
 _B = Field("B", _matrix(rows=_N))
-_SEED = Field("seed", Number(integer=True, default=0))
+_SEED = Field("seed", Number(integer=True, minimum=0, default=0))
 _U_ROWS, _U_COLS = _size(("U", 0)), _size(("U", 1))
 
 _COMMANDS = {
@@ -650,6 +654,7 @@ def run(argv=None) -> int:
 
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     violations, values = validate_problem(doc)
+    _SEED.check({"--seed": args.seed}, "--seed", violations, values)  # the file field's check
     command = doc.get("command") if doc.get("command") in COMMANDS else "unknown"
 
     if args.subcommand == "validate":

@@ -26,7 +26,7 @@ from .certificates import (
 )
 from .numerics import SV_CUTOFF, TimeGrid, rk4_linear, stage_inputs
 from .steering import controllability_rank
-from .validation import as_matrix, as_square, as_symmetric, as_vector, symmetrize
+from .validation import as_matrix, as_square, as_symmetric, as_vector, frobenius, symmetrize
 
 log = logging.getLogger("conecert.kyp")
 
@@ -217,7 +217,7 @@ def _augmented_transfer(inst, omegas):
         "the grid contains an eigenfrequency of A",
     )
     resid = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
-    bad = ~(resid <= 1e-6 * (1.0 + float(np.linalg.norm(inst.B))))
+    bad = ~(resid <= 1e-6 * (1.0 + float(frobenius("B", inst.B))))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ValueError(
@@ -564,7 +564,7 @@ def _iqc_samples(inst: KypInstance, u_stages, grid: TimeGrid) -> list:
     _, count, trials = u_stages.shape
     Bu = (inst.B @ u_stages.reshape(m, count * trials)).reshape(n, count, trials)
     # the states, component-major (n, steps+1, trials)
-    x = rk4_linear(inst.A, Bu, np.zeros((n, trials)), grid).values.transpose(1, 0, 2)
+    x = rk4_linear(inst.A, Bu, np.zeros((n, trials)), grid).transpose(1, 0, 2)
     tails = np.linalg.norm(x[:, -1], axis=0)
     unsettled = tails > 1e-6
     if np.any(unsettled):
@@ -598,9 +598,8 @@ def iqc_integral(inst: KypInstance, u, horizon, steps=4096) -> IqcSample:
 def _ramped_input(rng, m, active):
     """Smooth random input supported on (0, active), vectorized over time.
 
-    The returned u maps times of any shape to values of shape t.shape + (m,),
-    a view of values held component by component with time last; the
-    sinusoids are evaluated only at the times in (0, active).
+    The returned u maps times of any shape to values of shape (m,) + t.shape;
+    the sinusoids are evaluated only at the times in (0, active).
     """
     freqs = rng.uniform(0.2, 2.0, size=3)
     amps = rng.normal(size=(m, 3))
@@ -611,16 +610,10 @@ def _ramped_input(rng, m, active):
         out = np.zeros((m,) + t.shape)
         on = (0.0 < t) & (t < active)
         s = t[on]
-        env = np.sin(np.pi * s / active) ** 2
-        for j in range(m):
-            # summed left to right, as np.sum over a length-3 axis sums, so
-            # the values are those of the (time, m, 3) formula bit for bit
-            w0, w1, w2 = (amps[j, i] * np.sin(freqs[i] * s + phases[j, i]) for i in range(3))
-            w0 += w1
-            w0 += w2
-            w0 *= env
-            out[j, on] = w0
-        return np.moveaxis(out, 0, -1)
+        # with time innermost, np.sum adds the three sinusoids left to right
+        waves = np.sum(amps[:, :, None] * np.sin(freqs[:, None] * s + phases[:, :, None]), axis=1)
+        out[:, on] = np.sin(np.pi * s / active) ** 2 * waves
+        return out
 
     return u
 
@@ -678,7 +671,7 @@ def iqc_trajectory_condition(
     batch = max(1, IQC_BATCH_VALUES // (times.size * (inst.n + inst.m)))
     samples = []
     for lo in range(0, trials, batch):
-        u_stages = np.stack([u(times).T for u in inputs[lo : lo + batch]], axis=-1)
+        u_stages = np.stack([u(times) for u in inputs[lo : lo + batch]], axis=-1)
         samples += _iqc_samples(inst, u_stages, grid)
     worst_integral = max((s.integral for s in samples), default=-np.inf)
     worst_margin = max(

@@ -13,8 +13,9 @@ Conventions
   state leaves the floating-point range.  States and forcing are held
   component-major, shape (n, samples, batch), so the long axis (time x
   batch) is innermost: with a constant F each product is one
-  (n, n) @ (n, samples * batch) matrix product.  ``stage_inputs`` samples
-  an input at the stage times, in the same layout.  ``ode_solve`` is the
+  (n, n) @ (n, samples * batch) matrix product; it returns the states as a
+  plain time-major ndarray.  ``stage_inputs`` samples an input at the stage
+  times, component-major like the forcing.  ``ode_solve`` is the
   generic integrator for any field f(t, x), the reference the kernel is
   tested against, and the one estimate of the accumulated error (by step
   halving); it shares no code with the kernel.
@@ -184,7 +185,7 @@ def ode_solve(f, x0, grid: TimeGrid, error_estimate=True) -> TrajectoryGrid:
     return TrajectoryGrid(grid, path, local_error=err)
 
 
-def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
+def rk4_linear(F, g, x0, grid: TimeGrid) -> np.ndarray:
     """Integrate x' = F(t)x + g(t) with classical fixed-step RK4 on the grid.
 
     On a linear field one RK4 step is affine in the state,
@@ -208,8 +209,8 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
     times t0 + j*h/2 with shape (2*steps+1, n, n).  ``x0`` has shape (n,)
     or (n, k); the k columns of a batch share F.  ``g`` is None or its
     values at the same times, component-major: shape (n, 2*steps+1), or
-    (n, 2*steps+1, k) for a batch.  The returned values have shape
-    (steps+1,) + x0.shape, a view of the component-major states.
+    (n, 2*steps+1, k) for a batch.  Returns the states, time-major with
+    shape (steps+1,) + x0.shape, every entry finite.
     """
     x0 = np.asarray(x0, dtype=float)
     require_finite("x0", x0)
@@ -250,7 +251,7 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> TrajectoryGrid:
                 raise ValueError(
                     f"non-finite state encountered at t = {grid.t0 + k * h:.6g}"
                 )
-    return TrajectoryGrid(grid, s.transpose(1, 0, 2).reshape((N + 1,) + x0.shape))
+    return s.transpose(1, 0, 2).reshape((N + 1,) + x0.shape)
 
 
 def _step_states(x, g, Fm, F1, h, N):

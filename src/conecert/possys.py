@@ -112,9 +112,6 @@ class SupplyRate:
         self.c_x = as_vector("c_x", self.c_x)
         self.c_u = as_vector("c_u", self.c_u)
 
-    def __call__(self, x, u) -> float:
-        return float(self.c_x @ np.asarray(x, float) + self.c_u @ np.asarray(u, float))
-
     def along(self, x_samples, u_samples):
         """Evaluate on stacked samples of shape (N+1, n) and (N+1, m)."""
         return np.asarray(x_samples) @ self.c_x + np.asarray(u_samples) @ self.c_u
@@ -219,7 +216,8 @@ def l1_gain_bisection(sys: PositiveSystem) -> float:
     """Smallest certifiable gamma by bisection on LP feasibility alone, to 1e-7 relative.
 
     Deliberately ignores the closed form so it can serve as an independent
-    route for cross-checking exact_l1_gain.
+    route for cross-checking exact_l1_gain.  A zero gain (B = 0) meets no
+    infeasible probe; the search ends when the probe underflows, after 1,075 LPs.
     """
     hi = 1.0
     for _ in range(60):
@@ -229,7 +227,7 @@ def l1_gain_bisection(sys: PositiveSystem) -> float:
     else:
         raise RuntimeError("no feasible gamma found up to 2^60")
     lo = 0.0  # gamma must stay positive; lo is exclusive
-    while hi - lo > 1e-7 * max(hi, 1.0):
+    while hi - lo > 1e-7 * hi:
         mid = 0.5 * (lo + hi)
         if mid <= 0.0:
             break
@@ -246,7 +244,7 @@ def simulate(sys: PositiveSystem, u, x0, grid: TimeGrid) -> TrajectoryGrid:
     u is a callable t -> R^m or a TrajectoryGrid of samples (see ``stage_inputs``).
     """
     x0 = as_vector("x0", x0, length=sys.n)
-    return rk4_linear(sys.A, sys.B @ stage_inputs(u, grid, sys.m), x0, grid)
+    return TrajectoryGrid(grid, rk4_linear(sys.A, sys.B @ stage_inputs(u, grid, sys.m), x0, grid))
 
 
 def _nonnegative_input(u_samples: TrajectoryGrid) -> np.ndarray:

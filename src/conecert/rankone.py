@@ -29,7 +29,7 @@ from .numerics import (
     rk4_linear,
     stage_inputs,
 )
-from .validation import as_matrix, as_square, require_finite
+from .validation import as_matrix, as_square, frobenius, require_finite
 
 __all__ = [
     "MatrixTrajectory",
@@ -75,7 +75,7 @@ class MatrixTrajectory:
             )
         require_finite("trajectory values", v)
         skew = np.max(np.abs(v - v.transpose(0, 2, 1)))
-        norms = np.linalg.norm(v, axis=(1, 2))
+        norms = frobenius("trajectory values", v, axis=(1, 2))
         if skew > 1e-8 * (1.0 + norms.max(initial=0.0)):
             raise ValueError(f"samples not symmetric (max asymmetry {skew:.3e})")
         v = 0.5 * (v + v.transpose(0, 2, 1))
@@ -102,7 +102,7 @@ class MatrixTrajectory:
         return self.values[:, self.n :, self.n :]
 
     def max_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=(1, 2))))
+        return float(np.max(frobenius("trajectory values", self.values, axis=(1, 2))))
 
 
 def image_inclusion_check(Q, n: int, m: int):
@@ -114,7 +114,7 @@ def image_inclusion_check(Q, n: int, m: int):
     Q = as_square("Q", Q, dim=n + m)
     Q = 0.5 * (Q + Q.T)
     eig_min = float(np.linalg.eigvalsh(Q)[0])
-    if eig_min < -1e-8 * (1.0 + np.linalg.norm(Q)):
+    if eig_min < -1e-8 * (1.0 + frobenius("Q", Q)):
         raise ValueError(
             f"Q is not PSD (min eigenvalue {eig_min:.3e}); inclusion needs PSD"
         )
@@ -229,18 +229,16 @@ def _integrate_segment(traj, F, lo, hi, anchor, X0):
     X = np.empty((hi - lo + 1, n, n))
     X[anchor - lo] = X0
     if hi > anchor:
-        fwd = rk4_linear(
+        X[anchor - lo :] = rk4_linear(
             F[2 * anchor : 2 * hi + 1], None, X0,
             TimeGrid(times[anchor], times[hi], hi - anchor),
         )
-        X[anchor - lo :] = fwd.values
     if anchor > lo:
         # in tau = t_anchor - t the field is -F, met in reverse order
-        bwd = rk4_linear(
+        X[: anchor - lo + 1] = rk4_linear(
             -F[2 * lo : 2 * anchor + 1][::-1], None, X0,
             TimeGrid(0.0, times[anchor] - times[lo], anchor - lo),
-        )
-        X[: anchor - lo + 1] = bwd.values[::-1]
+        )[::-1]
     return X
 
 
@@ -300,7 +298,7 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     R_t = np.ascontiguousarray(R.transpose(0, 2, 1))
     S = Qmm - R_t @ Qnn @ R
     S = 0.5 * (S + S.transpose(0, 2, 1))
-    norms = np.linalg.norm(traj.values, axis=(1, 2))
+    norms = frobenius("trajectory values", traj.values, axis=(1, 2))
     if m > 0:
         s_eigs, s_vecs = np.linalg.eigh(S)
         schur_min = float(np.min(s_eigs[:, 0]))
@@ -430,7 +428,7 @@ def synthesize_from_stages(A, B, x0, u_stages, grid: TimeGrid):
     n, m = B.shape
     _, count, k = u_stages.shape
     Bu = (B @ u_stages.reshape(m, count * k)).reshape(n, count, k)
-    x = rk4_linear(A, Bu, x0, grid).values.transpose(1, 0, 2)
+    x = rk4_linear(A, Bu, x0, grid).transpose(1, 0, 2)
     Z = np.concatenate([x, u_stages[:, ::2]])  # (n+m, N+1, k)
     values = Z.transpose(1, 0, 2) @ np.ascontiguousarray(Z.transpose(1, 2, 0))
 

@@ -10,9 +10,10 @@ import dataclasses
 
 import numpy as np
 
-from .numerics import SV_CUTOFF, TimeGrid, TrajectoryGrid, _doubling, expm, matrix_rank, rk4_linear
+from .numerics import SV_CUTOFF, TimeGrid, _doubling, expm, matrix_rank, rk4_linear
 from .rankone import MatrixTrajectory, synthesize_from_stages
-from .validation import as_matrix, as_square, as_symmetric, as_vector, require_finite, symmetrize
+from .validation import (as_matrix, as_square, as_symmetric, as_vector, frobenius,
+                         require_finite, symmetrize)
 
 GRAMIAN_COND_LIMIT = 1e12
 
@@ -49,11 +50,9 @@ def _expm_table(A, step, count):
 
 @dataclasses.dataclass(frozen=True)
 class Gramian:
-    """Finite-horizon controllability Gramian W(t1) with its quadrature samples."""
+    """Finite-horizon controllability Gramian W(t1) and its condition number."""
 
     W: np.ndarray
-    t1: float
-    samples: TrajectoryGrid
     cond: float
 
 
@@ -63,17 +62,9 @@ def _gramian_from_table(table, B, t1, steps):
     F = G @ np.ascontiguousarray(G.transpose(0, 2, 1))
     h = t1 / steps
     cells = (h / 6.0) * (F[0:-2:2] + 4.0 * F[1:-1:2] + F[2::2])
-    n = B.shape[0]
-    samples = np.zeros((steps + 1, n, n))
-    np.cumsum(cells, axis=0, out=samples[1:])
-    W = symmetrize(samples[-1])
-    cond = float(np.linalg.cond(W)) if np.any(W) else np.inf
-    return Gramian(
-        W=W,
-        t1=float(t1),
-        samples=TrajectoryGrid(TimeGrid(0.0, float(t1), steps), samples),
-        cond=cond,
-    )
+    # the running sum, not np.sum, whose pairwise order would move W's bits
+    W = symmetrize(np.cumsum(cells, axis=0)[-1])
+    return Gramian(W=W, cond=float(np.linalg.cond(W)) if np.any(W) else np.inf)
 
 
 def _steering_gramian(table, B, t1, steps):
@@ -146,14 +137,13 @@ def min_energy_input(A, B, x0, x1, t1=1.0, steps=512):
         grid=grid,
         values=u_vals.T,
         eta=eta,
-        endpoint_error=float(np.linalg.norm(path.values[-1] - x1)),
+        endpoint_error=float(np.linalg.norm(path[-1] - x1)),
         gramian=gram,
     )
 
 
-def _psd_factors(name, X, n):
-    """Spectral factors sqrt(lam_i) v_i in descending eigenvalue order."""
-    X = as_symmetric(name, X, dim=n)
+def _psd_factors(name, X):
+    """Spectral factors sqrt(lam_i) v_i of a symmetric X in descending eigenvalue order."""
     lam, vec = np.linalg.eigh(X)
     scale = max(float(lam[-1]), 0.0)
     if float(lam[0]) < -1e-8 * (1.0 + scale):
@@ -192,8 +182,8 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     X1 = as_symmetric("X1", X1, dim=n)
     table = _half_grid_table(A, t1, steps)
 
-    f0 = _psd_factors("X0", X0, n)
-    f1 = _psd_factors("X1", X1, n)
+    f0 = _psd_factors("X0", X0)
+    f1 = _psd_factors("X1", X1)
     k = max(f0.shape[0], f1.shape[0])
     grid = TimeGrid(0.0, float(t1), steps)
 
@@ -209,7 +199,7 @@ def psd_steer(A, B, X0, X1, t1=1.0, steps=512) -> SteeringPlan:
     for j in range(k):
         u_stages[:, :, j] = _steering_values(B, starts[j], targets[j], table, gram.W)[1]
     x, traj = synthesize_from_stages(A, B, starts.T, u_stages, grid)
-    tol = 1e-5 * (1.0 + float(np.linalg.norm(X1)))
+    tol = 1e-5 * (1.0 + float(frobenius("X1", X1)))
     e0 = float(np.linalg.norm(traj.q_nn[0] - X0))
     e1 = float(np.linalg.norm(traj.q_nn[-1] - X1))
     if e0 > tol or e1 > tol:

@@ -14,6 +14,7 @@ __all__ = [
     "as_symmetric",
     "symmetrize",
     "require_finite",
+    "frobenius",
 ]
 
 
@@ -55,6 +56,19 @@ def as_square(name, a, dim=None):
     return a
 
 
+def frobenius(name, a, axis=None):
+    """Frobenius norm of a, or of each matrix of a stack over axis, without overflow."""
+    norm = np.linalg.norm(a, axis=axis)  # inf once the squares overflow, from about 1e154
+    if (norm if axis is None else norm.max(initial=0.0)) < np.inf:
+        return norm
+    with np.errstate(over="ignore"):
+        top = np.maximum(np.max(np.abs(a), axis=axis, keepdims=True), 1e-300)
+        norm = top.reshape(np.shape(norm)) * np.linalg.norm(a / top, axis=axis)
+    if not np.isfinite(norm).all():
+        raise ValueError(f"{name} is too large: its Frobenius norm overflows")
+    return norm
+
+
 def symmetrize(S):
     """Exactly symmetric part 0.5*(S + S.T); idempotent on symmetric input."""
     S = np.asarray(S, dtype=float)
@@ -68,7 +82,7 @@ def as_symmetric(name, a, dim=None):
     asymmetry is folded away by symmetrizing.
     """
     a = as_square(name, a, dim=dim)
-    tol = 1e-8 * (1.0 + np.linalg.norm(a))
+    tol = 1e-8 * (1.0 + frobenius(name, a))
     skew = np.max(np.abs(a - a.T)) if a.size else 0.0
     if skew > tol:
         raise ValueError(f"{name} is not symmetric (max asymmetry {skew:.3e})")

@@ -454,6 +454,7 @@ VIOLATION_TABLE = [
         _edit(PSD, L=[[1.0]], m=[1.0]),
         ["L: not a field of psd problems", "m: not a field of psd problems"],
     ),
+    (_edit(L1, seed=-1), ["seed: must be at least 0, got -1"]),
 ]
 
 
@@ -538,6 +539,62 @@ def test_l1gain_decides_at_a_tol_above_1e_8(tmp_path, gamma, tol, code, status):
     path = write_problem(tmp_path, _edit(L1, gamma=gamma, tol=tol))
     got, doc = run_cli(["l1gain", "--input", str(path)], tmp_path)
     assert (got, doc["status"]) == (code, status)
+
+
+def test_l1gain_bisects_a_small_gain_to_1e_7_relative(tmp_path):
+    # a gain far below 1: only a relative stop rule bisects it to 1e-7
+    path = write_problem(
+        tmp_path,
+        {"command": "l1gain", "A": [[-1.0, 0.0], [0.5, -2.0]], "B": [[1e-8], [0.0]],
+         "gamma": 1.0},
+    )
+    code, doc = run_cli(["l1gain", "--input", str(path)], tmp_path)
+    assert (code, doc["status"]) == (0, "feasible")
+    gain = doc["result"]["gain"]
+    assert abs(gain - 1.25e-8) <= 1e-22
+    assert abs(doc["result"]["gain_bisected"] - gain) <= 1e-7 * gain
+
+
+# a Frobenius norm squares the entries and overflows from about 1e154; a
+# check scaled by it must still refuse these
+OVERFLOWING_NORMS = [
+    ({"command": "kyp", "A": [[-1.0]], "B": [[1.0]], "M": [[-1e200, 1e200], [-1e200, -1.0]]},
+     "M is not symmetric (max asymmetry 2.000e+200)"),
+    ({"command": "certify", "kind": "psd", "U": [[1.0, 0.0]], "V": [[0.0, 1.0]],
+      "C": [[-1e200, 1e200], [-1e200, -1.0]]},
+     "C is not symmetric (max asymmetry 2.000e+200)"),
+    (_edit(DECOMPOSE, samples=[[1e200, 0.0, 0.0, -1e200]] * 5),
+     "sample 0 is not PSD: min eigenvalue -1.000e+200"),
+]
+
+
+@pytest.mark.parametrize("doc, message", OVERFLOWING_NORMS, ids=["kyp", "psd", "decompose"])
+def test_checks_scaled_by_an_overflowing_norm_still_refuse(tmp_path, doc, message):
+    path = write_problem(tmp_path, doc)
+    subcommand = doc["command"]
+    code, out = run_cli([subcommand, "--input", str(path)], tmp_path)
+    assert (code, out["status"], out["diagnostics"]) == (3, "error", [message])
+
+
+def test_a_norm_beyond_the_double_range_is_refused_by_name():
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^M is too large: its Frobenius norm overflows$"
+    ):
+        kyp.KypInstance(A=[[-1.0]], B=[[1.0]], M=[[1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+
+
+@pytest.mark.parametrize("subcommand", [*cli.COMMANDS, "validate"])
+def test_a_negative_seed_is_refused_before_the_run(tmp_path, subcommand):
+    doc = {**VALID, "certify": PSD}.get(subcommand, L1)
+    clean = write_problem(tmp_path, doc, "clean.json")
+    seeded = write_problem(tmp_path, _edit(doc, seed=-1), "seeded.json")
+    for argv, message in (
+        (["--input", str(seeded)], "seed: must be at least 0, got -1"),
+        (["--input", str(clean), "--seed", "-5"], "--seed: must be at least 0, got -5"),
+    ):
+        code, out = run_cli([subcommand] + argv, tmp_path)
+        found = out["result"]["violations"] if subcommand == "validate" else out["diagnostics"]
+        assert (code, out["status"], found) == (3, "error", [message])
 
 
 def test_malformed_json(tmp_path):

@@ -663,10 +663,10 @@ def test_iqc_samples_match_the_einsum_integrand():
     grid = TimeGrid(0.0, 30.0, 4096)
     times = TimeGrid(0.0, 30.0, 2 * 4096).times()
     rng = np.random.default_rng(10)
-    u_stages = np.stack([kyp._ramped_input(rng, 2, 10.0)(times).T for _ in range(3)], axis=-1)
+    u_stages = np.stack([kyp._ramped_input(rng, 2, 10.0)(times) for _ in range(3)], axis=-1)
     samples = kyp._iqc_samples(inst, u_stages, grid)
     g = np.einsum("ij,jtk->itk", inst.B, u_stages)
-    path = rk4_linear(inst.A, g, np.zeros((2, 3)), grid).values  # (time, i, trial)
+    path = rk4_linear(inst.A, g, np.zeros((2, 3)), grid)  # (time, i, trial)
     u = u_stages[:, ::2].transpose(1, 0, 2)
     Z = np.concatenate([path, u], axis=1)
     integrals = np.trapezoid(np.einsum("tik,ij,tjk->tk", Z, inst.M, Z), dx=grid.h, axis=0)
@@ -700,8 +700,8 @@ def test_ramped_input_matches_the_masked_formula_bit_for_bit():
         ref = masked(np.random.default_rng(12), m, active)
         u = kyp._ramped_input(np.random.default_rng(12), m, active)
         for t in times:
-            got, want = u(t), ref(t)
-            assert got.shape == want.shape == np.shape(t) + (m,)
+            got, want = u(t), np.moveaxis(ref(t), -1, 0)
+            assert got.shape == want.shape == (m,) + np.shape(t)
             assert got.tobytes() == want.tobytes()
 
 

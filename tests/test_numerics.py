@@ -176,8 +176,8 @@ def test_rk4_linear_matches_ode_solve_callable_input():
     ref = ode_solve(lambda t, x: A @ x + B @ u(t), x0, grid, error_estimate=False)
     g = np.stack([B @ u(t) for t in _stage_times(grid)], axis=1)
     out = rk4_linear(A, g, x0, grid)
-    assert out.values.shape == (701, 4)
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert out.shape == (701, 4)
+    assert _rel_dev(out, ref.values) <= 1e-12
 
 
 def test_rk4_linear_matches_ode_solve_batched_state():
@@ -192,8 +192,8 @@ def test_rk4_linear_matches_ode_solve_batched_state():
     X0 = rng.standard_normal((3, 5))
     ref = ode_solve(lambda t, X: A @ X + G(t), X0, grid, error_estimate=False)
     out = rk4_linear(A, np.stack([G(t) for t in _stage_times(grid)], axis=1), X0, grid)
-    assert out.values.shape == (513, 3, 5)
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert out.shape == (513, 3, 5)
+    assert _rel_dev(out, ref.values) <= 1e-12
 
 
 def test_rk4_linear_matches_ode_solve_time_varying_field():
@@ -209,12 +209,12 @@ def test_rk4_linear_matches_ode_solve_time_varying_field():
     X0 = rng.standard_normal((3, 3))
     ref = ode_solve(lambda t, X: F(t) @ X, X0, grid, error_estimate=False)
     out = rk4_linear(F_stages, None, X0, grid)
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert _rel_dev(out, ref.values) <= 1e-12
     # backward from t1: in tau = t1 - t the field is -F, met in reverse order
     ref = ode_solve(lambda tau, X: -F(2.0 - tau) @ X, X0, TimeGrid(0.0, 2.0, 400),
                     error_estimate=False)
     out = rk4_linear(-F_stages[::-1], None, X0, TimeGrid(0.0, 2.0, 400))
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert _rel_dev(out, ref.values) <= 1e-12
 
 
 def test_rk4_linear_rejects_diverging_field():
@@ -249,8 +249,8 @@ def test_rk4_linear_doubling_edges(steps, forced):
     ref = ode_solve(lambda t, X: A @ X + G(t), X0, grid, error_estimate=False)
     g = np.stack([G(t) for t in _stage_times(grid)], axis=1) if forced else None
     out = rk4_linear(A, g, X0, grid)
-    assert out.values.shape == (steps + 1, 3, 4)
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert out.shape == (steps + 1, 3, 4)
+    assert _rel_dev(out, ref.values) <= 1e-12
 
 
 @pytest.mark.parametrize("steps", [1, 5, 1025])
@@ -272,7 +272,7 @@ def test_rk4_linear_time_varying_field_with_input(steps):
     ref = ode_solve(lambda t, X: F(t) @ X + G(t), X0, grid, error_estimate=False)
     out = rk4_linear(np.stack([F(t) for t in times]), np.stack([G(t) for t in times], axis=1),
                      X0, grid)
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert _rel_dev(out, ref.values) <= 1e-12
 
 
 def test_rk4_linear_long_constant_field_run():
@@ -284,7 +284,7 @@ def test_rk4_linear_long_constant_field_run():
     ref = ode_solve(lambda t, x: A @ x + np.sin(t) * b, x0, grid, error_estimate=False)
     g = b[:, None] * np.sin(_stage_times(grid))
     out = rk4_linear(A, g, x0, grid)
-    assert _rel_dev(out.values, ref.values) <= 1e-12
+    assert _rel_dev(out, ref.values) <= 1e-12
 
 
 def test_rk4_linear_overflowing_products_keep_a_finite_path():
@@ -293,17 +293,17 @@ def test_rk4_linear_overflowing_products_keep_a_finite_path():
     # mode alone from e1
     grid = TimeGrid(0.0, 100.0, 100)
     zeros = rk4_linear(np.array([[800.0]]), None, np.zeros(1), grid)
-    assert not np.any(zeros.values)
+    assert not np.any(zeros)
     path = rk4_linear(np.diag([-1.0, 800.0]), None, np.array([1.0, 0.0]), grid)
-    assert np.all(np.isfinite(path.values)) and not np.any(path.values[:, 1])
+    assert np.all(np.isfinite(path)) and not np.any(path[:, 1])
     ref = ode_solve(lambda t, x: -x, np.ones(1), grid, error_estimate=False)
-    assert _rel_dev(path.values[:, :1], ref.values) <= 1e-12
+    assert _rel_dev(path[:, :1], ref.values) <= 1e-12
 
 
 def test_rk4_linear_empty_batch():
     grid = TimeGrid(0.0, 1.0, 8)
     out = rk4_linear(-np.eye(2), np.zeros((2, 17, 0)), np.zeros((2, 0)), grid)
-    assert out.values.shape == (9, 2, 0)
+    assert out.shape == (9, 2, 0)
 
 
 def test_rk4_linear_rejects_mismatched_stage_values():
@@ -334,8 +334,8 @@ def test_rk4_linear_constant_field_matches_the_time_varying_branch(n, width, ste
     grid = TimeGrid(0.0, 0.01 * steps + 0.05, steps)
     x0 = rng.standard_normal((n,) if width is None else (n, width))
     g = rng.standard_normal((n, 2 * steps + 1) + x0.shape[1:]) if forced else None
-    const = rk4_linear(A, g, x0, grid).values
-    varying = rk4_linear(np.broadcast_to(A, (2 * steps + 1, n, n)), g, x0, grid).values
+    const = rk4_linear(A, g, x0, grid)
+    varying = rk4_linear(np.broadcast_to(A, (2 * steps + 1, n, n)), g, x0, grid)
     assert const.shape == varying.shape == (steps + 1,) + x0.shape
     scale = np.max(np.abs(varying), initial=0.0)
     assert np.max(np.abs(const - varying), initial=0.0) <= 1e-12 * scale

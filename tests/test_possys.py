@@ -21,6 +21,7 @@ from conecert import (
     simulate,
     simulate_and_check_dissipation,
 )
+from conecert import possys
 from conecert.numerics import interpolate_samples
 
 
@@ -143,7 +144,19 @@ def test_bisection_consistency():
     for _ in range(20):
         sys_ = helpers.positive_system(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)))
         g = exact_l1_gain(sys_)
-        assert abs(l1_gain_bisection(sys_) - g) <= 1e-6 * max(g, 1.0)
+        assert abs(l1_gain_bisection(sys_) - g) <= 1e-6 * g
+
+
+def test_bisection_of_a_zero_gain_ends(monkeypatch):
+    # B = 0: every probe is feasible, so the bracket never closes relative to
+    # its upper end; the search ends when the probe underflows to zero
+    sys_ = PositiveSystem(A=np.array([[-1.0, 0.0], [0.5, -2.0]]), B=np.zeros((2, 1)))
+    probes = []
+    feasible = possys._gain_lp_feasible
+    monkeypatch.setattr(possys, "_gain_lp_feasible",
+                        lambda s, g: probes.append(g) or feasible(s, g))
+    assert l1_gain_bisection(sys_) == 5e-324
+    assert len(probes) <= 1100
 
 
 def test_l1_certificate_just_below_gain():
@@ -163,7 +176,7 @@ def test_l1_certificate_just_below_gain():
 def test_gain_supply_rate_evaluation():
     sys_ = PositiveSystem(A=-np.eye(2), B=np.ones((2, 1)))
     w = gain_supply_rate(sys_, 2.0)
-    assert abs(w(np.array([1.0, 2.0]), np.array([3.0])) - (2.0 * 3.0 - 3.0)) <= 1e-12
+    assert abs(w.along(np.array([[1.0, 2.0]]), np.array([[3.0]]))[0] - (2.0 * 3.0 - 3.0)) <= 1e-12
 
 
 def test_simulation_positivity():
@@ -228,7 +241,7 @@ def test_dissipation_equilibrium():
     rep = simulate_and_check_dissipation(sys_, supply, p, TrajectoryGrid(grid, u), x0)
     assert rep.holds
     assert abs(rep.storage_delta) <= 1e-7
-    w0 = supply(x0, u0)
+    w0 = supply.along(x0[None], u0[None])[0]
     assert w0 >= 0.0
     assert abs(rep.supply_integral - w0 * 5.0) <= 1e-8
 

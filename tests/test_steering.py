@@ -180,8 +180,8 @@ def test_psd_steer_integrates_all_components_once(monkeypatch):
     # each component alone, steered and integrated by min_energy_input; X0
     # has rank 2, so the third component starts at zero
     for x0, x1, err, u in zip(
-        steering._psd_factors("X0", X0, 3).tolist() + [[0.0] * 3],
-        steering._psd_factors("X1", X1, 3),
+        steering._psd_factors("X0", X0).tolist() + [[0.0] * 3],
+        steering._psd_factors("X1", X1),
         plan.component_endpoint_errors,
         plan.inputs,
     ):

@@ -17,8 +17,13 @@ directions and bounds are read from BENCHMARK.json.
 
 The output file holds per-run values, each side's median and quartiles
 (numpy.percentile 25/75), the parent's interquartile range, the pairs the
-change won and the ratio of medians, plus failed, attempted and correct per
-run.  The script prints, per workload and metric, the verdict of the pair
+change won and the ratio of medians, plus failed, attempted, correct and
+the host's load averages (os.getloadavg, taken just before the run) per
+run, and per pair the ratio change/parent of the claimed metric
+(problems_per_s on a workload without a claim), so a series run on a busy
+host shows in the record.  Each pair's line prints both values, the
+1-minute load average before each run and that ratio.  At the end the
+script prints, per workload and metric, the verdict of the pair
 rule (a gain counts when the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's interquartile range) and
 whether the change stays within the metric's bound.
@@ -72,9 +77,11 @@ class Sides:
 
 
 def run_once(sides, side, workload, seed, seconds):
-    """The last-line JSON of one benchmark run in a fresh copy of side."""
+    """The last-line JSON of one benchmark run in a fresh copy of side, with the
+    host's load averages (1, 5 and 15 minutes) taken just before it started."""
     where = sides.unpack(side)
     try:
+        load = [round(v, 2) for v in os.getloadavg()]
         done = subprocess.run(
             [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", repr(seconds), "--trace", "0"],
@@ -86,7 +93,7 @@ def run_once(sides, side, workload, seed, seconds):
     if done.returncode != 0:
         sys.exit(f"bench_pairs: {side} {workload} seed {seed} exited {done.returncode}:\n"
                  f"{done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return dict(json.loads(done.stdout.strip().splitlines()[-1]), loadavg=load)
 
 
 def summary(runs):
@@ -147,6 +154,7 @@ def main():
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     parent_sha = git("rev-parse", args.parent).decode().strip()
     seeds = [args.first_seed + k for k in range(args.pairs)]
+    claim_workload, claim_metric = args.claim.split(":") if args.claim else (None, None)
 
     doc = {
         "benchmark": f"python3 benchmark/run.py --workload <w> --seed <s> "
@@ -169,19 +177,26 @@ def main():
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
         sides = Sides(args.parent, workdir)
         for workload in args.workloads:
+            # the claimed metric on the claimed workload, problems per second elsewhere
+            pair_metric = claim_metric if workload == claim_workload else "problems_per_s"
             out = {side: [] for side in ("parent", "change")}
+            ratios = []
             for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
                     out[side].append(run_once(sides, side, workload, seed, seconds))
+                value = {side: out[side][-1]["metrics"][pair_metric]["value"] for side in out}
+                ratios.append(round(value["change"] / value["parent"], 4))
                 print(f"{workload} pair {k} seed {seed}: " + ", ".join(
-                    f"{side} {out[side][-1]['metrics']['problems_per_s']['value']:.1f}/s"
-                    for side in ("parent", "change")), flush=True)
+                    f"{side} {value[side]:.4g} {specs[pair_metric]['unit']} (load before "
+                    f"{out[side][-1]['loadavg'][0]:.2f})" for side in order)
+                    + f"; {pair_metric} change/parent {ratios[-1]:.4f}", flush=True)
             doc["workloads"][workload] = {
                 "pairs": args.pairs,
                 "seeds": seeds,
                 **{key: {side: [r[key] for r in out[side]] for side in out}
-                   for key in ("failed", "attempted", "correct")},
+                   for key in ("failed", "attempted", "correct", "loadavg")},
+                "pair_ratios": {"metric": pair_metric, "change_over_parent": ratios},
                 "metrics": {
                     name: compare(spec, *([r["metrics"][name]["value"] for r in out[side]]
                                           for side in ("parent", "change")))
@@ -201,16 +216,15 @@ def main():
               f"{sum(w['failed']['change'])}; correct in every run: "
               f"{all(w['correct']['parent'] + w['correct']['change'])}")
     if args.claim:
-        workload, name = args.claim.split(":")
-        m, pairs = doc["workloads"][workload]["metrics"][name], args.pairs
-        shown, _ = verdict(specs[name], m, pairs)
+        m, pairs = doc["workloads"][claim_workload]["metrics"][claim_metric], args.pairs
+        shown, _ = verdict(specs[claim_metric], m, pairs)
         doc["claim"] = {
-            "metric": name, "workload": workload, "rule": RULE,
+            "metric": claim_metric, "workload": claim_workload, "rule": RULE,
             "change_better_in_pairs": m["change_better_in_pairs"], "pairs": pairs,
             "median_difference": round(m["change"]["median"] - m["parent"]["median"], 4),
             "parent_iqr": m["parent_iqr"], "met": shown,
         }
-        print(f"claim {name} on {workload}: {'met' if shown else 'NOT met'}")
+        print(f"claim {claim_metric} on {claim_workload}: {'met' if shown else 'NOT met'}")
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

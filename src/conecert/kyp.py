@@ -40,10 +40,10 @@ RICCATI_REG = 1e-10
 # without inputs the Riccati route solves the n^2 x n^2 Kronecker form of the
 # Lyapunov equation (2 MB at n = 16); larger instances go to psd_certificate
 LYAPUNOV_MAX_N = 16
-# a stacked frequency sweep solves at most this many entries of 2n x 2n
+# a stacked frequency sweep solves at most this many complex entries of n x n
 # systems at once (512 KB); with a chunk's other per-frequency arrays that
 # keeps a chunk to a few MB however large the grid
-SWEEP_BATCH_VALUES = 2**16
+SWEEP_BATCH_VALUES = 2**15
 # multi-section search per peak of the pointwise sweep: 10 passes of 15 points
 # shrink a bracket to 8**-10 = 9.3e-10 of its width
 SECTION_POINTS = 15
@@ -173,85 +173,87 @@ def _crossing_points(inst: KypInstance) -> np.ndarray:
 
 
 def _chunks(omegas, n):
-    """omegas in chunks whose stacks of 2n x 2n systems hold at most SWEEP_BATCH_VALUES entries."""
-    size = max(1, SWEEP_BATCH_VALUES // (2 * n) ** 2)
+    """omegas in chunks whose stacks of n x n systems hold at most SWEEP_BATCH_VALUES entries."""
+    size = max(1, SWEEP_BATCH_VALUES // n**2)
     return [omegas[lo : lo + size] for lo in range(0, max(omegas.size, 1), size)]
 
 
-def _transfer_matrices(A, omegas):
-    """K(omega) = [[-A, -omega I], [omega I, -A]], stacked over omegas.
-
-    (i*omega*I - A)(X + iY) = B is the real system K(omega) (X; Y) = (B; 0).
-    """
-    n = A.shape[0]
-    K = np.zeros((omegas.size, 2 * n, 2 * n))
-    K[:, :n, :n] = -A
-    K[:, n:, n:] = -A
-    diag = np.arange(n)
-    K[:, diag, n + diag] = -omegas[:, None]
-    K[:, n + diag, diag] = omegas[:, None]
-    return K
+def _resolvents(A, omegas):
+    """i*omega*I - A, complex, stacked over omegas."""
+    return 1j * omegas[:, None, None] * np.eye(A.shape[0]) - A
 
 
 def _stacked_solve(K, rhs, omegas, message):
-    """np.linalg.solve over the stack; a singular system raises ValueError naming its omega."""
+    """K X = rhs for each K of the stack; a singular one raises ValueError naming its omega."""
     try:
         return np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         for k in range(K.shape[0]):
             try:
-                np.linalg.solve(K[k], rhs[k])
+                np.linalg.solve(K[k], rhs)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(message.format(omega=omegas[k])) from exc
         raise
 
 
-def _augmented_transfer(inst, omegas):
-    """Real and imaginary parts of (i*omega*I - A)^(-1) B, stacked over omegas."""
-    n, m = inst.n, inst.m
-    K = _transfer_matrices(inst.A, omegas)
-    rhs = np.broadcast_to(np.vstack([inst.B, np.zeros((n, m))]), (omegas.size, 2 * n, m))
+def _transfer(inst, omegas):
+    """G = (i*omega*I - A)^(-1) B at every omega, the frequencies innermost: (n, m, k)."""
+    n, m, k, A, B = inst.n, inst.m, omegas.size, inst.A, inst.B
     sol = _stacked_solve(
-        K, rhs, omegas,
-        "singular transfer solve at omega = {omega!r}; "
-        "the grid contains an eigenfrequency of A",
+        _resolvents(A, omegas), B, omegas,
+        "singular transfer solve at omega = {omega!r}; the grid contains an eigenfrequency of A",
     )
-    resid = np.linalg.norm(K @ sol - rhs, axis=(1, 2))
-    bad = ~(resid <= 1e-6 * (1.0 + float(frobenius("B", inst.B))))
+    G = np.ascontiguousarray(sol.transpose(1, 2, 0))
+    AG = (A @ G.reshape(n, m * k)).reshape(n, m, k)
+    resid = np.linalg.norm(1j * omegas * G - AG - B[:, :, None], axis=(0, 1))
+    bad = ~(resid <= 1e-6 * (1.0 + float(frobenius("B", B))))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise ValueError(
             f"ill-conditioned transfer solve at omega = {omegas[k]!r} "
             f"(residual {resid[k]:.3e}); the grid violates the eigenfrequency exclusion"
         )
-    return sol[:, :n], sol[:, n:]
+    return G
 
 
-def _hermitian(F, G):
-    """The stacked Hermitian matrices F + iG, with roundoff asymmetry removed."""
-    H = F + 1j * G
-    return 0.5 * (H + np.conj(np.swapaxes(H, 1, 2)))
+def _finite_forms(forms, omegas, sweep):
+    """The (m, m, k) forms; a non-finite entry raises ValueError naming its omega."""
+    finite = np.isfinite(forms).all(axis=(0, 1))
+    if not finite.all():
+        raise ValueError(f"non-finite {sweep} form at omega = {omegas[int(np.argmin(finite))]!r}")
+    return forms
 
 
 def _top_eigenvalues(forms):
-    """Largest eigenvalue of each stacked Hermitian form; -inf for an empty (m = 0) form."""
-    return np.max(np.linalg.eigvalsh(forms), axis=-1, initial=-np.inf)
+    """Largest eigenvalue of the Hermitian part of each m x m form, stacked on trailing axes.
+
+    forms has shape (m, m) + stack.  For m = 1 that is the real entry; for
+    m = 2, with diagonal a, d and off-diagonal mean b, it is (a + d)/2 +
+    hypot((a - d)/2, |b|); otherwise eigvalsh, -inf for an empty (m = 0) form.
+    """
+    m = forms.shape[0]
+    if m == 1:
+        return forms[0, 0].real
+    if m == 2:
+        a, d = forms[0, 0].real, forms[1, 1].real
+        b = 0.5 * (forms[0, 1] + np.conj(forms[1, 0]))
+        return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
+    hermitian = np.moveaxis(0.5 * (forms + np.conj(np.swapaxes(forms, 0, 1))), (0, 1), (-2, -1))
+    return np.max(np.linalg.eigvalsh(hermitian), axis=-1, initial=-np.inf)
 
 
 def _popov_tops(inst, omegas):
-    """Top eigenvalue of the Popov form at each omega.
+    """Top eigenvalue of the Popov form H* M H, H = ((i*omega*I - A)^-1 B; I), at each omega.
 
-    The m x m Hermitian form is assembled in real arithmetic from one
-    stacked real 2n x 2n solve per frequency.
+    One stacked complex n x n solve gives G = (i*omega*I - A)^-1 B; with
+    MH = M[:, :n] G + M[:, n:], the form is G* (MH)[:n] + (MH)[n:], the
+    frequencies innermost.
     """
-    X, Y = _augmented_transfer(inst, omegas)
-    k, m = omegas.size, inst.m
-    Hr = np.concatenate([X, np.broadcast_to(np.eye(m), (k, m, m))], axis=1)
-    Hi = np.concatenate([Y, np.zeros((k, m, m))], axis=1)
-    HrT, HiT = np.swapaxes(Hr, 1, 2), np.swapaxes(Hi, 1, 2)
-    F = HrT @ inst.M @ Hr + HiT @ inst.M @ Hi
-    G = HrT @ inst.M @ Hi - HiT @ inst.M @ Hr
-    return _top_eigenvalues(_hermitian(F, G))
+    n, m, k, M = inst.n, inst.m, omegas.size, inst.M
+    G = _transfer(inst, omegas)
+    MH = (M[:, :n] @ G.reshape(n, m * k)).reshape(n + m, m, k) + M[:, n:, None]
+    forms = np.einsum("pik,pjk->ijk", np.conj(G), MH[:n]) + MH[n:]
+    return _top_eigenvalues(_finite_forms(forms, omegas, "frequency"))
 
 
 def _frequency_values(inst, omegas):
@@ -404,9 +406,10 @@ def frequency_condition(
     interval between Hamiltonian crossings), so a peak narrower than the
     grid spacing is still evaluated; the Hamiltonian only chooses points,
     and the form itself is evaluated at every point.  Each frequency costs
-    one real 2n x 2n solve, stacked over the grid; the m x m Hermitian form
-    is assembled in real arithmetic.  The omega -> infinity limit reduces to
-    the lower-right block of M.
+    one complex n x n solve, stacked over the grid, and the m x m Hermitian
+    form is assembled from it directly; its top eigenvalue is in closed form
+    for m <= 2.  The omega -> infinity limit reduces to the lower-right block
+    of M.
     """
     if grid is None:
         grid = default_grid(inst.A)
@@ -444,25 +447,19 @@ def _pointwise_forms(inst, omegas):
     """(top eigenvalue, canonical values) of the Hermitian form at each omega.
 
     Each canonical input column j is solved for separately, over the whole
-    stack of frequencies: a_j + i*b_j is the solution (x_j, e_j) of
-    i*omega*x = Ax + B e_j.  The Hermitian form is assembled pairwise from
-    those solutions; its diagonal holds the canonical values.
+    stack of frequencies: z_j = (x_j, e_j) with i*omega*x_j = Ax_j + B e_j,
+    one complex n x n solve per column.  The form's entries are z_i* M z_j,
+    the frequencies innermost; its diagonal holds the canonical values.
     """
-    n, m, M = inst.n, inst.m, inst.M
-    k = omegas.size
-    K = _transfer_matrices(inst.A, omegas)
-    a = np.zeros((k, m, n + m))
-    b = np.zeros((k, m, n + m))
+    n, m, k = inst.n, inst.m, omegas.size
+    K, message = _resolvents(inst.A, omegas), "singular pointwise solve at omega = {omega!r}"
+    Z = np.zeros((n + m, m, k), dtype=complex)  # z_j at omega_k is Z[:, j, k]
     for j in range(m):
-        rhs = np.broadcast_to(np.concatenate([inst.B[:, j], np.zeros(n)])[:, None], (k, 2 * n, 1))
-        sol = _stacked_solve(K, rhs, omegas, "singular pointwise solve at omega = {omega!r}")
-        a[:, j, :n] = sol[:, :n, 0]
-        a[:, j, n + j] = 1.0
-        b[:, j, :n] = sol[:, n:, 0]
-    aT, bT = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
-    F = a @ M @ aT + b @ M @ bT
-    G = a @ M @ bT - b @ M @ aT
-    return _top_eigenvalues(_hermitian(F, G)), np.diagonal(F, axis1=1, axis2=2)
+        Z[:n, j] = _stacked_solve(K, inst.B[:, j], omegas, message).T
+        Z[n + j, j] = 1.0
+    MZ = (inst.M @ Z.reshape(n + m, m * k)).reshape(Z.shape)
+    forms = _finite_forms(np.einsum("pik,pjk->ijk", np.conj(Z), MZ), omegas, "pointwise")
+    return _top_eigenvalues(forms), np.diagonal(forms).real
 
 
 def _peak_brackets(A, omegas, values):

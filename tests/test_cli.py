@@ -576,6 +576,13 @@ def test_checks_scaled_by_an_overflowing_norm_still_refuse(tmp_path, doc, messag
     assert (code, out["status"], out["diagnostics"]) == (3, "error", [message])
 
 
+def test_kyp_with_an_overflowing_popov_form_exits_3(tmp_path):
+    # |G(0)|^2 = 1e320: the Hamiltonian, built before either sweep, overflows first
+    doc = {"command": "kyp", "A": [[-1.0]], "B": [[1e160]], "M": [[1.0, 0.0], [0.0, -1.0]]}
+    code, out = run_cli(["kyp", "--input", str(write_problem(tmp_path, doc))], tmp_path)
+    assert (code, out["status"]) == (3, "error")
+
+
 def test_a_norm_beyond_the_double_range_is_refused_by_name():
     with np.errstate(over="ignore"), pytest.raises(
         ValueError, match="^M is too large: its Frobenius norm overflows$"

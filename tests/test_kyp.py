@@ -390,6 +390,74 @@ def test_sweeps_name_the_frequency_of_a_singular_solve():
         pointwise_condition(inst, grid=grid)
 
 
+def overflowing_instance():
+    # |G(i omega)| = 1e160/|i omega + 1|, so the form |G|^2 - 1 overflows near omega = 0
+    return KypInstance(A=np.array([[-1.0]]), B=np.array([[1e160]]), M=np.diag([1.0, -1.0]))
+
+
+def test_sweeps_refuse_a_form_that_is_not_finite(monkeypatch):
+    inst, grid = overflowing_instance(), FrequencyGrid(np.array([0.0, 1.0]))
+    at_zero = r" form at omega = np\.float64\(0\.0\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite pointwise" + at_zero):
+            pointwise_condition(inst, grid=grid)
+        # the Hamiltonian overflows before the frequency sweep evaluates a form
+        with pytest.raises(np.linalg.LinAlgError):
+            kyp.hamiltonian_crossings(inst)
+        monkeypatch.setattr(kyp, "hamiltonian_crossings", lambda inst: np.empty(0))
+        with pytest.raises(ValueError, match="^non-finite frequency" + at_zero):
+            frequency_condition(inst, grid=grid)
+
+
+def hermitian_stack(rng, m, k):
+    X = rng.normal(size=(k, m, m)) + 1j * rng.normal(size=(k, m, m))
+    return X + np.conj(np.swapaxes(X, 1, 2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_top_eigenvalues_match_eigvalsh(m):
+    rng = np.random.default_rng(26)
+    forms = hermitian_stack(rng, m, 200)
+    if m == 2:
+        b = 1.0 + 2.0j
+        special = np.array([
+            [[1.5, b], [np.conj(b), 1.5]],  # equal diagonals
+            [[2.0, 0.0], [0.0, -3.0]],  # b = 0
+            [[-1.0, 1e9 * b], [1e9 * np.conj(b), -1.0 + 1e-6]],  # |b| >> |a - d|
+            [[4.0, 0.0], [0.0, 4.0]],
+        ])
+        forms = np.concatenate([forms, special])
+        forms = np.concatenate([forms, 1e150 * forms, 1e-150 * forms])
+    for stack in (forms, forms.real):  # Hermitian, and real symmetric like M22
+        top = np.max(np.abs(stack), axis=(1, 2), keepdims=True)  # |F|_F without overflow
+        norm = top[:, 0, 0] * np.linalg.norm(stack / top, axis=(1, 2))
+        bound = 8.0 * np.finfo(float).eps * (1.0 + norm)
+        ref = np.linalg.eigvalsh(stack)[:, -1]
+        # the sweeps stack forms on the trailing axis; frequency_condition's
+        # limit passes M22 unstacked
+        assert np.all(np.abs(kyp._top_eigenvalues(np.moveaxis(stack, 0, -1)) - ref) <= bound)
+        unstacked = np.array([kyp._top_eigenvalues(F) for F in stack])
+        assert np.all(np.abs(unstacked - ref) <= bound)
+
+
+def test_top_eigenvalue_of_an_empty_form_is_minus_infinity():
+    assert kyp._top_eigenvalues(np.zeros((0, 0))) == -np.inf
+    np.testing.assert_array_equal(kyp._top_eigenvalues(np.zeros((0, 0, 3))), [-np.inf] * 3)
+
+
+def test_pointwise_limit_is_computed_without_the_closed_forms(monkeypatch):
+    top = kyp._top_eigenvalues
+
+    def stacked_only(forms):
+        assert forms.ndim == 3, "the pointwise limit must stay on np.linalg.eigh"
+        return top(forms)
+
+    monkeypatch.setattr(kyp, "_top_eigenvalues", stacked_only)
+    inst = KypInstance(A=-np.eye(2), B=np.eye(2), M=np.diag([-3.0, -3.0, 0.5, 0.2]))
+    rep = pointwise_condition(inst)
+    assert rep.worst_omega == np.inf and rep.worst_value == 0.5
+
+
 def test_frequency_sweep_residual_check_names_its_frequency(monkeypatch):
     solve = np.linalg.solve
 

@@ -7,17 +7,17 @@ Usage:
 SRC_A and SRC_B are conecert checkouts or their src directories.  The tasks
 of every benchmark workload at each seed (benchmark/inputs.generate), the
 three sample problems, four fixed `certify --kind psd` documents (see
-PSD_DOCUMENTS), `validate` on every problem file, and runs with setting
-flags (each sample, and one steer file per seed) are built once in a
-temporary directory.  Each tree then runs all of them through
-benchmark/worker.Runner.execute in one fresh interpreter of its own.  Every
-task whose fingerprint differs (the output bytes and exit code of a CLI
-task, the result or exception of a library task) is printed with how it
-differs: the fields other than floats that changed (status, exit code,
-strings, integers, booleans, shapes), or "floats only", and the largest
-absolute and relative difference among its floats with where each occurs.
-The exit code is 1 if any task differs.  Nothing is written in either
-checkout.
+PSD_DOCUMENTS), `validate` on every problem file, runs with setting flags
+(each sample, and one steer file per seed) and one kyp run that ends in an
+error (KYP_OVERFLOW) are built once in a temporary directory.  Each tree
+then runs all of them through benchmark/worker.Runner.execute in one fresh
+interpreter of its own.  Every task whose fingerprint differs (the output
+bytes and exit code of a CLI task, the result or exception of a library
+task) is printed with how it differs: the fields other than floats that
+changed (status, exit code, strings, integers, booleans, shapes), or
+"floats only", and the largest absolute and relative difference among its
+floats with where each occurs.  The exit code is 1 if any task differs.
+Nothing is written in either checkout.
 """
 
 import argparse
@@ -87,6 +87,10 @@ PSD_DOCUMENTS = {
     "disguised-kyp": _disguised_kyp(5, 3, 2),
 }
 
+# a valid kyp document whose run ends in an error (exit 3): the Hamiltonian's
+# -B M22^-1 B' overflows, so its diagnostic is compared too
+KYP_OVERFLOW = {"command": "kyp", "A": [[-1.0]], "B": [[1e160]], "M": [[1.0, 0.0], [0.0, -1.0]]}
+
 
 def build_tasks(seeds, workdir):
     """(id, task) for every workload and seed, the samples, validate on each
@@ -113,6 +117,8 @@ def build_tasks(seeds, workdir):
             path = t["task"]["argv"][t["task"]["argv"].index("--input") + 1]
             tasks.append({"id": f"validate.{t['id']}",
                           "task": {"argv": ["validate", "--input", path]}})
+    path = inputs._write(os.path.join(workdir, "samples"), "kyp-overflow.json", KYP_OVERFLOW)
+    tasks.append({"id": "error.kyp-overflow", "task": {"argv": ["kyp", "--input", path]}})
     argvs = {t["id"]: t["task"]["argv"] for t in tasks if "argv" in t["task"]}
     flagged = [(f"sample.{command}", flags) for command, flags in SAMPLE_FLAGS.items()]
     flagged += [(f"trajectories.{seed}.steer-21", STEER_FLAGS) for seed in seeds]

@@ -63,7 +63,14 @@ IQC_BATCH_VALUES = 2**22
 
 @dataclasses.dataclass
 class KypInstance:
-    """System pair (A, B) with a symmetric quadratic supply matrix M on (x, u)."""
+    """System pair (A, B) with a symmetric quadratic supply matrix M on (x, u).
+
+    What the checkers read of the instance alone is computed once, on first
+    use, and shared: the Kalman rank test, the eigenvalues of A and its
+    eigenfrequencies, the Hamiltonian of _hamiltonian and its crossing
+    points.  Nothing that depends on a frequency set is cached, so each
+    sweep still solves its own frequencies.  Change no field afterwards.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -79,6 +86,37 @@ class KypInstance:
     def controllable(self):
         return controllability_rank(self.A, self.B)[0]
 
+    @functools.cached_property
+    def eigenvalues(self):
+        return np.linalg.eigvals(self.A)
+
+    @functools.cached_property
+    def axis_frequencies(self):
+        return _axis_frequencies(self.eigenvalues)
+
+    @functools.cached_property
+    def hamiltonian(self):
+        """The matrix of _hamiltonian, or None when M22 is singular or empty."""
+        M22 = self.M[self.n :, self.n :]
+        return None if _singular(M22) else _hamiltonian(self, M22)
+
+    @functools.cached_property
+    def crossing_points(self):
+        """One frequency in every interval where the Popov form keeps its inertia.
+
+        These are 0, each of hamiltonian_crossings, the midpoints between
+        consecutive crossings and one point past the last, minus
+        eigenfrequencies of A; empty when there is no crossing.
+        """
+        crossings = hamiltonian_crossings(self)
+        if not crossings.size:
+            return crossings
+        edges = np.concatenate([[0.0], crossings])
+        points = np.concatenate(
+            [edges, 0.5 * (edges[:-1] + edges[1:]), [2.0 * crossings[-1] + 1.0]]
+        )
+        return _off_eigenfrequencies(self.axis_frequencies, np.unique(points))
+
     @property
     def n(self):
         return self.A.shape[0]
@@ -90,14 +128,16 @@ class KypInstance:
 
 def imaginary_axis_frequencies(A):
     """|Im lambda| for every eigenvalue of A within AXIS_TOL of the imaginary axis."""
-    eig = np.linalg.eigvals(as_square("A", A))
+    return _axis_frequencies(np.linalg.eigvals(as_square("A", A)))
+
+
+def _axis_frequencies(eig):
     on_axis = np.abs(eig.real) <= AXIS_TOL
     return np.sort(np.abs(eig[on_axis].imag))
 
 
-def _off_eigenfrequencies(A, omegas):
-    """The omegas at least AXIS_TOL away from every eigenfrequency of A."""
-    excluded = imaginary_axis_frequencies(A)
+def _off_eigenfrequencies(excluded, omegas):
+    """The omegas at least AXIS_TOL away from every frequency in excluded."""
     if not excluded.size:
         return omegas
     keep = np.all(np.abs(omegas[:, None] - excluded[None, :]) >= AXIS_TOL, axis=1)
@@ -117,12 +157,19 @@ class FrequencyGrid:
         object.__setattr__(self, "omegas", om)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _log_frequencies(points):
+    base = np.logspace(-3.0, 3.0, points)
+    base.flags.writeable = False
+    return base
+
+
 def default_grid(A, points=200) -> FrequencyGrid:
     """Log-spaced grid over [1e-3, 1e3]*(1+||A||) plus 0, minus eigenfrequencies."""
     A = as_square("A", A)
     scale = 1.0 + float(np.linalg.norm(A, 2))
-    omegas = np.concatenate([[0.0], np.logspace(-3.0, 3.0, points) * scale])
-    return FrequencyGrid(np.unique(_off_eigenfrequencies(A, omegas)))
+    omegas = np.concatenate([[0.0], _log_frequencies(points) * scale])
+    return FrequencyGrid(np.unique(_off_eigenfrequencies(imaginary_axis_frequencies(A), omegas)))
 
 
 def _singular(S):
@@ -132,44 +179,37 @@ def _singular(S):
 
 
 def _hamiltonian(inst, M22):
-    """[[Ah, -B M22^-1 B'], [-(M11 - M12 M22^-1 M21), -Ah']], Ah = A - B M22^-1 M21."""
+    """[[Ah, -B M22^-1 B'], [-(M11 - M12 M22^-1 M21), -Ah']], Ah = A - B M22^-1 M21.
+
+    Raises np.linalg.LinAlgError when an entry is not finite.
+    """
     n, M = inst.n, inst.M
     K = np.linalg.solve(M22, np.hstack([M[n:, :n], inst.B.T]))
-    Ah = inst.A - inst.B @ K[:, :n]
-    return np.block([[Ah, -inst.B @ K[:, n:]], [-(M[:n, :n] - M[:n, n:] @ K[:, :n]), -Ah.T]])
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n] = inst.A - inst.B @ K[:, :n]
+    H[:n, n:] = -inst.B @ K[:, n:]
+    H[n:, :n] = -(M[:n, :n] - M[:n, n:] @ K[:, :n])
+    H[n:, n:] = -H[:n, :n].T
+    if not np.isfinite(H).all():
+        raise np.linalg.LinAlgError(
+            "the KYP Hamiltonian has non-finite entries: a product with M22^-1 overflows"
+        )
+    return H
 
 
 def hamiltonian_crossings(inst: KypInstance) -> np.ndarray:
     """Ascending frequencies where an eigenvalue of the Popov form can change sign.
 
     With M22 nonsingular the form is singular at omega exactly when
-    i*omega is an eigenvalue of the Hamiltonian of _hamiltonian (Boyd,
+    i*omega is an eigenvalue of the instance's Hamiltonian (Boyd,
     Balakrishnan and Kabamba 1989).  Empty when M22 is singular.
     """
-    M22 = inst.M[inst.n :, inst.n :]
-    if _singular(M22):
+    if inst.hamiltonian is None:
         return np.empty(0)
-    eig = np.linalg.eigvals(_hamiltonian(inst, M22))
+    eig = np.linalg.eigvals(inst.hamiltonian)
     # generous: a spurious crossing only adds a point that is evaluated
     on_axis = np.abs(eig.real) <= 1e-6 * (1.0 + np.abs(eig))
     return np.unique(np.abs(eig[on_axis].imag))
-
-
-def _crossing_points(inst: KypInstance) -> np.ndarray:
-    """One frequency in every interval where the Popov form keeps its inertia.
-
-    These are 0, each crossing, the midpoints between consecutive crossings
-    and one point past the last, minus eigenfrequencies of A; empty when
-    there is no crossing.
-    """
-    crossings = hamiltonian_crossings(inst)
-    if not crossings.size:
-        return crossings
-    edges = np.concatenate([[0.0], crossings])
-    points = np.concatenate(
-        [edges, 0.5 * (edges[:-1] + edges[1:]), [2.0 * crossings[-1] + 1.0]]
-    )
-    return _off_eigenfrequencies(inst.A, np.unique(points))
 
 
 def _chunks(omegas, n):
@@ -282,12 +322,13 @@ def _riccati_solution(inst) -> np.ndarray | None:
 
     With inputs, P is the stabilizing solution of A'P + PA + M11 - (PB +
     M12) M22^-1 (B'P + M21) = 0 (Willems 1971), a singular M22 replaced by
-    M22 - RICCATI_REG I: the n eigenvectors [V1; V2] of _hamiltonian with
-    Re lambda < 0 span its graph, so P = Re(V2 V1^-1) (Laub 1979).  None
-    when there are not n of them or V1 is singular.  Without inputs, P
-    solves A'P + PA + M11 = 0 in Kronecker form, (I (x) A' + A' (x) I)
-    vec P = -vec M11, for n <= LYAPUNOV_MAX_N; None when that system's
-    singular values show it singular (eigenvalues of A with l_i + l_j = 0).
+    M22 - RICCATI_REG I: the n eigenvectors [V1; V2] of _hamiltonian (the
+    instance's own when M22 is nonsingular) with Re lambda < 0 span its
+    graph, so P = Re(V2 V1^-1) (Laub 1979).  None when there are not n of
+    them or V1 is singular.  Without inputs, P solves A'P + PA + M11 = 0 in
+    Kronecker form, (I (x) A' + A' (x) I) vec P = -vec M11, for n <=
+    LYAPUNOV_MAX_N; None when that system's singular values show it
+    singular (eigenvalues of A with l_i + l_j = 0).
     """
     n, M = inst.n, inst.M
     try:
@@ -300,10 +341,10 @@ def _riccati_solution(inst) -> np.ndarray | None:
                 return None
             P = np.linalg.solve(L, -M.ravel()).reshape(n, n)
         else:
-            M22 = M[n:, n:]
-            if _singular(M22):
-                M22 = M22 - RICCATI_REG * np.eye(inst.m)
-            lam, V = np.linalg.eig(_hamiltonian(inst, M22))
+            H = inst.hamiltonian
+            if H is None:
+                H = _hamiltonian(inst, M[n:, n:] - RICCATI_REG * np.eye(inst.m))
+            lam, V = np.linalg.eig(H)
             V = V[:, lam.real < 0]
             if V.shape[1] != n:
                 return None
@@ -327,14 +368,14 @@ def _riccati_certificate(inst, prob) -> Certificate | None:
 def _frequency_witness(inst, prob, T) -> KernelWitness | None:
     """Rank-2 kernel witness from the Popov form at the worst crossing point.
 
-    At the point of _crossing_points where the form's top eigenvalue is
+    At the instance's crossing point where the form's top eigenvalue is
     largest, z = H(i*omega)u with H = ((i*omega*I - A)^-1 B; I) and u a top
     eigenvector.  Q0 = Re(zz*)/tr is PSD, lies in the kernel of
     UQV' + VQU' because Uz = i*omega*Vz, and has tr(-M Q0) = -(form
     value)/tr.  With a congruence T from _kyp_form, z is mapped to Tz
     first.  Q0 is returned only when it passes psd_kernel_witness.
     """
-    points = _crossing_points(inst)
+    points = inst.crossing_points
     if not points.size:
         return None
     try:
@@ -414,7 +455,7 @@ def frequency_condition(
     if grid is None:
         grid = default_grid(inst.A)
     n, m = inst.n, inst.m
-    omegas = np.union1d(grid.omegas, _crossing_points(inst))
+    omegas = np.union1d(grid.omegas, inst.crossing_points)
     values = _frequency_values(inst, omegas)
     limit_value = float(_top_eigenvalues(inst.M[n:, n:]))
     # with no input (m = 0) the form is empty: there is no worst frequency
@@ -446,33 +487,33 @@ class PointwiseReport:
 def _pointwise_forms(inst, omegas):
     """(top eigenvalue, canonical values) of the Hermitian form at each omega.
 
-    Each canonical input column j is solved for separately, over the whole
-    stack of frequencies: z_j = (x_j, e_j) with i*omega*x_j = Ax_j + B e_j,
-    one complex n x n solve per column.  The form's entries are z_i* M z_j,
-    the frequencies innermost; its diagonal holds the canonical values.
+    Each canonical input column j gives z_j = (x_j, e_j) with
+    i*omega*x_j = Ax_j + B e_j.  All m columns are the right-hand sides of
+    one stacked complex n x n solve over the frequencies; each x_j comes out
+    bit for bit as a solve of its column alone would give it.  The form's
+    entries are z_i* M z_j, the frequencies innermost; its diagonal holds
+    the canonical values.
     """
     n, m, k = inst.n, inst.m, omegas.size
-    K, message = _resolvents(inst.A, omegas), "singular pointwise solve at omega = {omega!r}"
-    Z = np.zeros((n + m, m, k), dtype=complex)  # z_j at omega_k is Z[:, j, k]
-    for j in range(m):
-        Z[:n, j] = _stacked_solve(K, inst.B[:, j], omegas, message).T
-        Z[n + j, j] = 1.0
+    Z = np.empty((n + m, m, k), dtype=complex)  # z_j at omega_k is Z[:, j, k]
+    Z[:n] = _stacked_solve(
+        _resolvents(inst.A, omegas), inst.B, omegas, "singular pointwise solve at omega = {omega!r}"
+    ).transpose(1, 2, 0)
+    Z[n:] = np.eye(m)[:, :, None]
     MZ = (inst.M @ Z.reshape(n + m, m * k)).reshape(Z.shape)
     forms = _finite_forms(np.einsum("pik,pjk->ijk", np.conj(Z), MZ), omegas, "pointwise")
     return _top_eigenvalues(forms), np.diagonal(forms).real
 
 
-def _peak_brackets(A, omegas, values):
+def _peak_brackets(poles, omegas, values):
     """[omega_(k-1), omega_(k+1)] around each local maximum k of the grid values.
 
-    Brackets holding an eigenfrequency of A are left out: the form has a
-    pole there.
+    Brackets holding one of the poles (eigenfrequencies of A) are left out.
     """
     padded = np.concatenate([[-np.inf], values, [-np.inf]])
     peaks = np.flatnonzero((padded[1:-1] > padded[:-2]) & (padded[1:-1] >= padded[2:]))
     lo = omegas[np.maximum(peaks - 1, 0)]
     hi = omegas[np.minimum(peaks + 1, omegas.size - 1)]
-    poles = imaginary_axis_frequencies(A)
     clear = ~np.any((poles > lo[:, None]) & (poles < hi[:, None]), axis=1)
     return lo[clear], hi[clear]
 
@@ -502,14 +543,16 @@ def pointwise_condition(
 ) -> PointwiseReport:
     """Check the quadratic form on (x, u) with i*omega*x = Ax + Bu, per frequency.
 
-    Independent route from frequency_condition: each canonical input column
-    is solved for separately and the Hermitian form is assembled pairwise
-    from those solutions; the x = 0 branch is the lower-right block of M.
+    Independent route from frequency_condition: the canonical input columns
+    are solved for, all in one stacked solve per frequency set, and the
+    Hermitian form is assembled pairwise from those solutions; the x = 0
+    branch is the lower-right block of M.
     When the grid and the limit hold, every local maximum of the grid
     values is refined by a multi-section search over its bracketing
     interval, 10 stacked passes of 15 points, so a peak narrower than the
-    grid spacing still refutes; no Hamiltonian is used.  Each frequency set
-    is solved once; worst_omega is inf where the limit is worst.
+    grid spacing still refutes.  No Hamiltonian is used; of the instance's
+    cached data only the eigenfrequencies of A are read, to drop brackets
+    around a pole.  worst_omega is inf where the limit is worst.
     """
     if grid is None:
         grid = default_grid(inst.A)
@@ -522,7 +565,7 @@ def pointwise_condition(
         # only a peak between grid points can still refute
         peak_omegas, peak_values = _multisection_maxima(
             lambda w: np.concatenate([_pointwise_forms(inst, c)[0] for c in _chunks(w, n)]),
-            *_peak_brackets(inst.A, omegas, values),
+            *_peak_brackets(inst.axis_frequencies, omegas, values),
         )
         omegas, values = np.append(omegas, peak_omegas), np.append(values, peak_values)
     worst_omega, worst_value = np.inf, -np.inf
@@ -537,10 +580,6 @@ def pointwise_condition(
         worst_value=worst_value,
         canonical_values=canon,
     )
-
-
-def _decay_rate(A):
-    return -float(np.max(np.real(np.linalg.eigvals(A))))
 
 
 @dataclasses.dataclass
@@ -646,7 +685,7 @@ def iqc_trajectory_condition(
     """
     if trials > IQC_MAX_TRIALS:
         raise ValueError(f"trials {trials} over the budget of {IQC_MAX_TRIALS}")
-    alpha = _decay_rate(inst.A)
+    alpha = -float(np.max(inst.eigenvalues.real))
     if alpha <= 0:
         log.info("IQC sampler skipped: A is not Hurwitz (decay rate %.3e)", alpha)
         return _iqc_not_applicable()

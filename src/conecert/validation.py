@@ -58,10 +58,10 @@ def as_square(name, a, dim=None):
 
 def frobenius(name, a, axis=None):
     """Frobenius norm of a, or of each matrix of a stack over axis, without overflow."""
-    norm = np.linalg.norm(a, axis=axis)  # inf once the squares overflow, from about 1e154
-    if (norm if axis is None else norm.max(initial=0.0)) < np.inf:
-        return norm
     with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, axis=axis)  # inf once the squares overflow, from about 1e154
+        if (norm if axis is None else norm.max(initial=0.0)) < np.inf:
+            return norm
         top = np.maximum(np.max(np.abs(a), axis=axis, keepdims=True), 1e-300)
         norm = top.reshape(np.shape(norm)) * np.linalg.norm(a / top, axis=axis)
     if not np.isfinite(norm).all():

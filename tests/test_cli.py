@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from conecert import PsdProblem, cli, kyp, possys
+from conecert import PsdProblem, cli, kyp, possys, validation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_problems"
@@ -581,6 +582,17 @@ def test_kyp_with_an_overflowing_popov_form_exits_3(tmp_path):
     doc = {"command": "kyp", "A": [[-1.0]], "B": [[1e160]], "M": [[1.0, 0.0], [0.0, -1.0]]}
     code, out = run_cli(["kyp", "--input", str(write_problem(tmp_path, doc))], tmp_path)
     assert (code, out["status"]) == (3, "error")
+    assert out["diagnostics"] == [
+        "the KYP Hamiltonian has non-finite entries: a product with M22^-1 overflows"
+    ]
+
+
+def test_frobenius_of_a_large_entry_warns_of_no_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validation.frobenius("B", np.array([[1e160]])) == 1e160
+        stack = np.array([[[1e160, 0.0], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(validation.frobenius("B", stack, axis=(1, 2)), [1e160, 5.0])
 
 
 def test_a_norm_beyond_the_double_range_is_refused_by_name():

@@ -539,30 +539,89 @@ def test_multisection_search_against_a_dense_oracle():
     assert 0.8 <= value[2] <= best[2] * (1.0 + 1e-12)
 
 
+def contraction_pair_instance():
+    # |G(i omega) u|^2 - |u|^2 with two inputs and ||G||_inf = 0.5: the grid holds
+    return KypInstance(
+        A=np.array([[-1.0, 0.5], [-0.5, -2.0]]), B=0.5 * np.eye(2), M=np.diag([1.0, 1.0, -1.0, -1.0])
+    )
+
+
 @pytest.mark.parametrize(
     "make, solves",
     [
         (grid_refuted_instance, 1),
         (passivity_instance, 1 + kyp.SECTION_PASSES),
         (resonance_instance, 1 + kyp.SECTION_PASSES),
+        (contraction_pair_instance, 1 + kyp.SECTION_PASSES),
     ],
 )
 def test_pointwise_solves_each_frequency_set_once(make, solves, monkeypatch):
-    # the grid once; when it holds, one stacked call per refinement pass
+    # the grid once; when it holds, one stacked call per refinement pass, and
+    # one np.linalg.solve per call whatever the number of inputs
     def forbidden(*args, **kwargs):
         raise AssertionError("pointwise_condition must not use the Hamiltonian")
 
     monkeypatch.setattr(kyp, "hamiltonian_crossings", forbidden)
-    calls = []
-    forms = kyp._pointwise_forms
+    monkeypatch.setattr(kyp, "_hamiltonian", forbidden)
+    calls, solved = [], []
+    forms, solve = kyp._pointwise_forms, np.linalg.solve
 
     def counted(inst, omegas):
         calls.append(omegas.size)
         return forms(inst, omegas)
 
+    def counted_solve(K, rhs):
+        solved.append(K.shape)
+        return solve(K, rhs)
+
     monkeypatch.setattr(kyp, "_pointwise_forms", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     pointwise_condition(make())
-    assert len(calls) == solves
+    assert len(calls) == len(solved) == solves
+
+
+def bounded_real_instance():
+    # |G(i omega)|^2 - 4 < 0 with G = 1/(i omega + 1): M22 = -4 is nonsingular
+    # and the Hamiltonian has no eigenvalue on the imaginary axis
+    return KypInstance(A=np.array([[-1.0]]), B=np.array([[1.0]]), M=np.diag([1.0, -4.0]))
+
+
+@pytest.mark.parametrize(
+    "make, decided_by, hamiltonian_eigvals",
+    [
+        # M22 = 0 is singular: only the Riccati route builds a (regularized) Hamiltonian
+        (passivity_instance, "riccati", 0),
+        (bounded_real_instance, "riccati", 1),
+        (resonance_instance, "frequency_witness", 1),
+    ],
+)
+def test_an_instance_builds_its_hamiltonian_once(make, decided_by, hamiltonian_eigvals, monkeypatch):
+    # the frequency witness, the Riccati route and frequency_condition share one
+    # Hamiltonian and one set of crossing points; all four checkers share the
+    # eigenvalues of A
+    inst = make()
+    grid = default_grid(inst.A)
+    builds, shapes = [], []
+    build, eigvals = kyp._hamiltonian, np.linalg.eigvals
+
+    def counted_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    def counted_eigvals(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(kyp, "_hamiltonian", counted_build)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    assert kyp_lmi(inst).decided_by == decided_by
+    frequency_condition(inst, grid)
+    pointwise_condition(inst, grid)
+    iqc_trajectory_condition(inst, trials=1)
+    n = inst.n
+    assert len(builds) == 1
+    assert shapes.count((2 * n, 2 * n)) == hamiltonian_eigvals
+    assert shapes.count((n, n)) == 1
 
 
 def test_cross_validate_resonance_has_no_defects():
@@ -710,7 +769,7 @@ def test_iqc_trajectory_condition_batch_matches_single_trials(batch, monkeypatch
     rep = iqc_trajectory_condition(inst, trials=4, seed=9)
     # the same draws, in the same order, as the sampler makes them
     rng = np.random.default_rng(9)
-    horizon = max(30.0, 24.0 / kyp._decay_rate(inst.A))
+    horizon = max(30.0, 24.0 / -np.max(inst.eigenvalues.real))
     steps = max(4096, int(np.ceil(kyp.IQC_STEPS_PER_UNIT * horizon)))
     assert len(rep.samples) == 4
     for sample in rep.samples:

@@ -8,8 +8,9 @@ SRC_A and SRC_B are conecert checkouts or their src directories.  The tasks
 of every benchmark workload at each seed (benchmark/inputs.generate), the
 three sample problems, four fixed `certify --kind psd` documents (see
 PSD_DOCUMENTS), `validate` on every problem file, runs with setting flags
-(each sample, and one steer file per seed) and one kyp run that ends in an
-error (KYP_OVERFLOW) are built once in a temporary directory.  Each tree
+(each sample, and one steer file per seed), one kyp run that ends in an
+error (KYP_OVERFLOW) and two fixed n = 2 decompose documents
+(DECOMPOSE_DOCUMENTS) are built once in a temporary directory.  Each tree
 then runs all of them through benchmark/worker.Runner.execute in one fresh
 interpreter of its own.  Every task whose fingerprint differs (the output
 bytes and exit code of a CLI task, the result or exception of a library
@@ -87,6 +88,39 @@ PSD_DOCUMENTS = {
     "disguised-kyp": _disguised_kyp(5, 3, 2),
 }
 
+def _singular_sample_decompose():
+    """n = m = 2: inputs.rank_crossing_instance's component in the first state
+    and one inputs.sinusoid_components solution (|x| >= 1.6) in the second,
+    in coordinates mixed by a fixed S, so that Q_nn has rank 1 at t = 1 alone."""
+    a, b, horizon, steps, crossing = inputs.rank_crossing_instance()
+    times = np.linspace(0.0, horizon, steps + 1)
+    (x, u), = inputs.sinusoid_components(np.random.default_rng(3), 1, 1, 1, times,
+                                         np.array([[-0.3]]), np.array([[1.0]]))
+    Q = np.zeros((steps + 1, 4, 4))
+    Q[np.ix_(range(steps + 1), [0, 2], [0, 2])] = crossing  # order (x1, x2, u1, u2)
+    z = np.stack([x[:, 0], u[:, 0]], axis=1)
+    Q[np.ix_(range(steps + 1), [1, 3], [1, 3])] = z[:, :, None] * z[:, None, :]
+    S = np.array([[1.0, 0.6], [-0.4, 1.0]])
+    T = np.eye(4)
+    T[:2, :2] = S
+    A = S @ np.diag([a[0, 0], -0.3]) @ np.linalg.inv(S)
+    return inputs._decompose_doc(A, S @ np.diag([b[0, 0], 1.0]), horizon, steps, T @ Q @ T.T)
+
+
+def _scaled_decompose():
+    """inputs.decompose_instance at n = 2 with Q scaled by 1e160: products of
+    two entries of sqrt(Q_nn) X overflow."""
+    A, B, horizon, steps, Q = inputs.decompose_instance(np.random.default_rng(5), 2, 1)
+    return inputs._decompose_doc(A, B, horizon, steps, 1e160 * Q)
+
+
+# decompose documents at n = 2 that no benchmark file has: a rank dip of
+# Q_nn that splits two segments, and entries whose products overflow
+DECOMPOSE_DOCUMENTS = {
+    "singular-sample": _singular_sample_decompose(),
+    "scaled-1e160": _scaled_decompose(),
+}
+
 # a valid kyp document whose run ends in an error (exit 3): the Hamiltonian's
 # -B M22^-1 B' overflows, so its diagnostic is compared too
 KYP_OVERFLOW = {"command": "kyp", "A": [[-1.0]], "B": [[1e160]], "M": [[1.0, 0.0], [0.0, -1.0]]}
@@ -119,6 +153,9 @@ def build_tasks(seeds, workdir):
                           "task": {"argv": ["validate", "--input", path]}})
     path = inputs._write(os.path.join(workdir, "samples"), "kyp-overflow.json", KYP_OVERFLOW)
     tasks.append({"id": "error.kyp-overflow", "task": {"argv": ["kyp", "--input", path]}})
+    for name, doc in DECOMPOSE_DOCUMENTS.items():
+        path = inputs._write(os.path.join(workdir, "samples"), f"decompose-{name}.json", doc)
+        tasks.append({"id": f"decompose.{name}", "task": {"argv": ["decompose", "--input", path]}})
     argvs = {t["id"]: t["task"]["argv"] for t in tasks if "argv" in t["task"]}
     flagged = [(f"sample.{command}", flags) for command, flags in SAMPLE_FLAGS.items()]
     flagged += [(f"trajectories.{seed}.steer-21", STEER_FLAGS) for seed in seeds]

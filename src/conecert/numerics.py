@@ -8,11 +8,12 @@ Conventions
   Every simulation of a linear field x' = F(t)x + g(t) runs through
   ``rk4_linear``, which writes the RK4 step as the affine recurrence
   x_{k+1} = T_k x_k + c_k, builds all T_k and c_k at once from F and g at
-  the stage times, and solves the recurrence by recursive doubling in
-  ceil(log2(steps + 1)) stacked products; no loop runs per step unless the
-  state leaves the floating-point range.  States and forcing are held
-  component-major, shape (n, samples, batch), so the long axis (time x
-  batch) is innermost: with a constant F each product is one
+  the stage times, and solves the recurrence in ceil(log2(steps + 1))
+  products by recursive doubling when F is constant, or by a work-efficient
+  scan of about 2 x steps stacked products when it varies; no loop runs per
+  step unless the state leaves the floating-point range.  States and
+  forcing are held component-major, shape (n, samples, batch), so the long
+  axis (time x batch) is innermost: with a constant F each product is one
   (n, n) @ (n, samples * batch) matrix product; it returns the states as a
   plain time-major ndarray.  ``stage_inputs`` samples an input at the stage
   times, component-major like the forcing.  ``ode_solve`` is the
@@ -191,13 +192,14 @@ def rk4_linear(F, g, x0, grid: TimeGrid) -> np.ndarray:
     On a linear field one RK4 step is affine in the state,
     x_{k+1} = T_k x_k + c_k, with T_k and c_k fixed by F and g at the stage
     times t_k, t_k + h/2 and t_k + h.  These are built for all steps at once
-    by stacked products, and the recurrence is solved by recursive doubling
-    in ceil(log2(steps + 1)) stacked products, with no per-step loop (see
-    ``_doubling``).  States are held component-major, shape
-    (n, steps+1, k), so with a constant F each product is one
-    (n, n) @ (n, (steps+1) k) matrix product over the long axis.  The
-    result is that of ode_solve up to the order of floating-point
-    operations.
+    by stacked products, and the recurrence is solved with no per-step
+    loop: by recursive doubling in ceil(log2(steps + 1)) products for a
+    constant F, by a work-efficient scan of about 2 x steps stacked
+    products for a time-varying one (see ``_doubling``).  States are held
+    component-major, shape (n, steps+1, k), so with a constant F each
+    product is one (n, n) @ (n, (steps+1) k) matrix product over the long
+    axis.  The result is that of ode_solve up to the order of
+    floating-point operations.
 
     A product over many steps can overflow where the stepped state stays
     finite (inf * 0 = nan), so a result that is not well inside the
@@ -302,31 +304,63 @@ _SCAN_LIMIT = 1e300
 
 
 def _doubling(T, s, homogeneous):
-    """Solve s[:, k+1] <- T_k s[:, k] + s[:, k+1] for all k by recursive doubling.
+    """Solve s[:, k+1] <- T_k s[:, k] + s[:, k+1] for all k.
 
-    s holds states component-major, shape (n, count, k).  At level d (1, 2,
-    4, ...), state j already sums the last d steps into it; adding the
-    d-step map applied to state j - d doubles that window, so after
-    ceil(log2(count)) levels every state reaches s[:, 0] (Kogge and Stone
-    1973).  A constant T needs only its power T^d per level, applied to all
-    states as one (n, n) @ (n, count k) product; a time-varying T needs the
-    d-step products P_j = T_{j-1} ... T_{j-d}, doubled alongside.  When
-    ``homogeneous`` (s[:, 1:] = 0), states past 2d are still zero at level d
-    and are skipped; the products P_j are doubled at every state all the
-    same.
+    s holds states component-major, shape (n, count, k); T is one matrix
+    or the count - 1 step maps.  A constant T is solved by recursive
+    doubling: at level d (1, 2, 4, ...), state j already sums the last d
+    steps into it, and adding T^d applied to state j - d doubles that
+    window, so after ceil(log2(count)) levels, each one (n, n) @
+    (n, count k) product, every state reaches s[:, 0] (Kogge and Stone
+    1973).  When ``homogeneous`` (s[:, 1:] = 0), states past 2d are still
+    zero at level d and are skipped.  A time-varying T goes to ``_scan``.
     """
+    if T.ndim == 3:
+        return _scan(T, s, homogeneous)
     count = s.shape[1]
-    P = T if T.ndim == 2 else np.concatenate([np.zeros((1,) + T.shape[1:]), T])
     d = 1
     while d < count:
         hi = min(2 * d, count) if homogeneous else count
-        s[:, d:hi] += _stage_product(P if P.ndim == 2 else P[d:hi], s[:, : hi - d])
-        if P.ndim == 2:
-            P = P @ P
-        else:
-            P[2 * d :] = P[2 * d :] @ P[d:-d]
+        s[:, d:hi] += _stage_product(T, s[:, : hi - d])
+        T = T @ T
         d *= 2
     return s
+
+
+def _scan(T, s, homogeneous):
+    """``_doubling`` for time-varying T: a work-efficient scan over the step maps.
+
+    Element j is the affine map x -> P_j x + s[:, j], with P_j = T_{j-1}
+    and P_0 = I, and state j is the offset of the composition of elements
+    j, ..., 0.  The up-sweep composes adjacent blocks pairwise, so that
+    element j comes to hold the block of the last 2^i elements, 2^i the
+    largest power of two dividing j + 1; the down-sweep then composes each
+    block with the full prefix that ends just before it (Brent and Kung
+    1982; Blelloch 1990).  That is about 2 count stacked products, where
+    doubling every prefix takes count log2(count).  When ``homogeneous``,
+    the offsets stay zero but for s[:, 0]: the scan runs on the maps alone,
+    whose prefixes P_j ... P_0 then take s[:, 0] in one product.
+    """
+    n, count, k = s.shape
+    P = np.concatenate([np.eye(n)[None], T])
+    x = None if homogeneous else np.ascontiguousarray(s.transpose(1, 0, 2))
+    d = 1
+    while 2 * d <= count:
+        right, left = slice(2 * d - 1, count, 2 * d), slice(d - 1, count - d, 2 * d)
+        if x is not None:
+            x[right] += P[right] @ x[left]
+        P[right] = P[right] @ P[left]
+        d *= 2
+    while d > 1:
+        d //= 2
+        right, left = slice(3 * d - 1, count, 2 * d), slice(2 * d - 1, count - d, 2 * d)
+        if x is None:
+            P[right] = P[right] @ P[left]
+        else:
+            x[right] += P[right] @ x[left]
+    if x is None:
+        x = (P.reshape(count * n, n) @ s[:, 0]).reshape(count, n, k)
+    return x.transpose(1, 0, 2)
 
 
 def cumtrapz(values, h):

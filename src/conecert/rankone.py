@@ -11,11 +11,14 @@ satisfies the dynamics.  The decomposition follows the constructive
 argument: R = Q_nn^+ Q_nm, X solves X' = (A + B R')X from a square-root
 initial condition on each constant-rank segment, segments are glued with
 an orthogonal Procrustes factor, and the residual S = Q_mm - R'Q_nn R is
-spectrally factored into components with x = 0.  One stacked eigh of Q_nn
-gives every sample's rank, Q_nn^+ and sqrt(Q_nn); besides it, each segment
-takes one batched Procrustes SVD and S one stacked eigh.
+spectrally factored into components with x = 0.  One eigendecomposition
+of Q_nn gives every sample's rank, Q_nn^+ and sqrt(Q_nn); besides it, each
+segment takes one Procrustes polar factor and S one eigendecomposition.
+Blocks up to 2 x 2 are factored in closed form (``_eigh``, ``_polar``),
+larger ones by one stacked LAPACK call each.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +104,13 @@ class MatrixTrajectory:
     def q_mm(self):
         return self.values[:, self.n :, self.n :]
 
+    @functools.cached_property
+    def sample_norms(self) -> np.ndarray:
+        """||Q_k||_F of each stored sample, computed once."""
+        return frobenius("trajectory values", self.values, axis=(1, 2))
+
     def max_norm(self) -> float:
-        return float(np.max(frobenius("trajectory values", self.values, axis=(1, 2))))
+        return float(np.max(self.sample_norms))
 
 
 def image_inclusion_check(Q, n: int, m: int):
@@ -153,15 +161,51 @@ class RankSegmentation:
     boundaries: list
 
 
-def _q_nn_spectrum(q_nn):
-    """One stacked eigh of Q_nn, and the eigenvalues that count toward rank.
+def _eigh(S):
+    """np.linalg.eigh of a stack of symmetric blocks, in closed form up to 2 x 2.
 
-    Returns (lam, vecs, live).  Eigenvalues of the PSD blocks are their
+    Eigenvalues ascending with eigenvectors as columns, as eigh returns
+    them.  A 2 x 2 block [[a, b], [b, c]] follows LAPACK's dlaev2: the
+    eigenvalue of larger magnitude is (a + c)/2 +- hypot((a - c)/2, b),
+    the other is det over it, and one rotation gives both eigenvectors.
+    Every intermediate is a half, a hypot or a ratio of entries, so no
+    square overflows or underflows.  Larger blocks take the stacked eigh.
+    """
+    d = S.shape[-1]
+    if d == 1:
+        return S[..., 0].copy(), np.ones_like(S)
+    if d > 2:
+        return np.linalg.eigh(S)
+    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    mid, half = 0.5 * a + 0.5 * c, 0.5 * a - 0.5 * c
+    radius = np.hypot(half, b)
+    big = mid + np.copysign(radius, mid)
+    first = np.abs(a) > np.abs(c)
+    safe = np.where(big == 0.0, 1.0, big)
+    # det / big, the larger diagonal entry divided first; 0 for the zero block
+    small = (np.where(first, a, c) / safe) * np.where(first, c, a) - (b / safe) * b
+    lam = np.stack([np.minimum(big, small), np.maximum(big, small)], axis=-1)
+    # the top eigenvector is (w, b) when a >= c, else (b, w), with
+    # w = |half| + radius >= |b|, 0 only at a multiple of I
+    w = np.abs(half) + radius
+    b = b / np.where(w == 0.0, 1.0, w)
+    w = 1.0 / np.hypot(1.0, b)
+    b = b * w
+    v1, v2 = np.where(half >= 0.0, w, b), np.where(half >= 0.0, b, w)
+    vecs = np.stack([np.stack([-v2, v1], axis=-1), np.stack([v1, v2], axis=-1)], axis=-2)
+    return lam, vecs
+
+
+def _q_nn_spectrum(q_nn):
+    """One eigendecomposition of Q_nn, and the eigenvalues that count toward rank.
+
+    Returns (lam, vecs, live) from ``_eigh``: closed forms for n <= 2, one
+    stacked eigh beyond.  Eigenvalues of the PSD blocks are their
     singular values; live marks those above SV_CUTOFF times the largest
     along the whole trajectory, so a sample where Q_nn collapses is not
     judged against its own scale.  Per-sample ranks are live.sum(axis=1).
     """
-    lam, vecs = np.linalg.eigh(q_nn)
+    lam, vecs = _eigh(q_nn)
     top = float(np.max(lam[:, -1], initial=0.0))
     return lam, vecs, lam > SV_CUTOFF * max(top, 0.0)
 
@@ -242,6 +286,34 @@ def _integrate_segment(traj, F, lo, hi, anchor, X0):
     return X
 
 
+def _polar(M):
+    """Orthogonal polar factor U V' of each block of a stack M = U S V'.
+
+    Closed forms up to 2 x 2, where the SVD's per-block cost dominates.  A
+    1 x 1 factor is the sign of M, as the SVD product has it (-1 at -0.0).
+    A 2 x 2 factor is (M + cof M)/||.|| (a rotation) when det M >= 0 and
+    (M - cof M)/||.|| (a reflection) when det M < 0, ||.|| the hypot that
+    makes it orthogonal, from M scaled by its largest entry so that the
+    sign of det survives overflow and underflow; the zero matrix gives I,
+    as the SVD does.  Larger blocks take the batched SVD.
+    """
+    n = M.shape[-1]
+    if n == 1:
+        return np.copysign(1.0, M)
+    if n > 2:
+        U, _, V = np.linalg.svd(M)
+        return U @ V
+    top = np.max(np.abs(M), axis=(-2, -1), keepdims=True)
+    M = M / np.where(top == 0.0, 1.0, top)
+    p, q, r, s = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    flip = np.where(p * s - q * r < 0.0, -1.0, 1.0)
+    # M + flip cof M = [[c, t], [-flip t, flip c]]; only M = 0 has c = t = 0
+    c, t = np.where(top[..., 0, 0] == 0.0, 1.0, p + flip * s), q - flip * r
+    norm = np.hypot(c, t)
+    c, t = c / norm, t / norm
+    return np.stack([np.stack([c, t], axis=-1), np.stack([-flip * t, flip * c], axis=-1)], axis=-2)
+
+
 def _gram_correct(X, roots):
     """Snap each X_k onto {X : XX' = Q_nn(k)}, staying close to the path.
 
@@ -252,12 +324,12 @@ def _gram_correct(X, roots):
     sqrt(Q_nn) Omega with Omega the orthogonal Procrustes factor of
     sqrt(Q_nn) X_k, which pins the reconstruction exactly and leaves all
     remaining approximation visible in the reported ODE residuals.  roots
-    holds sqrt(Q_nn(k)) from decompose's one eigh of Q_nn; Omega comes from
-    one batched SVD, which keeps the condition number of sqrt(Q_nn) X_k
+    holds sqrt(Q_nn(k)) from decompose's one eigendecomposition of Q_nn;
+    Omega is the polar factor of ``_polar``, closed form for n <= 2 and one
+    batched SVD beyond, which keeps the condition number of sqrt(Q_nn) X_k
     (a polar factor from the eigh of its Gram matrix would square it).
     """
-    Uo, _, Vo = np.linalg.svd(roots @ X)
-    return roots @ (Uo @ Vo)
+    return roots @ _polar(roots @ X)
 
 
 class Refutation(ValueError):
@@ -274,7 +346,9 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     Raises Refutation when the finite-difference dynamics residual exceeds
     1e-5 (not a solution) or Q_mm >= R'Q_nn R fails by more than 1e-7 (the
     Schur complement has a negative eigenvalue), checked before factoring
-    the remainder.
+    the remainder.  Q_nn and S are factored by ``_eigh`` and each
+    segment's Procrustes step by ``_polar``: closed forms for blocks up to
+    2 x 2, stacked LAPACK calls beyond.
     """
     A = as_square("A", A, dim=traj.n)
     B = as_matrix("B", B, rows=traj.n, cols=traj.m)
@@ -298,9 +372,9 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
     R_t = np.ascontiguousarray(R.transpose(0, 2, 1))
     S = Qmm - R_t @ Qnn @ R
     S = 0.5 * (S + S.transpose(0, 2, 1))
-    norms = frobenius("trajectory values", traj.values, axis=(1, 2))
+    norms = traj.sample_norms
     if m > 0:
-        s_eigs, s_vecs = np.linalg.eigh(S)
+        s_eigs, s_vecs = _eigh(S)
         schur_min = float(np.min(s_eigs[:, 0]))
         if np.min(s_eigs[:, 0] + 1e-7 * (1.0 + norms)) < 0:
             raise Refutation(
@@ -329,10 +403,9 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
         Xseg = _integrate_segment(traj, F, lo, hi, idx, roots[idx])
         Xseg = _gram_correct(Xseg, roots[lo : hi + 1])
         if prev_boundary_X is not None:
-            # orthogonal Procrustes alignment at the shared sample: U = W Z'
-            # from the SVD of X_right(t*)' X_left(t*)
-            W_svd, _, Z_svd = np.linalg.svd(Xseg[0].T @ prev_boundary_X)
-            Xseg = Xseg @ (W_svd @ Z_svd)
+            # orthogonal Procrustes alignment at the shared sample: the polar
+            # factor of X_right(t*)' X_left(t*)
+            Xseg = Xseg @ _polar(Xseg[0].T @ prev_boundary_X)
             stitch_residuals.append(float(np.linalg.norm(Xseg[0] - prev_boundary_X)))
             X[lo + 1 : hi + 1] = Xseg[1:]
         else:
@@ -374,7 +447,7 @@ def decompose(traj: MatrixTrajectory, A, B) -> RankOneDecomposition:
         us=Z[:, n:].transpose(2, 0, 1),
         zero_x=zero_x,
         reconstruction_error=recon_err,
-        max_q_norm=float(np.max(norms)),
+        max_q_norm=traj.max_norm(),
         ode_residuals=ode_res,
         stitch_residuals=stitch_residuals,
         segmentation=seg,

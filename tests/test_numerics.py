@@ -14,6 +14,7 @@ from conecert import (
     ode_solve,
     pinv,
 )
+from conecert import numerics
 from conecert.numerics import central_diff4, cumtrapz, interpolate_samples, rk4_linear
 from conecert.steering import _expm_table
 
@@ -339,6 +340,52 @@ def test_rk4_linear_constant_field_matches_the_time_varying_branch(n, width, ste
     assert const.shape == varying.shape == (steps + 1,) + x0.shape
     scale = np.max(np.abs(varying), initial=0.0)
     assert np.max(np.abs(const - varying), initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("steps", _DOUBLING_STEPS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rk4_linear_scan_on_a_non_commuting_field(n, steps):
+    # the case decompose runs: X' = F(t)X from a square X0, no forcing, with
+    # F(t) and F(s) not commuting
+    rng = np.random.default_rng(29 + n)
+    A = rng.standard_normal((n, n)) - np.eye(n)
+    E1, E2 = rng.standard_normal((2, n, n))
+
+    def F(t):
+        return A + np.cos(3.0 * t) * E1 + np.sin(t) * E2
+
+    grid = TimeGrid(0.1, 0.01 * steps + 0.15, steps)
+    X0 = rng.standard_normal((n, n))
+    ref = ode_solve(lambda t, X: F(t) @ X, X0, grid, error_estimate=False)
+    out = rk4_linear(np.stack([F(t) for t in _stage_times(grid)]), None, X0, grid)
+    assert out.shape == (steps + 1, n, n)
+    assert _rel_dev(out, ref.values) <= 1e-12
+
+
+def test_rk4_linear_overflowing_scan_falls_back_to_stepping(monkeypatch):
+    # products of these time-varying step maps overflow while the stepped
+    # state does not: the scan's result is not finite, and stepping gives
+    # zeros from zero and the decaying mode alone from e1
+    scan, finite = numerics._scan, []
+
+    def recorded(*args):
+        out = scan(*args)
+        finite.append(bool(np.isfinite(out).all()))
+        return out
+
+    monkeypatch.setattr(numerics, "_scan", recorded)
+    grid = TimeGrid(0.0, 100.0, 100)
+    times = _stage_times(grid)
+    F = np.zeros((times.size, 2, 2))
+    F[:, 0, 0], F[:, 0, 1], F[:, 1, 1] = -1.0 + 0.1 * np.sin(times), np.cos(times), 800.0
+    zeros = rk4_linear(F, None, np.zeros(2), grid)
+    assert not np.any(zeros)
+    path = rk4_linear(F, None, np.array([1.0, 0.0]), grid)
+    assert finite == [False, False]
+    assert np.all(np.isfinite(path)) and not np.any(path[:, 1])
+    ref = ode_solve(lambda t, x: (-1.0 + 0.1 * np.sin(t)) * x, np.ones(1), grid,
+                    error_estimate=False)
+    assert _rel_dev(path[:, :1], ref.values) <= 1e-12
 
 
 def test_expm_table_matches_repeated_products_of_the_step_exponential():

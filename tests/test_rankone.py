@@ -20,6 +20,7 @@ from conecert import (
     synthesize_Q,
 )
 from conecert.numerics import interpolate_samples
+from conecert.validation import frobenius
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -272,32 +273,119 @@ def test_decompose_rank_crossing_stitching():
     assert np.max(finite) <= 1e-3
 
 
-def test_decompose_factors_each_sample_once(monkeypatch):
-    # one stacked eigh of Q_nn gives the ranks, Q_nn^+ and sqrt(Q_nn); S takes
-    # one more, and each segment one batched Procrustes SVD
+def _crossing_trajectory():
+    # x(t) = t - 1 on x' = -x/2 + u: Q_nn vanishes at t = 1, two rank segments
     A, B = np.array([[-0.5]]), np.array([[1.0]])
-    grid = TimeGrid(0.0, 2.0, 512)
     traj = synthesize_Q(A, B, [np.array([-1.0])],
-                        [lambda t: np.atleast_1d(0.5 * (t - 1.0) + 1.0)], grid)
-    calls = []
+                        [lambda t: np.atleast_1d(0.5 * (t - 1.0) + 1.0)], TimeGrid(0.0, 2.0, 512))
+    return traj, A, B
 
-    def counted(name, fn):
-        def wrapped(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                calls.append((name, np.array_equal(a, traj.q_nn)))
-            return fn(a, *args, **kwargs)
-        return wrapped
 
-    for name in ("eigh", "eigvalsh", "svd", "pinv"):
-        monkeypatch.setattr(rankone.np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(rankone, "pinv", counted("pinv", rankone.pinv))
-    dec = decompose(traj, A, B)
-    monkeypatch.undo()
-    segments = dec.segmentation.segments
-    assert len(segments) == 2
-    assert sorted(c for c in calls if c[0] == "eigh") == [("eigh", False), ("eigh", True)]
-    assert [c[0] for c in calls if c[0] != "eigh"] == ["svd"] * len(segments)
-    assert segments == rank_segments(traj).segments
+def _sinusoid_case(n, m):
+    A, B, grid, Q = helpers.sinusoid_trajectory(np.random.default_rng(47), n, m)
+    return MatrixTrajectory(grid=grid, values=Q, n=n, m=m), A, B
+
+
+def test_decompose_factors_each_sample_once(monkeypatch):
+    # blocks up to 2 x 2 are factored in closed form: no stacked eigh or SVD
+    # for n, m <= 2; at n = 3, one stacked eigh of Q_nn gives the ranks,
+    # Q_nn^+ and sqrt(Q_nn), and each segment takes one batched Procrustes SVD
+    for traj, A, B in [_crossing_trajectory(), _sinusoid_case(2, 2), _sinusoid_case(3, 2)]:
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(a, *args, **kwargs):
+                if np.ndim(a) == 3:
+                    calls.append((name, np.array_equal(a, traj.q_nn)))
+                return fn(a, *args, **kwargs)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh", "svd", "pinv"):
+            monkeypatch.setattr(rankone.np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(rankone, "pinv", counted("pinv", rankone.pinv))
+        dec = decompose(traj, A, B)
+        monkeypatch.undo()
+        segments = dec.segmentation.segments
+        assert len(segments) == (2 if traj.n == 1 else 1)
+        if traj.n <= 2:
+            assert calls == []
+        else:
+            assert calls == [("eigh", True)] + [("svd", False)] * len(segments)
+        assert segments == rank_segments(traj).segments
+
+
+_EPS8 = 8.0 * np.finfo(float).eps
+
+
+def _bound(ref):
+    """8 eps (1 + ||ref||_F) for each block of a stack, without overflow."""
+    return _EPS8 * (1.0 + frobenius("ref", ref, axis=(-2, -1)))
+
+
+def _closed_form_blocks(symmetric):
+    rng = np.random.default_rng(48)
+    M = rng.standard_normal((300, 2, 2))
+    special = np.array([
+        [[2.0, 0.0], [0.0, -3.0]],  # b = 0, det < 0
+        [[2.0, 0.0], [0.0, 3.0]],  # b = 0
+        [[1.5, 0.7], [0.7, 1.5]],  # equal diagonals
+        [[4.0, 0.0], [0.0, 4.0]],  # a multiple of I
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[1.0, 2.0], [2.0, 4.0]],  # rank one, det = 0
+        [[-1.0, 2.0], [2.0, -4.0]],
+        [[1.0, 3.0], [3.0, -2.0]],  # det < 0
+        [[1.0, 1e-9], [1e-9, 1.0 + 1e-7]],
+    ])
+    if not symmetric:
+        M = np.concatenate([M, [[[1.0, 2.0], [-2.0, -4.0]], [[0.0, 1.0], [0.0, 0.0]],
+                                [[1.0, 3.0], [-3.0, 1.0]]]])
+    M = np.concatenate([M + M.transpose(0, 2, 1) if symmetric else M, special])
+    return M
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_closed_form_eigh_matches_lapack(scale):
+    S = _closed_form_blocks(symmetric=True)
+    lam, V = rankone._eigh(scale * S)
+    ref = np.linalg.eigh(scale * S)[0]
+    assert np.all(np.abs(lam - ref) <= _bound(scale * S)[:, None])
+    lam = lam / scale  # scaled back, against the unscaled stack
+    assert np.all(np.abs(lam - np.linalg.eigh(S)[0]) <= _bound(S)[:, None])
+    recon = (V * lam[:, None, :]) @ V.transpose(0, 2, 1)
+    assert np.all(np.abs(recon - S) <= _bound(S)[:, None, None])
+    eye = np.broadcast_to(np.eye(2), V.shape)
+    assert np.all(np.abs(V.transpose(0, 2, 1) @ V - eye) <= _bound(eye)[:, None, None])
+
+
+def test_closed_form_eigh_of_1x1_blocks_is_lapacks():
+    S = np.array([-3.0, -0.0, 0.0, 5e-324, 1e300, 2.5]).reshape(-1, 1, 1)
+    lam, V = rankone._eigh(S)
+    ref_lam, ref_V = np.linalg.eigh(S)
+    assert np.array_equal(lam, ref_lam) and np.array_equal(V, ref_V)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_closed_form_polar_factor_matches_the_svd(scale):
+    M = scale * _closed_form_blocks(symmetric=False)
+    omega = rankone._polar(M)
+    eye = np.broadcast_to(np.eye(2), M.shape)
+    assert np.all(np.abs(omega.transpose(0, 2, 1) @ omega - eye) <= _bound(eye)[:, None, None])
+    # Omega'M is the symmetric PSD factor, singular M included
+    H = omega.transpose(0, 2, 1) @ M
+    assert np.all(np.abs(H - H.transpose(0, 2, 1)) <= _bound(M)[:, None, None])
+    assert np.all(np.linalg.eigvalsh(0.5 * (H + H.transpose(0, 2, 1)))[:, 0] >= -_bound(M))
+    U, sv, V = np.linalg.svd(M)
+    ref = U @ V
+    nonsingular = sv[:, 1] > 1e-8 * sv[:, 0]
+    assert np.count_nonzero(~nonsingular) == 5
+    assert np.all(np.abs(omega - ref)[nonsingular] <= _bound(ref)[nonsingular, None, None])
+    assert np.array_equal(omega[np.all(M == 0.0, axis=(1, 2))], [np.eye(2)])
+
+
+def test_closed_form_polar_factor_of_1x1_blocks_is_the_svds():
+    M = np.array([-3.0, -0.0, 0.0, 5e-324, -5e-324, 1e300, 2.5]).reshape(-1, 1, 1)
+    U, _, V = np.linalg.svd(M)
+    assert np.array_equal(rankone._polar(M), U @ V)
 
 
 def test_decompose_reconstruction_accuracy_gate():

@@ -9,7 +9,8 @@ of every benchmark workload at each seed (benchmark/inputs.generate), the
 three sample problems, four fixed `certify --kind psd` documents (see
 PSD_DOCUMENTS), `validate` on every problem file, runs with setting flags
 (each sample, and one steer file per seed), one kyp run that ends in an
-error (KYP_OVERFLOW) and two fixed n = 2 decompose documents
+error (KYP_OVERFLOW), three fixed `certify --kind orthant` documents off the
+unit scale (ORTHANT_DOCUMENTS) and two fixed n = 2 decompose documents
 (DECOMPOSE_DOCUMENTS) are built once in a temporary directory.  Each tree
 then runs all of them through benchmark/worker.Runner.execute in one fresh
 interpreter of its own.  Every task whose fingerprint differs (the output
@@ -88,6 +89,22 @@ PSD_DOCUMENTS = {
     "disguised-kyp": _disguised_kyp(5, 3, 2),
 }
 
+def _scaled_orthant(planted, scale):
+    """A 2 x 6 planted orthant problem (inputs.feasible_orthant or
+    inputs.infeasible_orthant, default_rng(0)) with m scaled by scale."""
+    L, m = planted(np.random.default_rng(0), 2, 6)
+    return {"L": L, "m": scale * m}
+
+
+# certify --kind orthant documents off the unit scale of the benchmark's
+# orthant tasks, where the float simplex's absolute tolerances decide
+ORTHANT_DOCUMENTS = {
+    # p = -1 is the only certificate, and the kernel LP's point -2 disagrees
+    "entries-1e300": {"L": [[1e300, -1e300, 1.0]], "m": [1e300, 1e300, -1.0]},
+    "feasible-m-1e8": _scaled_orthant(inputs.feasible_orthant, 1e8),
+    "infeasible-m-1e-9": _scaled_orthant(inputs.infeasible_orthant, 1e-9),
+}
+
 def _singular_sample_decompose():
     """n = m = 2: inputs.rank_crossing_instance's component in the first state
     and one inputs.sinusoid_components solution (|x| >= 1.6) in the second,
@@ -153,6 +170,11 @@ def build_tasks(seeds, workdir):
                           "task": {"argv": ["validate", "--input", path]}})
     path = inputs._write(os.path.join(workdir, "samples"), "kyp-overflow.json", KYP_OVERFLOW)
     tasks.append({"id": "error.kyp-overflow", "task": {"argv": ["kyp", "--input", path]}})
+    for name, arrays in ORTHANT_DOCUMENTS.items():
+        doc = {"command": "certify", "kind": "orthant"}
+        doc.update({key: np.asarray(value).tolist() for key, value in arrays.items()})
+        path = inputs._write(os.path.join(workdir, "samples"), f"orthant-{name}.json", doc)
+        tasks.append({"id": f"orthant.{name}", "task": {"argv": ["certify", "--input", path]}})
     for name, doc in DECOMPOSE_DOCUMENTS.items():
         path = inputs._write(os.path.join(workdir, "samples"), f"decompose-{name}.json", doc)
         tasks.append({"id": f"decompose.{name}", "task": {"argv": ["decompose", "--input", path]}})

@@ -7,16 +7,16 @@ trajectories, and minimum-energy steering on the PSD cone.
 
 from .certificates import (
     Certificate,
-    ConeId,
     KernelWitness,
     LmiResult,
     OrthantProblem,
     PsdProblem,
-    cone_contains,
+    certify,
     orthant_certificate,
     orthant_kernel_minimum,
     orthant_surjectivity,
     psd_certificate,
+    refute,
 )
 from .kyp import (
     CrossValidation,

@@ -1,13 +1,18 @@
-"""Cone membership and finite conic-duality certificates.
+"""Finite conic-duality certificates and witnesses, checked on the problem.
 
 The central question: given a linear map L and a cost functional m on a cone
 K, does there exist p with <p, L(z)> <= <m, z> for all z in K?  Feasibility
 is equivalent to the adjoint inequality L*(p) - m <=_{K*} 0, and failure is
 refuted by a kernel witness: z0 in K with L(z0) = 0 and <m, z0> < 0.
 
+Each problem class supplies the three operations a verdict rests on: the
+dual slack of a certificate p, the membership margin of a kernel element z,
+and z's kernel residual and objective.  Every route's artifact becomes a
+verdict only through the two checks built on them, certify and refute.
+
 Two instantiations:
 * orthant: L is a matrix, the adjoint inequality L'p <= m is an LP,
-  decided exactly by the two-phase simplex;
+  decided by the two-phase simplex;
 * PSD cone: L(Q) = U Q V' + V Q U', the adjoint inequality
   U'PV + V'PU <= C is decided up to a (feasible / infeasible-with-witness
   / undecided) trichotomy.  This module holds the rank-one witness search
@@ -24,58 +29,24 @@ from .simplex import solve_lp
 from .validation import as_matrix, as_symmetric, as_vector, frobenius, symmetrize
 
 __all__ = [
-    "ORTHANT",
-    "PSD",
-    "ConeId",
     "OrthantProblem",
     "PsdProblem",
     "Certificate",
     "KernelWitness",
     "LmiResult",
-    "cone_contains",
+    "certify",
+    "refute",
     "orthant_certificate",
     "orthant_kernel_minimum",
     "orthant_surjectivity",
     "psd_certificate",
-    "psd_kernel_witness",
     "rank_one_witness",
 ]
 
 logger = logging.getLogger("conecert.certificates")
 
-ORTHANT = "orthant"
-PSD = "psd"
 LMI_TOL = 1e-6  # bounds a PSD certificate's slack and a witness's objective
 IPM_MAX_ITERATIONS = 50  # psd_certificate's cap; no surveyed problem needed 12
-
-
-@dataclass(frozen=True)
-class ConeId:
-    """Identifies a cone: the nonnegative orthant R^d_+ or S^d_+."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (ORTHANT, PSD):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("cone dimension must be >= 1")
-
-    @staticmethod
-    def orthant(d: int) -> "ConeId":
-        return ConeId(ORTHANT, d)
-
-    @staticmethod
-    def psd(d: int) -> "ConeId":
-        return ConeId(PSD, d)
-
-
-def cone_contains(cone: ConeId, z, tol: float = 1e-8) -> bool:
-    """Whether the smallest entry (orthant) or eigenvalue (PSD) of z is >= -tol."""
-    if cone.kind == ORTHANT:
-        return float(np.min(as_vector("z", z, length=cone.dim))) >= -tol
-    return float(np.linalg.eigvalsh(as_symmetric("z", z, dim=cone.dim))[0]) >= -tol
 
 
 @dataclass
@@ -84,6 +55,9 @@ class OrthantProblem:
 
     Lmap: np.ndarray  # x_dim x z_dim
     m: np.ndarray  # length z_dim
+
+    SLACK_TOL = 1e-8  # how far below 0 a certificate's slack may reach
+    OBJECTIVE_TOL = 1e-7  # a witness's objective must lie below its negative
 
     def __post_init__(self):
         self.Lmap = as_matrix("Lmap", self.Lmap)
@@ -97,6 +71,18 @@ class OrthantProblem:
     def z_dim(self) -> int:
         return self.Lmap.shape[1]
 
+    def dual_slack(self, p) -> np.ndarray:
+        """m - L'p."""
+        return self.m - self.Lmap.T @ p
+
+    def margin(self, z) -> float:
+        """The smallest entry of z: z is in the orthant iff it is >= 0."""
+        return float(np.min(as_vector("z", z, length=self.z_dim)))
+
+    def kernel(self, z):
+        """(||Lz||, 1 + ||L||, <m, z>): kernel residual, its scale, objective."""
+        return np.linalg.norm(self.Lmap @ z), 1.0 + frobenius("Lmap", self.Lmap), float(self.m @ z)
+
 
 @dataclass
 class PsdProblem:
@@ -105,6 +91,9 @@ class PsdProblem:
     U: np.ndarray  # n x d
     V: np.ndarray  # n x d
     C: np.ndarray  # d x d symmetric
+
+    SLACK_TOL = LMI_TOL
+    OBJECTIVE_TOL = LMI_TOL
 
     def __post_init__(self):
         self.U = as_matrix("U", self.U)
@@ -119,40 +108,65 @@ class PsdProblem:
     def cone_dim(self) -> int:
         return self.U.shape[1]
 
-    def adjoint_image(self, P) -> np.ndarray:
-        """He(P) = U'PV + V'PU, the image of P under the adjoint map."""
+    def dual_slack(self, P) -> np.ndarray:
+        """The eigenvalues of C - He(P), ascending, with He(P) = U'PV + V'PU; NaN on overflow."""
         G = self.U.T @ P @ self.V
-        return symmetrize(G + G.T)
+        S = self.C - symmetrize(G + G.T)
+        # eigvalsh of a matrix holding NaN can return finite values, or raise
+        return np.linalg.eigvalsh(S) if np.isfinite(S).all() else np.full(self.cone_dim, np.nan)
+
+    def margin(self, Z) -> float:
+        """The smallest eigenvalue of Z: Z is in S^d_+ iff it is >= 0."""
+        return float(np.linalg.eigvalsh(as_symmetric("z", Z, dim=self.cone_dim))[0])
+
+    def kernel(self, Z):
+        """(||UZV' + VZU'||, 1 + ||U||, tr(CZ)): kernel residual, its scale, objective."""
+        image = self.U @ Z @ self.V.T
+        residual = np.linalg.norm(image + image.T)
+        return residual, 1.0 + frobenius("U", self.U), float(np.trace(self.C @ Z))
 
 
 @dataclass
 class Certificate:
-    """A feasible p together with its slack in the dual inequality.
+    """A feasible p and its slack prob.dual_slack(p), built by certify alone.
 
-    slack is m - L'p (orthant) or the eigenvalues of C - U'PV - V'PU
-    (PSD), and must be entrywise >= -tol.
+    slack is m - L'p (orthant) or the ascending eigenvalues of C - U'PV - V'PU (PSD).
     """
 
     p: np.ndarray
     slack: np.ndarray
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        self.slack = np.asarray(self.slack, dtype=float)
-        worst = float(np.min(self.slack)) if self.slack.size else 0.0
-        if worst < -self.tol:
-            raise ValueError(f"certificate slack {worst:.3e} below -{self.tol:.3e}")
 
 
 @dataclass
 class KernelWitness:
     """z0 in K with L(z0) ~ 0 whose objective <m, z0> refutes feasibility.
 
-    Normalized to ||z0||_1 = 1 (orthant) or tr(z0) = 1 (PSD).
+    Every one has passed refute; 1'z0 = 1 (orthant) or tr(z0) = 1 (PSD) up to rounding.
     """
 
     z0: np.ndarray
     objective: float
+
+
+def certify(prob, p) -> Certificate | None:
+    """p with the dual slack computed here, or None when it reaches below -prob.SLACK_TOL."""
+    slack = prob.dual_slack(p)
+    if not np.min(slack, initial=np.inf) >= -prob.SLACK_TOL:
+        return None
+    return Certificate(p=p, slack=slack)
+
+
+def refute(prob, z0) -> KernelWitness | None:
+    """z0 as a witness against prob, or None unless it passes three checks.
+
+    On prob's own data, z0 taken as it is: its margin is >= -1e-9, its kernel
+    residual at most 1e-9 times its scale, and its objective < -prob.OBJECTIVE_TOL,
+    which rules out every p that certify accepts: <m - L'p, z0> = <m, z0> on the kernel.
+    """
+    residual, scale, objective = prob.kernel(z0)
+    if prob.margin(z0) >= -1e-9 and residual <= 1e-9 * scale and objective < -prob.OBJECTIVE_TOL:
+        return KernelWitness(z0=z0, objective=objective)
+    return None
 
 
 @dataclass
@@ -161,7 +175,8 @@ class LmiResult:
 
     max_violation is lambda_max(He(P) - C) at P, the certificate (feasible) or
     the last interior-point iterate (undecided), or minus the witness
-    objective (infeasible); iterations counts interior-point iterations.
+    objective (infeasible); slack is the certificate's (feasible only);
+    iterations counts interior-point iterations.
     """
 
     status: str  # "feasible" | "infeasible" | "undecided"
@@ -171,10 +186,11 @@ class LmiResult:
     iterations: int
     # "rank_one_witness" | "frequency_witness" | "riccati" | "interior_point"
     decided_by: str
+    slack: np.ndarray | None = None
 
     @classmethod
     def certified(cls, cert: Certificate, route, iterations=0) -> "LmiResult":
-        return cls("feasible", cert.p, float(-cert.slack[0]), None, iterations, route)
+        return cls("feasible", cert.p, float(-cert.slack[0]), None, iterations, route, cert.slack)
 
     @classmethod
     def refuted(cls, witness: KernelWitness, route, iterations=0) -> "LmiResult":
@@ -182,14 +198,15 @@ class LmiResult:
 
 
 # ---------------------------------------------------------------------------
-# orthant instantiation (exact, via LP)
+# orthant instantiation (via LP)
 
 
 def orthant_certificate(prob: OrthantProblem) -> Certificate | None:
     """Decide {p : L'p <= m} by phase-1 simplex; None when empty.
 
     Free p is split p = p+ - p-; slacks s close the inequality:
-    L'(p+ - p-) + s = m, all variables >= 0.
+    L'(p+ - p-) + s = m, all variables >= 0.  The vertex's p is returned
+    through certify, so a vertex whose slack fails the check gives None too.
     """
     x, z = prob.x_dim, prob.z_dim
     Lt = prob.Lmap.T
@@ -200,16 +217,15 @@ def orthant_certificate(prob: OrthantProblem) -> Certificate | None:
         return None
     if res.status != "optimal":
         raise RuntimeError(f"unexpected LP status {res.status} in feasibility phase")
-    p = res.x[:x] - res.x[x : 2 * x]
-    slack = prob.m - Lt @ p
-    return Certificate(p=p, slack=slack)
+    return certify(prob, res.x[:x] - res.x[x : 2 * x])
 
 
 def orthant_kernel_minimum(prob: OrthantProblem):
     """min <m, z> over z >= 0, Lz = 0, 1'z = 1.
 
-    Returns (value, witness); (+inf, None) when the kernel meets the
-    orthant only at 0, which makes the nonnegativity condition vacuous.
+    Returns (value, z), the LP's optimum and its vertex; (+inf, None) when
+    the kernel meets the orthant only at 0, which makes the nonnegativity
+    condition vacuous.  z refutes feasibility only as refute(prob, z) does.
     """
     z = prob.z_dim
     A = np.concatenate([prob.Lmap, np.ones((1, z))], axis=0)
@@ -219,7 +235,7 @@ def orthant_kernel_minimum(prob: OrthantProblem):
         return np.inf, None
     if res.status != "optimal":
         raise RuntimeError(f"unexpected LP status {res.status} in kernel minimum")
-    return float(res.objective), KernelWitness(z0=res.x, objective=float(res.objective))
+    return float(res.objective), res.x
 
 
 def orthant_surjectivity(Lmap) -> bool:
@@ -257,7 +273,8 @@ def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
     For L(Q) = UQV' + VQU', the rank-one Q = vv' with L(Q) = 0 are exactly
     v in ker(U) or v in ker(V): Uv(Vv)' + Vv(Uv)' = 0 forces one factor to
     vanish.  Minimizing tr(C vv') over each kernel is a small symmetric
-    eigenproblem.
+    eigenproblem.  The best vv' (|v| = 1) is kept when it passes refute,
+    with that smallest eigenvalue, tr(C vv') up to rounding, as objective.
     """
     best = None
     for M in (prob.U, prob.V):
@@ -272,24 +289,8 @@ def rank_one_witness(prob: PsdProblem) -> KernelWitness | None:
     if best is None:
         return None
     val, v = best
-    return KernelWitness(z0=np.outer(v, v), objective=val)
-
-
-def psd_kernel_witness(prob: PsdProblem, Q) -> KernelWitness | None:
-    """Q0 = Q / tr(Q) as a witness against prob, or None unless it passes three checks.
-
-    On prob's own U, V and C: Q0 is PSD (to 1e-9), UQ0V' + VQ0U' vanishes to
-    1e-9 (1 + ||U||), and tr(C Q0) < -LMI_TOL.  The last rules out every P
-    the post-check accepts, since tr((C - He(P)) Q0) = tr(C Q0).
-    """
-    Q0 = Q / np.trace(Q)
-    image = prob.U @ Q0 @ prob.V.T
-    objective = float(np.trace(prob.C @ Q0))
-    cone = ConeId.psd(prob.cone_dim)
-    in_kernel = np.linalg.norm(image + image.T) <= 1e-9 * (1.0 + frobenius("U", prob.U))
-    if cone_contains(cone, Q0, tol=1e-9) and in_kernel and objective < -LMI_TOL:
-        return KernelWitness(z0=Q0, objective=objective)
-    return None
+    witness = refute(prob, np.outer(v, v))
+    return None if witness is None else KernelWitness(z0=witness.z0, objective=val)
 
 
 def _step(L, D):
@@ -307,11 +308,11 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
     Z = tI + C - He(P) >= 0, and max -tr(CX) with X >= 0, tr X = 1 and
     UXV' + VXU' = 0, in an orthonormal basis F_k of span{-I, He(P)}: a basis
     keeps the Schur matrix nonsingular where P -> He(P) has a kernel.  An
-    iterate's P certifies when C - He(P) >= 0, or when the gap tr(XZ) has
-    converged and C - He(P) >= -LMI_TOL; its X, moved onto the dual
-    constraints along XGX, refutes when it passes psd_kernel_witness.  After a
-    numerical breakdown or IPM_MAX_ITERATIONS iterations, the last iterate
-    with C - He(P) >= -LMI_TOL certifies; without one it is undecided.
+    iterate's P certifies when certify accepts it and C - He(P) >= 0, or
+    the gap tr(XZ) has converged; its X, moved onto the dual constraints
+    along XGX and scaled to trace 1, refutes when it passes refute.  After
+    a numerical breakdown or IPM_MAX_ITERATIONS iterations, the last
+    iterate that certify accepted certifies; without one it is undecided.
     """
     n, d = prob.state_dim, prob.cone_dim
     E = np.eye(n * n).reshape(n * n, n, n)
@@ -320,19 +321,18 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
     S = np.concatenate([-np.eye(d)[None], G + np.swapaxes(G, 1, 2)]).reshape(-1, d * d)
     coef, s, F = np.linalg.svd(S)
     r = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
-    slack, X, k = np.linalg.eigvalsh(prob.C), np.eye(d) / d, 0  # at P = 0
-    t0 = 1.0 - min(slack[0], 0.0)  # C + t0 I >= I
+    P, X, k = np.zeros((n, n)), np.eye(d) / d, 0
+    t0 = 1.0 - min(np.linalg.eigvalsh(prob.C)[0], 0.0)  # C + t0 I >= I
     y = coef[:, r:] @ coef[0, r:]  # y[0] I = He(sum_j y[j + 1] E_j)
     if y[0] > SV_CUTOFF:  # I = He(P_I), and P = -t0 P_I leaves C + t0 I
-        P = -t0 / y[0] * symmetrize(np.tensordot(y[1:], E, 1))
-        cert_slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
-        if cert_slack[0] >= 0:
-            return LmiResult.certified(Certificate(P, cert_slack, LMI_TOL), "interior_point")
+        cert = certify(prob, -t0 / y[0] * symmetrize(np.tensordot(y[1:], E, 1)))
+        if cert is not None and cert.slack[0] >= 0:
+            return LmiResult.certified(cert, "interior_point")
     F, coef = F[:r], coef[:, :r] / s[:r]
     F3, b = F.reshape(r, d, d), -coef[0]  # max b'w is min t
     w = -t0 * (F @ np.eye(d).ravel())  # Z = C + t0 I
     reason = f"no decision in {IPM_MAX_ITERATIONS} iterations"
-    passed = None  # the last iterate whose P passed the post-check
+    passed = None  # the last iterate whose P passed certify
     try:
         for k in range(1, IPM_MAX_ITERATIONS + 1):
             Z = prob.C - (w @ F).reshape(d, d)
@@ -352,18 +352,20 @@ def psd_certificate(prob: PsdProblem) -> LmiResult:
             if not (np.isfinite(X).all() and np.isfinite(w).all()):
                 raise np.linalg.LinAlgError("non-finite iterate")
             P = symmetrize(np.tensordot(coef[1:] @ w, E, 1))
-            slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
+            cert = certify(prob, P)
             gap = np.vdot(X, prob.C - (w @ F).reshape(d, d))
             converged = gap <= 1e-8 * (1.0 + frobenius("C", prob.C))
-            if slack[0] >= -LMI_TOL:
-                passed = LmiResult.certified(Certificate(P, slack, LMI_TOL), "interior_point", k)
-                if slack[0] >= 0 or converged:
+            if cert is not None:
+                passed = LmiResult.certified(cert, "interior_point", k)
+                if cert.slack[0] >= 0 or converged:
                     return passed
             lam = np.linalg.lstsq(F @ (X @ F3 @ X).reshape(r, -1).T, F @ X.ravel() - b)[0]
-            witness = psd_kernel_witness(prob, symmetrize(X - X @ (lam @ F).reshape(d, d) @ X))
+            Q = symmetrize(X - X @ (lam @ F).reshape(d, d) @ X)
+            witness = refute(prob, Q / np.trace(Q))
             if witness is not None:
                 return LmiResult.refuted(witness, "interior_point", k)
     except np.linalg.LinAlgError as exc:
         reason = f"numerical breakdown in iteration {k}: {exc}"
     logger.info("psd_certificate %s: %s", "undecided" if passed is None else "certified", reason)
-    return passed or LmiResult("undecided", None, float(-slack[0]), None, k, "interior_point")
+    return passed or LmiResult(
+        "undecided", None, float(-prob.dual_slack(P)[0]), None, k, "interior_point")

@@ -28,6 +28,7 @@ from .certificates import (
     orthant_certificate,
     orthant_kernel_minimum,
     orthant_surjectivity,
+    refute,
 )
 from .kyp import (
     FORM_TOL, IQC_MAX_TRIALS, IQC_TRIALS, KypInstance, cross_validate, default_grid, psd_lmi
@@ -419,16 +420,15 @@ def _run_certify(kind, **fields):
     if kind == "orthant":
         prob = OrthantProblem(Lmap=fields["L"], m=fields["m"])
         cert = orthant_certificate(prob)
-        minimum, witness = orthant_kernel_minimum(prob)
-        surjective = orthant_surjectivity(prob.Lmap)
+        minimum, point = orthant_kernel_minimum(prob)
+        witness = None if point is None else refute(prob, point)
         payload = {
             "kind": "orthant",
-            "surjective": surjective,
+            "surjective": orthant_surjectivity(prob.Lmap),
             "kernel_minimum": minimum,
-            "kernel_witness": None if witness is None else witness.z0,
+            "kernel_witness": point,
         }
-        refuted = minimum < -1e-7
-        if cert is not None and refuted:
+        if cert is not None and witness is not None:
             raise RuntimeError(
                 "checkers disagree: orthant certificate exists but the kernel minimum "
                 f"is {minimum:.3e}"
@@ -437,11 +437,8 @@ def _run_certify(kind, **fields):
             payload["certificate"] = {"p": cert.p, "slack": cert.slack}
             return "feasible", payload
         payload["certificate"] = None
-        if refuted:
-            return "infeasible", payload
-        return "undecided", payload
-    prob = PsdProblem(**fields)
-    res = psd_lmi(prob)
+        return ("undecided" if witness is None else "infeasible"), payload
+    res = psd_lmi(PsdProblem(**fields))
     payload = {
         "kind": "psd",
         "status": res.status,
@@ -450,8 +447,7 @@ def _run_certify(kind, **fields):
         "iterations": res.iterations,
     }
     if res.status == "feasible":
-        slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(res.P))
-        payload["certificate"] = {"P": res.P, "slack": slack}
+        payload["certificate"] = {"P": res.P, "slack": res.slack}
     elif res.status == "infeasible":
         payload["witness"] = {"z0": res.witness, "objective": -res.max_violation}
     return res.status, payload

@@ -20,9 +20,10 @@ from .certificates import (
     KernelWitness,
     LmiResult,
     PsdProblem,
+    certify,
     psd_certificate,
-    psd_kernel_witness,
     rank_one_witness,
+    refute,
 )
 from .numerics import SV_CUTOFF, TimeGrid, rk4_linear, stage_inputs
 from .steering import controllability_rank
@@ -301,7 +302,8 @@ def _frequency_values(inst, omegas):
 
 
 def _kyp_form(prob: PsdProblem):
-    """(instance, T): prob in KYP form, or (None, None) when V lacks full row rank.
+    """(instance, T): prob in KYP form, or (None, None) when V lacks full row rank
+    or has no rows.
 
     With T = [V^+, N], N an orthonormal basis of ker V, VT = [I 0] and
     T'(C - He(P))T = -M - (A B)'P(I 0) - (I 0)'P(A B) for A = UV^+,
@@ -310,7 +312,7 @@ def _kyp_form(prob: PsdProblem):
     """
     n, d = prob.V.shape
     W, s, Xt = np.linalg.svd(prob.V)
-    if n > d or not s[-1] > SV_CUTOFF * s[0]:
+    if not n or n > d or not s[-1] > SV_CUTOFF * s[0]:
         return None, None
     T = np.hstack([(Xt[:n].T / s) @ W.T, Xt[n:].T])
     UT = prob.U @ T
@@ -355,14 +357,9 @@ def _riccati_solution(inst) -> np.ndarray | None:
 
 
 def _riccati_certificate(inst, prob) -> Certificate | None:
-    """The certificate P of _riccati_solution, kept only if the LMI holds at P."""
+    """The P of _riccati_solution as a certificate of prob, kept only when certify accepts it."""
     P = _riccati_solution(inst)
-    if P is None:
-        return None
-    slack = np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
-    if not slack[0] >= -LMI_TOL:
-        return None
-    return Certificate(p=P, slack=slack, tol=LMI_TOL)
+    return None if P is None else certify(prob, P)
 
 
 def _frequency_witness(inst, prob, T) -> KernelWitness | None:
@@ -373,7 +370,7 @@ def _frequency_witness(inst, prob, T) -> KernelWitness | None:
     eigenvector.  Q0 = Re(zz*)/tr is PSD, lies in the kernel of
     UQV' + VQU' because Uz = i*omega*Vz, and has tr(-M Q0) = -(form
     value)/tr.  With a congruence T from _kyp_form, z is mapped to Tz
-    first.  Q0 is returned only when it passes psd_kernel_witness.
+    first.  Q0 is returned only when it passes refute.
     """
     points = inst.crossing_points
     if not points.size:
@@ -389,20 +386,22 @@ def _frequency_witness(inst, prob, T) -> KernelWitness | None:
     z = H @ u
     if T is not None:
         z = T @ z
-    return psd_kernel_witness(prob, np.real(np.outer(z, z.conj())))
+    Q = np.real(np.outer(z, z.conj()))
+    return refute(prob, Q / np.trace(Q))
 
 
 def _decide(prob: PsdProblem, inst, T) -> LmiResult:
     """Decide U'PV + V'PU <= C by the one route chain; each route proves itself on prob.
 
-    In order: a rank-one kernel witness; a rank-2 frequency witness
-    (psd_kernel_witness); the Riccati certificate (eigenvalue post-check);
-    the interior-point method of psd_certificate.  The witnesses go first
-    so that a refutable instance pays no Riccati solve.  The order cannot
-    move a verdict: by weak duality a witness that passes psd_kernel_witness
-    excludes every P that passes the post-check.  The frequency and Riccati
-    routes run on inst, prob in KYP form, whose coordinates T maps to
-    prob's (T None: the same); they are skipped when inst is None.
+    In order: a rank-one kernel witness; a rank-2 frequency witness; the
+    Riccati certificate; the interior-point method of psd_certificate.
+    Every witness passes refute and every certificate certify, on prob,
+    before it is a verdict.  The witnesses go first so that a refutable
+    instance pays no Riccati solve.  The order cannot move a verdict: by
+    weak duality a witness that passes refute excludes every P that
+    certify accepts.  The frequency and Riccati routes run on inst, prob
+    in KYP form, whose coordinates T maps to prob's (T None: the same);
+    they are skipped when inst is None.
     """
     witness = rank_one_witness(prob)
     if witness is not None:

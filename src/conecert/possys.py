@@ -58,6 +58,10 @@ class PositiveSystem:
     def __post_init__(self):
         object.__setattr__(self, "A", as_square("A", self.A))
         object.__setattr__(self, "B", as_matrix("B", self.B, rows=self.A.shape[0]))
+        if not self.A.size:
+            raise ValueError("A is 0x0: a positive system needs at least one state")
+        if not self.B.size:
+            raise ValueError("B has no columns: a positive system needs at least one input")
         if not is_metzler(self.A):
             raise ValueError("A is not Metzler")
         if np.min(self.B) < -METZLER_TOL:
@@ -168,14 +172,10 @@ def _gain_orthant_problem(sys: PositiveSystem, gamma: float) -> OrthantProblem:
 
 def _gain_lp_feasible(sys: PositiveSystem, gamma: float) -> bool:
     """LP route to the gain decision.  A probe within FEAS_TOL of the gain can
-    pass phase 1 with a vertex that fails Certificate's slack check (the only
-    ValueError left once the problem is built); it counts as infeasible.
+    pass phase 1 with a vertex that fails its slack check; orthant_certificate
+    then returns None, and the probe counts as infeasible.
     """
-    prob = _gain_orthant_problem(sys, gamma)
-    try:
-        return orthant_certificate(prob) is not None
-    except ValueError:
-        return False
+    return orthant_certificate(_gain_orthant_problem(sys, gamma)) is not None
 
 
 def l1_certificate(sys: PositiveSystem, gamma: float, tol: float = 1e-8) -> GainCertificate | None:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 import helpers
 from conecert import certificates, simplex
 from conecert import (
-    ConeId,
     OrthantProblem,
     PsdProblem,
-    cone_contains,
     orthant_certificate,
     orthant_kernel_minimum,
     orthant_surjectivity,
@@ -22,21 +20,31 @@ from conecert.certificates import IPM_MAX_ITERATIONS
 from conecert.kyp import LMI_TOL
 
 
+def orthant(d):
+    """An orthant problem whose cone is R^d_+."""
+    return OrthantProblem(Lmap=np.zeros((1, d)), m=np.zeros(d))
+
+
+def psd(d):
+    """A PSD problem whose cone is S^d_+."""
+    return PsdProblem(U=np.zeros((1, d)), V=np.zeros((1, d)), C=np.zeros((d, d)))
+
+
 def test_cone_contains_orthant():
-    assert cone_contains(ConeId.orthant(2), [1.0, 0.0])
-    assert not cone_contains(ConeId.orthant(2), [1.0, -1.0])
+    assert orthant(2).margin([1.0, 0.0]) >= -1e-8
+    assert not orthant(2).margin([1.0, -1.0]) >= -1e-8
 
 
 def test_cone_contains_psd():
-    assert not cone_contains(ConeId.psd(2), [[1.0, 0.0], [0.0, -1.0]])
-    assert cone_contains(ConeId.psd(2), [[1.0, 1.0], [1.0, 1.0]])
+    assert not psd(2).margin([[1.0, 0.0], [0.0, -1.0]]) >= -1e-8
+    assert psd(2).margin([[1.0, 1.0], [1.0, 1.0]]) >= -1e-8
 
 
 def test_cone_shape_mismatch():
     with pytest.raises(ValueError):
-        cone_contains(ConeId.orthant(2), [1.0, 0.0, 0.0])
+        orthant(2).margin([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        cone_contains(ConeId.psd(2), np.eye(3))
+        psd(2).margin(np.eye(3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -44,9 +52,9 @@ def test_cone_shape_mismatch():
 @example(entries=[-5e-324], scale=0.5)
 def test_cone_membership_scale_invariant(entries, scale):
     z = np.asarray(entries)
-    cone = ConeId.orthant(z.size)
-    inside = cone_contains(cone, z, tol=0.0)
-    inside_scaled = cone_contains(cone, scale * z, tol=0.0)
+    prob = orthant(z.size)
+    inside = prob.margin(z) >= 0.0
+    inside_scaled = prob.margin(scale * z) >= 0.0
     assert inside == bool(np.all(z >= 0))
     assert inside_scaled == bool(np.all(scale * z >= 0))
     # a positive factor keeps the sign of every entry that stays nonzero; a
@@ -78,10 +86,10 @@ def test_orthant_certificate_infeasible():
 
 def test_kernel_minimum_negative():
     prob = OrthantProblem(Lmap=np.array([[-2.0, 1.0]]), m=np.array([-1.0, 0.4]))
-    val, wit = orthant_kernel_minimum(prob)
+    val, z = orthant_kernel_minimum(prob)
     assert abs(val + 1.0 / 15.0) <= 1e-6  # (-1 + 2*0.4) / 3
-    np.testing.assert_allclose(wit.z0, [1.0 / 3.0, 2.0 / 3.0], atol=1e-9)
-    assert abs(np.sum(np.abs(wit.z0)) - 1.0) <= 1e-9
+    np.testing.assert_allclose(z, [1.0 / 3.0, 2.0 / 3.0], atol=1e-9)
+    assert abs(np.sum(np.abs(z)) - 1.0) <= 1e-9
 
 
 def test_kernel_minimum_vacuous():
@@ -155,20 +163,33 @@ def test_duality_on_planted_instances():
             assert prob.m @ z0 < 0
         assert orthant_surjectivity(prob.Lmap)
         cert = orthant_certificate(prob)
-        val, wit = orthant_kernel_minimum(prob)
+        val, z = orthant_kernel_minimum(prob)
         assert (cert is not None) == planted_feasible
         assert (cert is not None) == (val >= -1e-7)
         if cert is not None:
             assert np.min(cert.slack) >= -1e-8
         else:
-            assert wit is not None
-            assert np.min(wit.z0) >= -1e-9
-            assert np.linalg.norm(prob.Lmap @ wit.z0) <= 1e-8 * (1.0 + np.linalg.norm(wit.z0))
+            assert z is not None
+            assert np.min(z) >= -1e-9
+            assert np.linalg.norm(prob.Lmap @ z) <= 1e-8 * (1.0 + np.linalg.norm(z))
+            assert abs(certificates.refute(prob, z).objective - val) <= 1e-9
 
 
 def psd_slack(prob, P):
     """Eigenvalues of C - U'PV - V'PU, ascending."""
-    return np.linalg.eigvalsh(prob.C - prob.adjoint_image(P))
+    G = prob.U.T @ P @ prob.V
+    return np.linalg.eigvalsh(prob.C - G - G.T)
+
+
+def test_certify_rejects_a_slack_that_overflows():
+    # (U'P)[0] = (1e309, -1e309) overflows to (inf, -inf), so the first row
+    # of C - He(P) is nan, on which eigvalsh does not converge and raises
+    prob = PsdProblem(U=[[10.0, 0.0, 0.0], [10.0, 0.0, 0.0]],
+                      V=[[1.0, 1.0, 0.0], [0.5, 0.0, 1.0]], C=np.eye(3))
+    P = np.diag([1e308, -1e308])
+    with np.errstate(all="ignore"):
+        assert np.isnan(prob.dual_slack(P)).all()
+        assert certificates.certify(prob, P) is None
 
 
 def test_psd_trivial_feasible():

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from conecert import PsdProblem, cli, kyp, possys, validation
+from conecert import PsdProblem, certificates, cli, kyp, possys, simplex, validation
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_problems"
@@ -292,6 +292,44 @@ def test_certify_orthant_certificate_against_kernel_witness_is_an_error(tmp_path
     assert code == 3
     assert doc["status"] == "error"
     assert doc["diagnostics"][0].startswith("checkers disagree")
+
+
+@pytest.mark.parametrize(
+    "point, status",
+    [
+        ([1.0 / 3.0, 2.0 / 3.0, 0.0], "infeasible"),  # a witness: -2z1 + z2 = 0, <m, z> = -1/15
+        ([1.0, 2.0, -1.0], "undecided"),  # in the kernel, <m, z> = -5.2, outside the orthant
+        ([0.5, 0.5, 0.0], "undecided"),  # in the orthant, <m, z> = -0.3, Lz = -0.5
+    ],
+)
+def test_certify_orthant_kernel_point_passes_its_check(tmp_path, monkeypatch, point, status):
+    # the kernel LP reports a minimum of -1 at each point; only a point that
+    # passes the three checks refutes, whatever the minimum reads
+    monkeypatch.setattr(cli, "orthant_kernel_minimum", lambda prob: (-1.0, np.array(point)))
+    path = write_problem(
+        tmp_path, {"command": "certify", "kind": "orthant", "L": [[-2.0, 1.0, 0.0]],
+                   "m": [-1.0, 0.4, 5.0]},
+    )
+    code, doc = run_cli(["certify", "--input", str(path)], tmp_path)
+    assert (code, doc["status"]) == (cli._EXIT_BY_STATUS[status], status)
+    assert (doc["result"]["kernel_minimum"], doc["result"]["certificate"]) == (-1.0, None)
+
+
+def test_certify_orthant_vertex_failing_its_slack_check_is_undecided(tmp_path, monkeypatch):
+    # -2p <= -1 and p <= 0.5 hold only at p = 0.5; the feasibility LP (four
+    # columns: p+, p- and two slacks) is made to return p = 0.6 instead, whose
+    # slack 0.5 - 0.6 fails the check, and the kernel minimum 0 refutes nothing
+    def vertex_off_by_01(c, A, b):
+        if A.shape[1] == 4:
+            return simplex.SimplexResult("optimal", np.array([0.6, 0.0, 0.2, 0.0]), 0.0)
+        return simplex.solve_lp(c, A, b)
+
+    monkeypatch.setattr(certificates, "solve_lp", vertex_off_by_01)
+    path = write_problem(
+        tmp_path, {"command": "certify", "kind": "orthant", "L": [[-2.0, 1.0]], "m": [-1.0, 0.5]},
+    )
+    code, doc = run_cli(["certify", "--input", str(path)], tmp_path)
+    assert (code, doc["status"], doc["result"]["certificate"]) == (2, "undecided", None)
 
 
 def test_validate_clean(tmp_path):
@@ -1172,7 +1210,8 @@ def test_defective_lyapunov_pair_is_certified_without_warnings(tmp_path):
     prob = PsdProblem(U=doc["U"], V=doc["V"], C=doc["C"])
     res = kyp.psd_lmi(prob)
     assert res.status == "feasible"
-    assert np.linalg.eigvalsh(prob.C - prob.adjoint_image(res.P))[0] >= -kyp.LMI_TOL
+    G = prob.U.T @ res.P @ prob.V
+    assert np.linalg.eigvalsh(prob.C - G - G.T)[0] >= -kyp.LMI_TOL
     path = write_problem(tmp_path, doc)
     _, [[code, _]], err = run_fresh(
         [["certify", "--input", str(path), "--output", str(tmp_path / "out.json")]], tmp_path

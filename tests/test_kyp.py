@@ -14,6 +14,7 @@ from conecert import (
     KypInstance,
     PsdProblem,
     TimeGrid,
+    certificates,
     cross_validate,
     default_grid,
     frequency_condition,
@@ -186,7 +187,7 @@ def test_psd_lmi_without_kyp_form_reaches_interior_point():
     assert res.iterations > 0 and res.max_violation <= kyp.LMI_TOL
 
 
-def test_interior_point_refutes_without_kyp_form_or_rank_one_witness():
+def hidden_resonance_problem():
     # the resonance instance behind R (3 x 2) and S as U = R(A B)S,
     # V = R(I 0)S, C = -S'MS: V has rank 2 < 3 rows, so there is no KYP form,
     # and no rank-one vv' in the kernel has a negative objective
@@ -194,17 +195,68 @@ def test_interior_point_refutes_without_kyp_form_or_rank_one_witness():
     rng = np.random.default_rng(0)
     R, S = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
     C = -S.T @ inst.M @ S
-    prob = PsdProblem(
+    return PsdProblem(
         U=R @ np.hstack([inst.A, inst.B]) @ S,
         V=R @ np.hstack([np.eye(2), np.zeros((2, 1))]) @ S,
         C=0.5 * (C + C.T),
     )
+
+
+def test_interior_point_refutes_without_kyp_form_or_rank_one_witness():
+    prob = hidden_resonance_problem()
     assert kyp._kyp_form(prob) == (None, None) and rank_one_witness(prob) is None
     res = psd_lmi(prob)
     assert (res.status, res.decided_by) == ("infeasible", "interior_point")
     assert res.iterations > 0
     assert_psd_witness(prob, res.witness)
     assert res.max_violation == -np.trace(prob.C @ res.witness)
+
+
+@pytest.mark.parametrize(
+    "decide, route",
+    [
+        (lambda: kyp_lmi(input_penalty_instance()), "rank_one_witness"),
+        (lambda: kyp_lmi(resonance_instance()), "frequency_witness"),
+        (lambda: kyp_lmi(passivity_instance()), "riccati"),
+        (lambda: kyp_lmi(touching_instance()), "interior_point"),
+        (lambda: psd_lmi(hidden_resonance_problem()), "interior_point"),
+    ],
+    ids=["rank_one", "frequency", "riccati", "interior_point_certificate",
+         "interior_point_witness"],
+)
+def test_every_route_artifact_passes_a_check(monkeypatch, decide, route):
+    # the artifact in the verdict is one that certify or refute accepted
+    accepted = []
+    checks = {name: getattr(certificates, name) for name in ("certify", "refute")}
+    for name, check in checks.items():
+        def spy(prob, artifact, check=check):
+            out = check(prob, artifact)
+            if out is not None:
+                accepted.append(artifact)
+            return out
+
+        for module in (certificates, kyp):
+            monkeypatch.setattr(module, name, spy)
+    res = decide()
+    assert res.decided_by == route
+    artifact = res.P if res.status == "feasible" else res.witness
+    assert any(artifact is a for a in accepted)
+
+
+@pytest.mark.parametrize(
+    "C, status, route",
+    [
+        (np.eye(2), "feasible", "interior_point"),
+        (-np.eye(2), "infeasible", "rank_one_witness"),
+        (np.diag([1.0, -1.0]), "infeasible", "rank_one_witness"),
+    ],
+)
+def test_psd_lmi_without_states(C, status, route):
+    # U and V with no rows: He(P) = 0, so the question is whether C >= 0
+    prob = PsdProblem(U=np.zeros((0, 2)), V=np.zeros((0, 2)), C=C)
+    assert kyp._kyp_form(prob) == (None, None)
+    res = psd_lmi(prob)
+    assert (res.status, res.decided_by) == (status, route)
 
 
 def test_riccati_failing_post_check_falls_back_to_interior_point(monkeypatch):

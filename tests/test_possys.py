@@ -62,6 +62,10 @@ def test_positive_system_validation():
         PositiveSystem(A=np.array([[-1.0, -0.5], [0.0, -1.0]]), B=np.ones((2, 1)))
     with pytest.raises(ValueError):
         PositiveSystem(A=-np.eye(2), B=np.array([[1.0], [-0.2]]))
+    with pytest.raises(ValueError, match="^B has no columns"):
+        PositiveSystem(A=-np.eye(2), B=np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="^A is 0x0"):
+        PositiveSystem(A=np.zeros((0, 0)), B=np.zeros((0, 1)))
 
 
 def test_exact_l1_gain_scalar():

@@ -9,9 +9,11 @@ of every benchmark workload at each seed (benchmark/inputs.generate), the
 three sample problems, four fixed `certify --kind psd` documents (see
 PSD_DOCUMENTS), `validate` on every problem file, runs with setting flags
 (each sample, and one steer file per seed), one kyp run that ends in an
-error (KYP_OVERFLOW), three fixed `certify --kind orthant` documents off the
-unit scale (ORTHANT_DOCUMENTS) and two fixed n = 2 decompose documents
-(DECOMPOSE_DOCUMENTS) are built once in a temporary directory.  Each tree
+error (KYP_OVERFLOW), one fixed three-input kyp document whose Popov form
+has a double top eigenvalue at every frequency (KYP_DOUBLE_TOP), three fixed
+`certify --kind orthant` documents off the unit scale (ORTHANT_DOCUMENTS)
+and two fixed n = 2 decompose documents (DECOMPOSE_DOCUMENTS) are built
+once in a temporary directory.  Each tree
 then runs all of them through benchmark/worker.Runner.execute in one fresh
 interpreter of its own.  Every task whose fingerprint differs (the output
 bytes and exit code of a CLI task, the result or exception of a library
@@ -142,6 +144,11 @@ DECOMPOSE_DOCUMENTS = {
 # -B M22^-1 B' overflows, so its diagnostic is compared too
 KYP_OVERFLOW = {"command": "kyp", "A": [[-1.0]], "B": [[1e160]], "M": [[1.0, 0.0], [0.0, -1.0]]}
 
+# m = 3 with M = -I: the Popov form -|g|^2 vv* - I, v = (1, 1, 0), has the
+# double top eigenvalue -1 at every omega, and M22 = -I is a multiple of I
+KYP_DOUBLE_TOP = {"command": "kyp", "A": [[-1.0]], "B": [[1.0, 1.0, 0.0]],
+                  "M": (-np.eye(4)).tolist()}
+
 
 def build_tasks(seeds, workdir):
     """(id, task) for every workload and seed, the samples, validate on each
@@ -170,6 +177,8 @@ def build_tasks(seeds, workdir):
                           "task": {"argv": ["validate", "--input", path]}})
     path = inputs._write(os.path.join(workdir, "samples"), "kyp-overflow.json", KYP_OVERFLOW)
     tasks.append({"id": "error.kyp-overflow", "task": {"argv": ["kyp", "--input", path]}})
+    path = inputs._write(os.path.join(workdir, "samples"), "kyp-double-top.json", KYP_DOUBLE_TOP)
+    tasks.append({"id": "kyp.double-top", "task": {"argv": ["kyp", "--input", path]}})
     for name, arrays in ORTHANT_DOCUMENTS.items():
         doc = {"command": "certify", "kind": "orthant"}
         doc.update({key: np.asarray(value).tolist() for key, value in arrays.items()})
@@ -258,7 +267,8 @@ def describe(a, b):
         if not np.isfinite(np.concatenate([fx[~same], fy[~same]])).all():
             changed.append(key)  # a non-finite value appeared or went away
             continue
-        diff = np.where(same, 0.0, np.abs(fx - fy))
+        with np.errstate(invalid="ignore"):  # inf - inf where both sides hold the same inf
+            diff = np.where(same, 0.0, np.abs(fx - fy))
         rel = np.divide(diff, np.maximum(np.abs(fx), np.abs(fy)),
                         out=np.zeros_like(diff), where=~same)
         for name, vals in (("abs", diff), ("rel", rel)):

@@ -31,7 +31,7 @@ from .certificates import (
     refute,
 )
 from .kyp import (
-    FORM_TOL, IQC_MAX_TRIALS, IQC_TRIALS, KypInstance, cross_validate, default_grid, psd_lmi
+    FORM_TOL, IQC_MAX_TRIALS, IQC_TRIALS, KypInstance, _default_grid, cross_validate, psd_lmi
 )
 from .numerics import TimeGrid
 from .possys import (
@@ -320,7 +320,7 @@ def _run_kyp(A, B, M, horizon, trials, seed, tol, grid):
     controllable = inst.controllable  # a Kalman matrix that overflows fails here, first
     report = cross_validate(
         inst,
-        grid=default_grid(inst.A, points=grid),
+        grid=_default_grid(inst.A, inst.axis_frequencies, points=grid),
         trials=trials,
         seed=seed,
         horizon=horizon,

@@ -60,6 +60,8 @@ IQC_MAX_TRIALS = 100
 # under this count (32 MB each), which bounds the sampler's memory near the
 # step budget
 IQC_BATCH_VALUES = 2**22
+_EYE3 = np.eye(3)[:, :, None]
+_TINY = np.finfo(float).tiny
 
 
 @dataclasses.dataclass
@@ -168,9 +170,14 @@ def _log_frequencies(points):
 def default_grid(A, points=200) -> FrequencyGrid:
     """Log-spaced grid over [1e-3, 1e3]*(1+||A||) plus 0, minus eigenfrequencies."""
     A = as_square("A", A)
+    return _default_grid(A, imaginary_axis_frequencies(A), points)
+
+
+def _default_grid(A, axis_frequencies, points=200):
+    """default_grid of A whose eigenfrequencies are known, such as a KypInstance's."""
     scale = 1.0 + float(np.linalg.norm(A, 2))
     omegas = np.concatenate([[0.0], _log_frequencies(points) * scale])
-    return FrequencyGrid(np.unique(_off_eigenfrequencies(imaginary_axis_frequencies(A), omegas)))
+    return FrequencyGrid(np.unique(_off_eigenfrequencies(axis_frequencies, omegas)))
 
 
 def _singular(S):
@@ -213,10 +220,13 @@ def hamiltonian_crossings(inst: KypInstance) -> np.ndarray:
     return np.unique(np.abs(eig[on_axis].imag))
 
 
-def _chunks(omegas, n):
-    """omegas in chunks whose stacks of n x n systems hold at most SWEEP_BATCH_VALUES entries."""
+def _sweep(f, omegas, n):
+    """f(omegas), frequencies first, in chunks whose stacks of n x n systems
+    hold at most SWEEP_BATCH_VALUES entries; one call when omegas fit in one."""
     size = max(1, SWEEP_BATCH_VALUES // n**2)
-    return [omegas[lo : lo + size] for lo in range(0, max(omegas.size, 1), size)]
+    if omegas.size <= size:
+        return f(omegas)
+    return np.concatenate([f(omegas[lo : lo + size]) for lo in range(0, omegas.size, size)])
 
 
 def _resolvents(A, omegas):
@@ -224,10 +234,21 @@ def _resolvents(A, omegas):
     return 1j * omegas[:, None, None] * np.eye(A.shape[0]) - A
 
 
-def _stacked_solve(K, rhs, omegas, message):
-    """K X = rhs for each K of the stack; a singular one raises ValueError naming its omega."""
+def _stacked_solve(A, rhs, omegas, message):
+    """X with (i*omega*I - A) X = rhs at each omega, the frequencies innermost: (n, m, k).
+
+    One state is a division; more take one stacked LAPACK solve.  Either
+    way each column of rhs comes out as a solve of that column alone
+    gives it.  A singular system raises ValueError naming its omega.
+    """
+    if A.shape[0] == 1:
+        pivots = 1j * omegas - A[0, 0]
+        if not pivots.all():
+            raise ValueError(message.format(omega=omegas[int(np.argmax(pivots == 0))]))
+        return rhs[:, :, None] / pivots
+    K = _resolvents(A, omegas)
     try:
-        return np.linalg.solve(K, rhs)
+        return np.linalg.solve(K, rhs).transpose(1, 2, 0)
     except np.linalg.LinAlgError:
         for k in range(K.shape[0]):
             try:
@@ -240,11 +261,10 @@ def _stacked_solve(K, rhs, omegas, message):
 def _transfer(inst, omegas):
     """G = (i*omega*I - A)^(-1) B at every omega, the frequencies innermost: (n, m, k)."""
     n, m, k, A, B = inst.n, inst.m, omegas.size, inst.A, inst.B
-    sol = _stacked_solve(
-        _resolvents(A, omegas), B, omegas,
+    G = np.ascontiguousarray(_stacked_solve(
+        A, B, omegas,
         "singular transfer solve at omega = {omega!r}; the grid contains an eigenfrequency of A",
-    )
-    G = np.ascontiguousarray(sol.transpose(1, 2, 0))
+    ))
     AG = (A @ G.reshape(n, m * k)).reshape(n, m, k)
     resid = np.linalg.norm(1j * omegas * G - AG - B[:, :, None], axis=(0, 1))
     bad = ~(resid <= 1e-6 * (1.0 + float(frobenius("B", B))))
@@ -270,7 +290,8 @@ def _top_eigenvalues(forms):
 
     forms has shape (m, m) + stack.  For m = 1 that is the real entry; for
     m = 2, with diagonal a, d and off-diagonal mean b, it is (a + d)/2 +
-    hypot((a - d)/2, |b|); otherwise eigvalsh, -inf for an empty (m = 0) form.
+    hypot((a - d)/2, |b|); for m = 3 the trigonometric root of
+    _top_of_three; otherwise eigvalsh, -inf for an empty (m = 0) form.
     """
     m = forms.shape[0]
     if m == 1:
@@ -279,14 +300,46 @@ def _top_eigenvalues(forms):
         a, d = forms[0, 0].real, forms[1, 1].real
         b = 0.5 * (forms[0, 1] + np.conj(forms[1, 0]))
         return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(b))
+    if m == 3:
+        return _top_of_three(forms.reshape(3, 3, -1)).reshape(forms.shape[2:])
     hermitian = np.moveaxis(0.5 * (forms + np.conj(np.swapaxes(forms, 0, 1))), (0, 1), (-2, -1))
     return np.max(np.linalg.eigvalsh(hermitian), axis=-1, initial=-np.inf)
+
+
+def _top_of_three(forms):
+    """Largest eigenvalue of the Hermitian part H of each 3 x 3 form of a (3, 3, k) stack.
+
+    With q = tr(H)/3, D = H - qI and p = |D|_F/sqrt(6), the eigenvalues of
+    H are q + 2p cos((theta + 2 pi j)/3), j = 0, 1, 2, where cos(theta) =
+    det(D)/(2p^3) = tr(D^3)/(6p^3) (Smith 1961); j = 0 is the largest.
+    theta is taken by atan2, whose two arguments may share any positive
+    factor: 6p^4 cos(theta) = p tr(D^3), and 6p^4 sin(theta) = |G|_F/sqrt(6)
+    for G = |D|^2 D^2 - tr(D^3) D - |D|^4 I/3, whose eigenvalues go to zero
+    with the gap where two eigenvalues meet.  There the arccos of a
+    rounded det(D)/(2p^3) loses half the digits; the sine from G keeps
+    them, so the root stays within a few eps |H|_F at a double eigenvalue
+    as anywhere else.  Each form is first divided by its largest entry, so
+    no power of an entry overflows; a multiple of I (p = 0) gives q.
+    """
+    s = np.maximum(np.abs(forms).reshape(9, -1).max(axis=0), _TINY)
+    F = forms * (0.5 / s)
+    H = F + F.conj().transpose(1, 0, 2)  # H/s
+    q = H.reshape(9, -1)[::4].real.sum(axis=0) / 3.0
+    D = H - q * _EYE3
+    D2 = (D[:, :, None] * D[None]).sum(axis=1)
+    P2 = D2.reshape(9, -1)[::4].real.sum(axis=0)  # |D|_F^2 = tr(D^2)
+    T = (D2 * D.transpose(1, 0, 2)).real.sum(axis=(0, 1))  # tr(D^3)
+    G = P2 * D2 - T * D - (P2 * P2 / 3.0) * _EYE3
+    p = np.sqrt(P2 / 6.0)
+    sine = np.sqrt((G * G.conj()).real.sum(axis=(0, 1)) / 6.0)
+    return s * (q + 2.0 * p * np.cos(np.arctan2(sine, T * p) / 3.0))
 
 
 def _popov_tops(inst, omegas):
     """Top eigenvalue of the Popov form H* M H, H = ((i*omega*I - A)^-1 B; I), at each omega.
 
-    One stacked complex n x n solve gives G = (i*omega*I - A)^-1 B; with
+    One stacked complex solve (a division for n = 1) gives
+    G = (i*omega*I - A)^-1 B; with
     MH = M[:, :n] G + M[:, n:], the form is G* (MH)[:n] + (MH)[n:], the
     frequencies innermost.
     """
@@ -298,7 +351,7 @@ def _popov_tops(inst, omegas):
 
 
 def _frequency_values(inst, omegas):
-    return np.concatenate([_popov_tops(inst, w) for w in _chunks(omegas, inst.n)])
+    return _sweep(lambda w: _popov_tops(inst, w), omegas, inst.n)
 
 
 def _kyp_form(prob: PsdProblem):
@@ -446,13 +499,13 @@ def frequency_condition(
     interval between Hamiltonian crossings), so a peak narrower than the
     grid spacing is still evaluated; the Hamiltonian only chooses points,
     and the form itself is evaluated at every point.  Each frequency costs
-    one complex n x n solve, stacked over the grid, and the m x m Hermitian
-    form is assembled from it directly; its top eigenvalue is in closed form
-    for m <= 2.  The omega -> infinity limit reduces to the lower-right block
-    of M.
+    one complex division for n = 1, else one complex n x n solve, stacked
+    over the grid, and the m x m Hermitian form is assembled from it
+    directly; its top eigenvalue is in closed form for m <= 3.  The
+    omega -> infinity limit reduces to the lower-right block of M.
     """
     if grid is None:
-        grid = default_grid(inst.A)
+        grid = _default_grid(inst.A, inst.axis_frequencies)
     n, m = inst.n, inst.m
     omegas = np.union1d(grid.omegas, inst.crossing_points)
     values = _frequency_values(inst, omegas)
@@ -484,24 +537,32 @@ class PointwiseReport:
 
 
 def _pointwise_forms(inst, omegas):
-    """(top eigenvalue, canonical values) of the Hermitian form at each omega.
+    """The m x m Hermitian form on the canonical input columns at each omega: (m, m, k).
 
     Each canonical input column j gives z_j = (x_j, e_j) with
     i*omega*x_j = Ax_j + B e_j.  All m columns are the right-hand sides of
-    one stacked complex n x n solve over the frequencies; each x_j comes out
-    bit for bit as a solve of its column alone would give it.  The form's
-    entries are z_i* M z_j, the frequencies innermost; its diagonal holds
-    the canonical values.
+    one stacked complex solve over the frequencies, a division for n = 1;
+    each x_j comes out bit for bit as a solve of its column alone would
+    give it.  The form's entries are z_i* M z_j, the frequencies
+    innermost; its diagonal holds the canonical values.
     """
     n, m, k = inst.n, inst.m, omegas.size
     Z = np.empty((n + m, m, k), dtype=complex)  # z_j at omega_k is Z[:, j, k]
-    Z[:n] = _stacked_solve(
-        _resolvents(inst.A, omegas), inst.B, omegas, "singular pointwise solve at omega = {omega!r}"
-    ).transpose(1, 2, 0)
+    Z[:n] = _stacked_solve(inst.A, inst.B, omegas, "singular pointwise solve at omega = {omega!r}")
     Z[n:] = np.eye(m)[:, :, None]
     MZ = (inst.M @ Z.reshape(n + m, m * k)).reshape(Z.shape)
-    forms = _finite_forms(np.einsum("pik,pjk->ijk", np.conj(Z), MZ), omegas, "pointwise")
-    return _top_eigenvalues(forms), np.diagonal(forms).real
+    return _finite_forms(np.einsum("pik,pjk->ijk", np.conj(Z), MZ), omegas, "pointwise")
+
+
+def _pointwise_grid_values(inst, omegas):
+    """(k, 1 + m): the top eigenvalue of the pointwise form, then its canonical values."""
+    forms = _pointwise_forms(inst, omegas)
+    return np.column_stack([_top_eigenvalues(forms), np.diagonal(forms).real])
+
+
+def _pointwise_tops(inst, omegas):
+    """The top eigenvalue of the pointwise form at each omega, and nothing else."""
+    return _sweep(lambda w: _top_eigenvalues(_pointwise_forms(inst, w)), omegas, inst.n)
 
 
 def _peak_brackets(poles, omegas, values):
@@ -543,27 +604,28 @@ def pointwise_condition(
     """Check the quadratic form on (x, u) with i*omega*x = Ax + Bu, per frequency.
 
     Independent route from frequency_condition: the canonical input columns
-    are solved for, all in one stacked solve per frequency set, and the
-    Hermitian form is assembled pairwise from those solutions; the x = 0
-    branch is the lower-right block of M.
+    are solved for, all in one stacked solve (a division for n = 1) per
+    frequency set, and the Hermitian form is assembled pairwise from those
+    solutions; the x = 0 branch is the lower-right block of M.
     When the grid and the limit hold, every local maximum of the grid
     values is refined by a multi-section search over its bracketing
     interval, 10 stacked passes of 15 points, so a peak narrower than the
-    grid spacing still refutes.  No Hamiltonian is used; of the instance's
+    grid spacing still refutes.  A pass evaluates only the top eigenvalue
+    of each form, in one call.  No Hamiltonian is used; of the instance's
     cached data only the eigenfrequencies of A are read, to drop brackets
     around a pole.  worst_omega is inf where the limit is worst.
     """
     if grid is None:
-        grid = default_grid(inst.A)
+        grid = _default_grid(inst.A, inst.axis_frequencies)
     n, m = inst.n, inst.m
     omegas = grid.omegas
-    chunks = [_pointwise_forms(inst, w) for w in _chunks(omegas, n)]
-    values, canon = (np.concatenate(c) for c in zip(*chunks))
+    grid_values = _sweep(lambda w: _pointwise_grid_values(inst, w), omegas, n)
+    values, canon = grid_values[:, 0], grid_values[:, 1:]
     limit_value = float(np.max(np.linalg.eigh(inst.M[n:, n:])[0], initial=-np.inf))
     if max(np.max(values, initial=-np.inf), limit_value) <= tol:
         # only a peak between grid points can still refute
         peak_omegas, peak_values = _multisection_maxima(
-            lambda w: np.concatenate([_pointwise_forms(inst, c)[0] for c in _chunks(w, n)]),
+            lambda w: _pointwise_tops(inst, w),
             *_peak_brackets(inst.axis_frequencies, omegas, values),
         )
         omegas, values = np.append(omegas, peak_omegas), np.append(values, peak_values)
@@ -739,7 +801,7 @@ def cross_validate(
     ``tol`` is the decision threshold of both frequency sweeps.
     """
     if grid is None:
-        grid = default_grid(inst.A)
+        grid = _default_grid(inst.A, inst.axis_frequencies)
     lmi = kyp_lmi(inst)
     freq = frequency_condition(inst, grid, tol=tol)
     point = pointwise_condition(inst, grid, tol=tol)

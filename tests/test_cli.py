@@ -131,6 +131,23 @@ def test_decompose_refutation_fails_with_its_residual(tmp_path):
     assert out["result"]["dynamics_residual"] > 1e-5
 
 
+def test_a_kyp_run_computes_the_eigenvalues_of_a_once(tmp_path, monkeypatch):
+    # the default grid, both sweeps and the IQC sampler share the instance's
+    # eigenvalues of A; only the Hamiltonian of M22 = -I has eigenvalues of its own
+    doc = {"command": "kyp", "A": [[-1.0, 0.5], [-0.5, -2.0]], "B": [[1.0], [0.5]],
+           "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]], "trials": 1}
+    eigvals, shapes = np.linalg.eigvals, []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    code, out = run_cli(["kyp", "--input", str(write_problem(tmp_path, doc))], tmp_path)
+    assert (code, out["status"]) == (0, "feasible")
+    assert sorted(shapes) == [(2, 2), (4, 4)]
+
+
 def test_kyp_infeasible_exit_code(tmp_path):
     path = write_problem(
         tmp_path,

@@ -433,13 +433,18 @@ def test_batched_sweeps_match_per_frequency_reference(batch_values, monkeypatch)
 
 
 def test_sweeps_name_the_frequency_of_a_singular_solve():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eigenvalues +-i
-    inst = KypInstance(A=A, B=np.array([[0.0], [1.0]]), M=-np.eye(3))
-    grid = FrequencyGrid(np.array([0.5, 1.0, 2.0]))
-    with pytest.raises(ValueError, match=r"transfer solve at omega = np\.float64\(1\.0\)"):
-        frequency_condition(inst, grid=grid)
-    with pytest.raises(ValueError, match=r"pointwise solve at omega = np\.float64\(1\.0\)"):
-        pointwise_condition(inst, grid=grid)
+    # an integrator, solved by division, and eigenvalues +-i, by stacked LAPACK
+    for A, B, omegas, omega in [
+        (np.array([[0.0]]), np.array([[1.0, 2.0]]), [0.0, 1.0, 2.0], 0.0),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]]), [0.5, 1.0, 2.0], 1.0),
+    ]:
+        inst = KypInstance(A=A, B=B, M=-np.eye(A.shape[0] + B.shape[1]))
+        grid = FrequencyGrid(np.array(omegas))
+        at = rf" at omega = np\.float64\({omega!r}\)"
+        with pytest.raises(ValueError, match="^singular transfer solve" + at + "; the grid contains"):
+            frequency_condition(inst, grid=grid)
+        with pytest.raises(ValueError, match="^singular pointwise solve" + at + "$"):
+            pointwise_condition(inst, grid=grid)
 
 
 def overflowing_instance():
@@ -466,6 +471,31 @@ def hermitian_stack(rng, m, k):
     return X + np.conj(np.swapaxes(X, 1, 2))
 
 
+def special_forms_of_three(rng):
+    """3 x 3 Hermitian forms where eigenvalues meet, and real symmetric ones like M22."""
+    unitary = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    orthogonal = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    spectra = [
+        (2.0, 2.0, -1.0),  # a double top eigenvalue
+        (3.0, -1.0, -1.0),  # a double bottom eigenvalue
+        (1.0, 1.0 - 1e-4, -2.0),  # the top two close, where arccos(det(B)/2) loses digits
+        (1.0, 1.0 - 1e-12, -2.0),
+        (5.0, 0.0, 0.0),  # rank one
+        (0.7, 0.7, 0.7),  # a multiple of I in a rotated frame
+    ]
+    forms = [U @ np.diag(lam) @ U.conj().T for U in (unitary, orthogonal) for lam in spectra]
+    v = np.array([1.0, 2.0 - 1.0j, 0.5j])
+    forms += [
+        np.outer(v, v.conj()),  # rank one
+        1.5 * np.eye(3),
+        -np.eye(3),  # M22 of M = -I
+        np.diag([-3.0, -3.0, 0.5]),
+        np.diag([0.5, 0.5, -2.0]),
+    ]
+    forms = np.array(forms)
+    return 0.5 * (forms + np.conj(np.swapaxes(forms, 1, 2)))  # Hermitian to the last bit
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_top_eigenvalues_match_eigvalsh(m):
     rng = np.random.default_rng(26)
@@ -479,6 +509,9 @@ def test_top_eigenvalues_match_eigvalsh(m):
             [[4.0, 0.0], [0.0, 4.0]],
         ])
         forms = np.concatenate([forms, special])
+    if m == 3:
+        forms = np.concatenate([forms, special_forms_of_three(rng)])
+    if m > 1:
         forms = np.concatenate([forms, 1e150 * forms, 1e-150 * forms])
     for stack in (forms, forms.real):  # Hermitian, and real symmetric like M22
         top = np.max(np.abs(stack), axis=(1, 2), keepdims=True)  # |F|_F without overflow
@@ -490,6 +523,21 @@ def test_top_eigenvalues_match_eigvalsh(m):
         assert np.all(np.abs(kyp._top_eigenvalues(np.moveaxis(stack, 0, -1)) - ref) <= bound)
         unstacked = np.array([kyp._top_eigenvalues(F) for F in stack])
         assert np.all(np.abs(unstacked - ref) <= bound)
+
+
+def test_top_eigenvalues_of_three_call_no_eigvalsh(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the m = 3 top eigenvalue is in closed form")
+
+    stack = np.concatenate([hermitian_stack(np.random.default_rng(31), 3, 50),
+                            special_forms_of_three(np.random.default_rng(32))])
+    ref = np.linalg.eigvalsh(stack)[:, -1]
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    top = kyp._top_eigenvalues(np.moveaxis(stack, 0, -1))
+    bound = 8.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(stack, axis=(1, 2)))
+    assert np.all(np.abs(top - ref) <= bound)
+    assert float(kyp._top_eigenvalues(-np.eye(3))) == -1.0
+    np.testing.assert_array_equal(kyp._top_eigenvalues(np.zeros((3, 3, 2))), [0.0, 0.0])
 
 
 def test_top_eigenvalue_of_an_empty_form_is_minus_infinity():
@@ -511,19 +559,20 @@ def test_pointwise_limit_is_computed_without_the_closed_forms(monkeypatch):
 
 
 def test_frequency_sweep_residual_check_names_its_frequency(monkeypatch):
-    solve = np.linalg.solve
+    solve = kyp._stacked_solve
 
-    def spoiled(K, rhs):  # a wrong solution at the second frequency only
-        sol = solve(K, rhs)
-        if sol.ndim == 3 and sol.shape[0] > 1:
-            sol[1] += 1.0
+    def spoiled(A, rhs, omegas, message):  # a wrong solution at omega = 1 only
+        sol = solve(A, rhs, omegas, message)
+        sol[:, :, omegas == 1.0] += 1.0
         return sol
 
-    monkeypatch.setattr(np.linalg, "solve", spoiled)
+    monkeypatch.setattr(kyp, "_stacked_solve", spoiled)
     grid = FrequencyGrid(np.array([0.5, 1.0, 2.0]))
     message = r"ill-conditioned transfer solve at omega = np\.float64\(1\.0\)"
-    with pytest.raises(ValueError, match=message):
-        frequency_condition(passivity_instance(), grid=grid)
+    # the division of one state and the stacked LAPACK solve of two
+    for inst in (passivity_instance(), contraction_pair_instance()):
+        with pytest.raises(ValueError, match=message):
+            frequency_condition(inst, grid=grid)
 
 
 def test_frequency_condition_merges_hamiltonian_crossings():
@@ -609,27 +658,28 @@ def contraction_pair_instance():
 )
 def test_pointwise_solves_each_frequency_set_once(make, solves, monkeypatch):
     # the grid once; when it holds, one stacked call per refinement pass, and
-    # one np.linalg.solve per call whatever the number of inputs
+    # one stacked solve per call whatever the number of inputs
     def forbidden(*args, **kwargs):
         raise AssertionError("pointwise_condition must not use the Hamiltonian")
 
     monkeypatch.setattr(kyp, "hamiltonian_crossings", forbidden)
     monkeypatch.setattr(kyp, "_hamiltonian", forbidden)
     calls, solved = [], []
-    forms, solve = kyp._pointwise_forms, np.linalg.solve
+    forms, solve = kyp._pointwise_forms, kyp._stacked_solve
 
     def counted(inst, omegas):
         calls.append(omegas.size)
         return forms(inst, omegas)
 
-    def counted_solve(K, rhs):
-        solved.append(K.shape)
-        return solve(K, rhs)
+    def counted_solve(A, rhs, omegas, message):
+        solved.append(omegas.size)
+        return solve(A, rhs, omegas, message)
 
     monkeypatch.setattr(kyp, "_pointwise_forms", counted)
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(kyp, "_stacked_solve", counted_solve)
     pointwise_condition(make())
     assert len(calls) == len(solved) == solves
+    assert solved == calls
 
 
 def bounded_real_instance():
